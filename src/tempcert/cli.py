@@ -3,7 +3,8 @@
 Commands
 --------
 certify   decide temporal compatibility of a bipartite state (exit 0 when
-          compatible in both directions, 2 otherwise, 1 on input errors)
+          compatible in both directions, 2 otherwise, 1 on input errors,
+          3 when the two internal verdict paths disagree)
 channel   reconstruct the temporal channel of a state in one direction
 pdm       build the pseudo-density matrix of a Pauli correlation table
 expect    tabulate Pauli-pair two-time expectation values of a process
@@ -24,7 +25,7 @@ from .channels import is_cptp
 from .ensembles import assemble_state
 from .operators import partial_trace, validate_density
 from .sot import PAULIS, correlations_from_process, pdm_from_correlations
-from .temporal import certify, dephasing_channel, temporal_channel
+from .temporal import VerdictMismatchError, certify, dephasing_channel, temporal_channel
 
 __all__ = ["main"]
 
@@ -185,9 +186,9 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, VerdictMismatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 3 if isinstance(exc, VerdictMismatchError) else 1
 
 
 if __name__ == "__main__":

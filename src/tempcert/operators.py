@@ -204,37 +204,15 @@ def partial_trace(t: np.ndarray, dims: tuple[int, int], side: str = "b") -> np.n
     raise ValueError(f"side must be 'a' or 'b', got {side!r}")
 
 
-def partial_transpose(
-    t: np.ndarray,
-    dims: tuple[int, int],
-    side: str = "a",
-    basis: np.ndarray | None = None,
-) -> np.ndarray:
-    """Transpose one factor of a bipartite operator.
-
-    By default the transpose is taken in the computational basis.  If
-    ``basis`` is given (a unitary whose columns are the basis vectors of the
-    transposed factor), the transpose is taken with respect to that basis;
-    the map is still an involution.
-    """
+def partial_transpose(t: np.ndarray, dims: tuple[int, int], side: str = "a") -> np.ndarray:
+    """Transpose one factor of a bipartite operator in the computational basis."""
     da, db = dims
     r = _split(t, dims)
     if side == "a":
-        out = r.transpose(2, 1, 0, 3).reshape(da * db, da * db)
-    elif side == "b":
-        out = r.transpose(0, 3, 2, 1).reshape(da * db, da * db)
-    else:
-        raise ValueError(f"side must be 'a' or 'b', got {side!r}")
-    if basis is None:
-        return out
-    u = as_complex_matrix(basis)
-    d = da if side == "a" else db
-    if u.shape[0] != d:
-        raise ValueError(f"basis of dim {u.shape[0]} does not match factor dim {d}")
-    # Transpose in basis U equals W X^T W^dag on that factor, with W = U U^T.
-    w = u @ u.T
-    wfull = tensor(w, np.eye(db)) if side == "a" else tensor(np.eye(da), w)
-    return wfull @ out @ wfull.conj().T
+        return r.transpose(2, 1, 0, 3).reshape(da * db, da * db)
+    if side == "b":
+        return r.transpose(0, 3, 2, 1).reshape(da * db, da * db)
+    raise ValueError(f"side must be 'a' or 'b', got {side!r}")
 
 
 def hadamard_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -272,7 +250,7 @@ def sqrt_pinv(rho: np.ndarray, rank_tol: float = DEFAULT_TOLS.rank) -> PseudoSqr
     w, v = np.linalg.eigh(a)
     p_max = float(w[-1]) if w.size else 0.0
     mask = w > rank_tol * max(p_max, 0.0)
-    inv = np.where(mask, np.divide(1.0, np.sqrt(np.abs(w)), where=mask), 0.0)
+    inv = np.divide(1.0, np.sqrt(np.abs(w)), out=np.zeros_like(w), where=mask)
     root = np.where(mask, np.sqrt(np.abs(w)), 0.0)
     vs = v[:, mask]
     support = vs @ vs.conj().T

@@ -137,6 +137,26 @@ class TestCertifyCommand:
         assert code == 1
         assert "trace" in capsys.readouterr().err
 
+    def test_verdict_mismatch_exits_3_with_one_line(self, tmp_path, capsys):
+        # Separable, so compatible; the first marginal's smallest eigenvalue 1e-11
+        # amplifies rounding in the channel's hermiticity and trace gates until its
+        # CP verdict disagrees with the positive test matrix.
+        rng = np.random.default_rng(0)
+        eps = 1e-11
+        u = tc.random_unitary(3, seed=rng)
+        states_a = []
+        for _ in range(3):
+            q = rng.dirichlet(np.ones(2)) * (1 - eps)
+            states_a.append(u @ np.diag([q[0], q[1], eps]) @ u.conj().T)
+        states_b = tuple(tc.random_density(3, seed=rng) for _ in range(3))
+        weights = rng.dirichlet(np.ones(3))
+        ens = tc.ProductEnsemble(weights=weights, states_a=tuple(states_a), states_b=states_b)
+        path = write(tmp_path, "ill.json", documents.state_document(tc.assemble_state(ens), (3, 3)))
+        assert main(["certify", path]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: side a:")
+        assert err.count("\n") == 1
+
     def test_exit_code_is_reproducible(self, tmp_path):
         path = write(tmp_path, "bell.json", documents.state_document(bell_state(), (2, 2)))
         assert main(["certify", path, "--json", "--out", str(tmp_path / "r1.json")]) == main(

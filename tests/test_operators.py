@@ -138,29 +138,6 @@ class TestTensorAndPartialOps:
             tc.partial_trace(pt, (2, 3), "b"), tc.partial_trace(t, (2, 3), "b").T, atol=1e-12
         )
 
-    def test_partial_transpose_in_basis(self):
-        rng = np.random.default_rng(6)
-        t = random_hermitian(6, rng)
-        u = tc.random_unitary(2, seed=rng)
-        pt = tc.partial_transpose(t, (2, 3), "a", basis=u)
-        back = tc.partial_transpose(pt, (2, 3), "a", basis=u)
-        np.testing.assert_allclose(back, t, atol=1e-12)
-        # computational basis as explicit argument matches the default
-        np.testing.assert_allclose(
-            tc.partial_transpose(t, (2, 3), "a", basis=np.eye(2)),
-            tc.partial_transpose(t, (2, 3), "a"),
-            atol=1e-14,
-        )
-        # PSD verdict of the partial transpose is basis independent
-        rho = tc.random_density(6, seed=rng)
-        lam_default = np.linalg.eigvalsh(tc.partial_transpose(rho, (2, 3), "a"))[0]
-        lam_basis = np.linalg.eigvalsh(tc.partial_transpose(rho, (2, 3), "a", basis=u))[0]
-        assert abs(lam_default - lam_basis) < 1e-10
-
-    def test_partial_transpose_basis_dim_mismatch(self):
-        with pytest.raises(ValueError, match="basis"):
-            tc.partial_transpose(np.eye(6), (2, 3), "a", basis=np.eye(3))
-
     def test_swap_factors(self):
         rng = np.random.default_rng(7)
         a = tc.random_density(2, seed=rng)

@@ -15,6 +15,8 @@ from conftest import (
     rank_deficient_separable,
     werner,
 )
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tempcert as tc
 
@@ -129,6 +131,12 @@ class TestSylvesterOracle:
         with pytest.raises(ValueError, match="non-faithful"):
             tc.sylvester_oracle(tau, (2, 2), "a")
 
+    @pytest.mark.parametrize("side", ["a", "b"])
+    def test_refuses_dims_above_bound(self, side):
+        tau = tc.tensor(np.eye(5) / 5, np.eye(13) / 13)
+        with pytest.raises(ValueError, match=r"m\*n <= 64"):
+            tc.sylvester_oracle(tau, (5, 13), side)
+
 
 class TestDephasingChannel:
     def test_maximally_mixed_gives_identity(self):
@@ -180,6 +188,37 @@ class TestDephasingChannel:
                 v = np.outer(ketbra_i.T.ravel(), ketbra_j.T.ravel().conj())
                 naive += h * v
         assert tc.max_abs(d.choi - naive) < 1e-12
+
+    @pytest.mark.parametrize(
+        "spectrum",
+        [
+            [0.5, 0.3, 0.2],
+            [0.4, 0.4, 0.2],
+            [0.25, 0.25, 0.25, 0.25],
+            [0.7, 0.3, 0.0],
+            [0.4, 0.3, 0.3, 0.0, 0.0],
+        ],
+    )
+    def test_matches_projector_definition(self, spectrum):
+        # sum_kl h_kl P_k A P_l + Tr[P_perp A] 1/m over clustered spectral projectors
+        p = np.array(spectrum)
+        m = p.size
+        rng = np.random.default_rng(m)
+        u = tc.random_unitary(m, seed=rng)
+        rho = u @ np.diag(p) @ u.conj().T
+        dec = tc.eig_hermitian(rho)
+        lam = dec.eigenvalues
+        support = [k for k in range(lam.size) if lam[k] > tc.DEFAULT_TOLS.rank * lam[0]]
+        complement = np.eye(m) - sum(dec.projectors[k] for k in support)
+        d = tc.dephasing_channel(rho)
+        for _ in range(3):
+            a = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+            expected = np.trace(complement @ a) * np.eye(m) / m
+            for k in support:
+                for l in support:
+                    h = 2 * np.sqrt(lam[k] * lam[l]) / (lam[k] + lam[l])
+                    expected = expected + h * dec.projectors[k] @ a @ dec.projectors[l]
+            assert tc.max_abs(tc.apply(d, a) - expected) < 1e-12
 
     def test_rank_deficient_still_cptp(self):
         d = tc.dephasing_channel(np.diag([0.7, 0.3, 0.0]))
@@ -365,6 +404,64 @@ class TestCompatibility:
             tc.compatibility_test(tc.tensor(np.diag([1.5, -0.5]), np.eye(2) / 2), (2, 2), "a")
 
 
+KERNEL_DIMS = [(m, n) for m in (2, 3, 4) for n in (2, 3)]
+
+
+def _kernel_case(kind: str, dims: tuple[int, int], rng: np.random.Generator) -> np.ndarray:
+    m, n = dims
+    if kind == "density":
+        return tc.random_density(m * n, seed=rng)
+    if kind == "separable_rank_deficient":
+        return tc.assemble_state(rank_deficient_separable(dims, m - 1, m + n, rng))
+    if kind == "non_positive":
+        return random_trace_one_hermitian(dims, rng)
+    # isotropic: maximally entangled on min(m, n) levels mixed with white noise,
+    # so each marginal has a degenerate spectrum
+    k = min(m, n)
+    psi = np.zeros(m * n, dtype=complex)
+    psi[[i * n + i for i in range(k)]] = 1 / np.sqrt(k)
+    f = rng.uniform()
+    return f * proj(psi) + (1 - f) * np.eye(m * n) / (m * n)
+
+
+def _composed_test_min(tau: np.ndarray, dims: tuple[int, int], side: str) -> float:
+    """Smallest eigenvalue of the partial transpose of the dephased distortion, built stage by stage."""
+    rho = tc.partial_trace(tau, dims, "b" if side == "a" else "a")
+    distorted = tc.distort(tau, dims, side).distorted
+    dephased = tc.apply_to_factor(tc.dephasing_channel(rho), distorted, dims, side)
+    return float(np.linalg.eigvalsh(tc.partial_transpose(dephased, dims, side))[0])
+
+
+class TestEigenbasisKernel:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        kind=st.sampled_from(["density", "separable_rank_deficient", "non_positive", "isotropic"]),
+        dims=st.sampled_from(KERNEL_DIMS),
+        side=st.sampled_from(["a", "b"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_test_matrix_matches_stagewise_composition(self, kind, dims, side, seed):
+        tau = _kernel_case(kind, dims, np.random.default_rng(seed))
+        report = tc.compatibility_test(tau, dims, side)
+        assert abs(report.test_min_eigenvalue - _composed_test_min(tau, dims, side)) < 1e-10
+
+    def test_certify_eigensolve_count(self, monkeypatch):
+        tau = tc.random_density(12, seed=17)
+        sizes = []
+        for name in ("eigh", "eigvalsh"):
+            original = getattr(np.linalg, name)
+
+            def counted(a, *args, _original=original, **kwargs):
+                sizes.append(np.shape(a)[-1])
+                return _original(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        tc.certify(tau, (3, 4))
+        # one PPT, test-matrix and Choi solve per side; marginal validation and one
+        # eigendecomposition per side
+        assert sorted(sizes) == [3, 3, 4, 4] + [12] * 5
+
+
 class TestIsPpt:
     def test_separable_is_ppt(self):
         rng = np.random.default_rng(14)
@@ -428,9 +525,13 @@ class TestDistort:
         _, u = np.linalg.eigh(rho_a)
         deph = tc.dephasing_channel(rho_a)
         conj = tc.tensor(inv, np.eye(2))
-        lhs = tc.partial_transpose(
-            tc.apply_to_factor(deph, conj @ tau @ conj, (3, 2), "a"), (3, 2), "a", basis=u
-        )
-        tau_pt = tc.partial_transpose(tau, (3, 2), "a", basis=u)
+        # The transpose in basis u is W X^T W^dag on that factor, with W = u u^T.
+        w = tc.tensor(u @ u.T, np.eye(2))
+
+        def transpose_in_eigenbasis(x):
+            return w @ tc.partial_transpose(x, (3, 2), "a") @ w.conj().T
+
+        lhs = transpose_in_eigenbasis(tc.apply_to_factor(deph, conj @ tau @ conj, (3, 2), "a"))
+        tau_pt = transpose_in_eigenbasis(tau)
         rhs = tc.apply_to_factor(deph, conj @ tau_pt @ conj, (3, 2), "a")
         assert tc.max_abs(lhs - rhs) < 1e-10
