@@ -19,6 +19,8 @@ import numpy as np
 
 from .operators import (
     DEFAULT_TOLS,
+    _check_tol,
+    _psd_floor,
     as_complex_matrix,
     hermiticity_defect,
     max_abs,
@@ -187,10 +189,8 @@ class CptpReport:
 def is_cptp(e: SuperOp, tol: float = DEFAULT_TOLS.psd) -> CptpReport:
     """Check Choi positivity and trace preservation, returning full diagnostics."""
     herm = hermiticity_defect(e.choi)
-    sym = (e.choi + e.choi.conj().T) / 2
-    w = np.linalg.eigvalsh(sym)
-    lam_min, lam_max = float(w[0]), float(w[-1])
-    cp = herm <= tol and lam_min >= -tol * max(1.0, lam_max)
+    psd_ok, lam_min, _ = _psd_floor(np.linalg.eigvalsh((e.choi + e.choi.conj().T) / 2), tol)
+    cp = herm <= tol and psd_ok
     marg = partial_trace(e.choi, (e.dim_in, e.dim_out), "b")
     trace_residual = max_abs(marg - np.eye(e.dim_in))
     return CptpReport(
@@ -204,6 +204,7 @@ def is_cptp(e: SuperOp, tol: float = DEFAULT_TOLS.psd) -> CptpReport:
 
 def is_hptp(e: SuperOp, tol: float = DEFAULT_TOLS.psd) -> bool:
     """True iff the map is Hermitian-preserving and trace-preserving."""
+    _check_tol(tol)
     if hermiticity_defect(e.choi) > tol:
         return False
     marg = partial_trace(e.choi, (e.dim_in, e.dim_out), "b")

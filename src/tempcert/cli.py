@@ -23,7 +23,7 @@ import numpy as np
 from . import documents
 from .channels import is_cptp
 from .ensembles import assemble_state
-from .operators import partial_trace, validate_density
+from .operators import DEFAULT_TOLS, _check_tol, partial_trace, validate_density
 from .sot import PAULIS, correlations_from_process, pdm_from_correlations
 from .temporal import VerdictMismatchError, certify, dephasing_channel, temporal_channel
 
@@ -147,7 +147,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=1e-9, help="certification tolerance (default 1e-9)")
+    common.add_argument(
+        "--tol",
+        type=float,
+        default=DEFAULT_TOLS.psd,
+        help=f"certification tolerance, finite and >= 0 (default {DEFAULT_TOLS.psd:g})",
+    )
     common.add_argument("--out", default=None, help="write output to this file instead of stdout")
 
     p_certify = sub.add_parser("certify", parents=[common], help="certify temporal compatibility")
@@ -185,6 +190,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        _check_tol(args.tol)
         return args.func(args)
     except (ValueError, OSError, VerdictMismatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)

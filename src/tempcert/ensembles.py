@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import SuperOp, from_kraus
-from .operators import DEFAULT_TOLS, max_abs, sqrt_pinv, tensor, validate_density
+from .operators import DEFAULT_TOLS, _check_tol, max_abs, sqrt_pinv, tensor, validate_density
 from .sot import Observable, observable
 
 __all__ = [
@@ -52,7 +52,7 @@ class ProductEnsemble:
         w = np.asarray(self.weights, dtype=float).ravel()
         if w.size == 0 or w.size != len(self.states_a) or w.size != len(self.states_b):
             raise ValueError("weights and the two state lists must be nonempty and of equal length")
-        if abs(w.sum() - 1.0) > 1e-10:
+        if abs(w.sum() - 1.0) > DEFAULT_TOLS.weight_sum:
             raise ValueError(f"weights sum to {w.sum()!r}, expected 1")
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "states_a", tuple(validate_density(s) for s in self.states_a))
@@ -152,6 +152,7 @@ def random_povm(dim: int, outcomes: int, seed: Seed = None) -> list[np.ndarray]:
 
 def is_orthogonal_ensemble(states: list[np.ndarray], tol: float = DEFAULT_TOLS.psd) -> bool:
     """True iff all pairwise Hilbert-Schmidt overlaps ``Tr[rho_s rho_t]`` vanish."""
+    _check_tol(tol)
     for i in range(len(states)):
         for j in range(i + 1, len(states)):
             if abs(np.trace(states[i] @ states[j])) > tol:
@@ -183,11 +184,11 @@ class DiscriminationInstance:
             raise ValueError("assignment must be surjective onto the ensemble")
         dim = self.states[0].shape[0]
         total = sum(self.povm)
-        if max_abs(total - np.eye(dim)) > 1e-9:
+        if max_abs(total - np.eye(dim)) > DEFAULT_TOLS.trace:
             raise ValueError("POVM elements do not sum to the identity")
         for e in self.povm:
             lam_min = float(np.linalg.eigvalsh((e + e.conj().T) / 2)[0])
-            if lam_min < -1e-9:
+            if lam_min < -DEFAULT_TOLS.psd:
                 raise ValueError(f"POVM element has negative eigenvalue {lam_min:.3e}")
 
 
@@ -228,6 +229,7 @@ def perfect_distinguishability_check(
     for every ensemble index ``t`` and outcome ``k``; returns the verdict and
     the largest violation.
     """
+    _check_tol(tol)
     avg = sum(w * s for w, s in zip(instance.weights, instance.states))
     worst = 0.0
     for k, e in enumerate(instance.povm):

@@ -8,6 +8,7 @@ the convention of ``numpy.kron``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,17 +38,26 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Numerical thresholds shared by the whole toolkit.
+    """The numerical thresholds of the toolkit, one field per gate.
 
-    The certification verdicts are only reproducible if every routine agrees
-    on these, so they travel as one record instead of ad-hoc keyword defaults.
+    Every threshold reads a field of :data:`DEFAULT_TOLS`, so all verdicts
+    agree on what counts as zero.  No function takes this record or a
+    per-threshold argument; the one per-call setting is the ``tol`` argument
+    of the check and verdict functions (``certify``, ``is_psd``, ``is_cptp``,
+    ...), which defaults to ``psd`` and must be finite and ``>= 0``.
 
-    hermiticity : max-norm bound on ``M - M^dag`` (absolute).
-    psd         : eigenvalue floor, relative to ``max(1, lambda_max)``.
-    trace       : bound on ``|Tr - 1|`` for density matrices.
-    cluster     : eigenvalue clustering gap, relative to ``max(1, spectral radius)``.
-    rank        : eigenvalues below ``rank * lambda_max`` count as zero.
-    imag        : largest imaginary residue silently discarded by real-valued results.
+    hermiticity  : max-norm bound on ``M - M^dag`` (absolute).
+    psd          : eigenvalue floor ``lambda_min >= -psd * max(1, lambda_max)``;
+                   the absolute floor of a POVM element.
+    trace        : normalization: ``|Tr - 1|`` of a density matrix or ``tau``,
+                   of the identity-pair Pauli entry, and ``max|sum_k E_k - 1|``
+                   of a POVM.
+    cluster      : eigenvalue clustering gap, relative to ``max(1, spectral radius)``.
+    rank         : support cut: eigenvalues ``p <= rank * max(p_max, 0)`` count as zero.
+    imag         : largest imaginary residue discarded by real-valued results.
+    weight_sum   : bound on ``|sum_t w_t - 1|`` of ensemble weights.
+    weight_floor : most negative weight a probability distribution may hold.
+    correlation  : slack on the ``[-1, 1]`` range of Pauli expectation values.
     """
 
     hermiticity: float = 1e-10
@@ -56,6 +66,9 @@ class Tolerances:
     cluster: float = 1e-8
     rank: float = 1e-12
     imag: float = 1e-9
+    weight_sum: float = 1e-10
+    weight_floor: float = 1e-12
+    correlation: float = 1e-9
 
 
 DEFAULT_TOLS = Tolerances()
@@ -80,13 +93,46 @@ def hermiticity_defect(m: np.ndarray) -> float:
     return max_abs(a - a.conj().T)
 
 
-def require_hermitian(m: np.ndarray, tol: float = DEFAULT_TOLS.hermiticity) -> np.ndarray:
-    """Validate Hermiticity within ``tol`` (max norm) and return the Hermitian part."""
+def require_hermitian(m: np.ndarray) -> np.ndarray:
+    """Validate Hermiticity (max norm) and return the Hermitian part."""
     a = as_complex_matrix(m)
     defect = hermiticity_defect(a)
-    if defect > tol:
-        raise ValueError(f"hermiticity violated: max|M - M^dag| = {defect:.3e} > {tol:.1e}")
+    if defect > DEFAULT_TOLS.hermiticity:
+        raise ValueError(
+            f"hermiticity violated: max|M - M^dag| = {defect:.3e} > {DEFAULT_TOLS.hermiticity:.1e}"
+        )
     return (a + a.conj().T) / 2
+
+
+def _require_trace_one(m: np.ndarray) -> np.ndarray:
+    """The trace gate: validate Hermiticity and unit trace, returning the Hermitian part."""
+    a = require_hermitian(m)
+    tr = float(np.trace(a).real)
+    if abs(tr - 1.0) > DEFAULT_TOLS.trace:
+        raise ValueError(f"trace invariant violated: Tr = {tr:.10g}, expected 1")
+    return a
+
+
+def _check_tol(tol: float) -> None:
+    """Raise ``ValueError`` unless the per-call ``tol`` is finite and nonnegative."""
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
+
+
+def _psd_floor(w: np.ndarray, tol: float) -> tuple[bool, float, float]:
+    """The PSD floor on ascending eigenvalues ``w``: ``lambda_min >= -tol * max(1, lambda_max)``.
+
+    Returns the verdict, ``lambda_min`` and the scale ``max(1, lambda_max)``.
+    """
+    _check_tol(tol)
+    lam_min = float(w[0])
+    scale = max(1.0, float(w[-1]))
+    return lam_min >= -tol * scale, lam_min, scale
+
+
+def _support(p: np.ndarray) -> np.ndarray:
+    """The support cut on ascending eigenvalues ``p``: the mask ``p > rank * max(p_max, 0)``."""
+    return p > DEFAULT_TOLS.rank * max(float(p[-1]) if p.size else 0.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -113,22 +159,16 @@ class SpectralDecomposition:
         return out
 
 
-def eig_hermitian(
-    m: np.ndarray,
-    cluster_tol: float | None = None,
-    hermiticity_tol: float = DEFAULT_TOLS.hermiticity,
-) -> SpectralDecomposition:
+def eig_hermitian(m: np.ndarray) -> SpectralDecomposition:
     """Clustered eigendecomposition of a Hermitian matrix.
 
-    ``cluster_tol`` is relative to ``max(1, spectral radius)``; consecutive
-    eigenvalues closer than that share one eigenspace projector.
+    Consecutive eigenvalues closer than ``DEFAULT_TOLS.cluster`` times
+    ``max(1, spectral radius)`` share one eigenspace projector.
     """
-    a = require_hermitian(m, hermiticity_tol)
+    a = require_hermitian(m)
     w, v = np.linalg.eigh(a)
     w, v = w[::-1], v[:, ::-1]
-    if cluster_tol is None:
-        cluster_tol = DEFAULT_TOLS.cluster
-    gap = cluster_tol * max(1.0, float(np.max(np.abs(w))) if w.size else 0.0)
+    gap = DEFAULT_TOLS.cluster * max(1.0, float(np.max(np.abs(w))) if w.size else 0.0)
 
     eigenvalues: list[float] = []
     projectors: list[np.ndarray] = []
@@ -155,23 +195,18 @@ def is_psd(m: np.ndarray, tol: float = DEFAULT_TOLS.psd) -> tuple[bool, float]:
     Returns ``(verdict, min_eigenvalue)``; the verdict is true iff
     ``lambda_min >= -tol * max(1, lambda_max)``.
     """
-    w = np.linalg.eigvalsh(require_hermitian(m))
-    lam_min = float(w[0])
-    lam_max = float(w[-1])
-    return lam_min >= -tol * max(1.0, lam_max), lam_min
+    ok, lam_min, _ = _psd_floor(np.linalg.eigvalsh(require_hermitian(m)), tol)
+    return ok, lam_min
 
 
-def validate_density(m: np.ndarray, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
+def validate_density(m: np.ndarray) -> np.ndarray:
     """Check the density-matrix invariants, returning the Hermitian part.
 
     Raises ``ValueError`` whose message names the violated invariant
     (hermiticity, trace, or psd).
     """
-    a = require_hermitian(m, tols.hermiticity)
-    tr = float(np.trace(a).real)
-    if abs(tr - 1.0) > tols.trace:
-        raise ValueError(f"trace invariant violated: Tr = {tr:.10g}, expected 1")
-    ok, lam_min = is_psd(a, tols.psd)
+    a = _require_trace_one(m)
+    ok, lam_min, _ = _psd_floor(np.linalg.eigvalsh(a), DEFAULT_TOLS.psd)
     if not ok:
         raise ValueError(f"psd invariant violated: min eigenvalue = {lam_min:.3e}")
     return a
@@ -240,16 +275,15 @@ class PseudoSqrt:
     rank: int
 
 
-def sqrt_pinv(rho: np.ndarray, rank_tol: float = DEFAULT_TOLS.rank) -> PseudoSqrt:
+def sqrt_pinv(rho: np.ndarray) -> PseudoSqrt:
     """Pseudoinverse square root of a PSD matrix.
 
-    Eigenvalues ``p <= rank_tol * p_max`` count as zero; rank deficiency is
-    handled, not an error.
+    Eigenvalues below the support cut ``DEFAULT_TOLS.rank * p_max`` count as
+    zero; rank deficiency is handled, not an error.
     """
     a = require_hermitian(rho)
     w, v = np.linalg.eigh(a)
-    p_max = float(w[-1]) if w.size else 0.0
-    mask = w > rank_tol * max(p_max, 0.0)
+    mask = _support(w)
     inv = np.divide(1.0, np.sqrt(np.abs(w)), out=np.zeros_like(w), where=mask)
     root = np.where(mask, np.sqrt(np.abs(w)), 0.0)
     vs = v[:, mask]

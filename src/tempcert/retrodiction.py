@@ -12,14 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .channels import Process, SuperOp, _sandwich, apply, compose, hs_adjoint
-from .operators import (
-    DEFAULT_TOLS,
-    Tolerances,
-    max_abs,
-    partial_trace,
-    sqrt_pinv,
-    validate_density,
-)
+from .operators import DEFAULT_TOLS, _support, max_abs, partial_trace, sqrt_pinv, validate_density
 from .sot import star_product
 from .temporal import CompatibilityReport, compatibility_test, dephasing_channel, temporal_channel
 
@@ -31,7 +24,7 @@ __all__ = [
 ]
 
 
-def petz_recovery(e: SuperOp, prior: np.ndarray, rank_tol: float = DEFAULT_TOLS.rank) -> SuperOp:
+def petz_recovery(e: SuperOp, prior: np.ndarray) -> SuperOp:
     """Petz recovery map of ``e`` with respect to a prior state.
 
     Returns ``B -> rho^{1/2} E*(sigma^{-1/2} B sigma^{-1/2}) rho^{1/2}`` with
@@ -42,17 +35,15 @@ def petz_recovery(e: SuperOp, prior: np.ndarray, rank_tol: float = DEFAULT_TOLS.
     if rho.shape[0] != e.dim_in:
         raise ValueError(f"prior dim {rho.shape[0]} does not match channel input dim {e.dim_in}")
     sigma = apply(e, rho)
-    ps_rho = sqrt_pinv(rho, rank_tol)
-    ps_sigma = sqrt_pinv((sigma + sigma.conj().T) / 2, rank_tol)
+    ps_rho = sqrt_pinv(rho)
+    ps_sigma = sqrt_pinv((sigma + sigma.conj().T) / 2)
     normalize = _sandwich(ps_sigma.inv_sqrt, ps_sigma.inv_sqrt)
     rescale = _sandwich(ps_rho.sqrt, ps_rho.sqrt)
     return compose(rescale, compose(hs_adjoint(e), normalize))
 
 
 def bayesian_inverse(
-    process: Process,
-    tol: float = 1e-9,
-    tols: Tolerances = DEFAULT_TOLS,
+    process: Process, tol: float = DEFAULT_TOLS.psd
 ) -> tuple[SuperOp | None, CompatibilityReport]:
     """Bayesian inverse of a process, or the report explaining why none exists.
 
@@ -62,17 +53,13 @@ def bayesian_inverse(
     """
     tau = star_product(process.channel, process.input_state)
     dims = (process.channel.dim_in, process.channel.dim_out)
-    report = compatibility_test(tau, dims, "b", tol, tols)
+    report = compatibility_test(tau, dims, "b", tol)
     if report.compatible:
         return report.channel, report
     return None, report
 
 
-def verify_dfed(
-    tau: np.ndarray,
-    dims: tuple[int, int],
-    tols: Tolerances = DEFAULT_TOLS,
-) -> float:
+def verify_dfed(tau: np.ndarray, dims: tuple[int, int]) -> float:
     """Residual of the dephasing-mediated relation between the two temporal channels.
 
     For ``tau`` with faithful marginals, assembles both temporal channels
@@ -83,22 +70,20 @@ def verify_dfed(
     rho_a = partial_trace(tau, dims, "b")
     rho_b = partial_trace(tau, dims, "a")
     for name, rho in (("a", rho_a), ("b", rho_b)):
-        spectrum = np.linalg.eigvalsh((rho + rho.conj().T) / 2)
-        if spectrum[0] <= tols.rank * max(float(spectrum[-1]), 0.0):
+        if not _support(np.linalg.eigvalsh((rho + rho.conj().T) / 2)).all():
             raise ValueError(f"marginal on side {name} is not faithful")
-    e = temporal_channel(tau, dims, "a", tols)
-    f = temporal_channel(tau, dims, "b", tols)
-    deph_a = dephasing_channel(rho_a, tols)
-    deph_b = dephasing_channel(rho_b, tols)
-    petz_e = petz_recovery(e, rho_a, tols.rank)
+    e = temporal_channel(tau, dims, "a")
+    f = temporal_channel(tau, dims, "b")
+    deph_a = dephasing_channel(rho_a)
+    deph_b = dephasing_channel(rho_b)
+    petz_e = petz_recovery(e, rho_a)
     return max_abs(compose(deph_a, f).choi - compose(petz_e, deph_b).choi)
 
 
-def petz_selfinverse_dephasing_check(rho: np.ndarray, tols: Tolerances = DEFAULT_TOLS) -> float:
+def petz_selfinverse_dephasing_check(rho: np.ndarray) -> float:
     """Residual of the generalized dephasing channel being its own Petz recovery."""
-    r = validate_density(rho, tols)
-    spectrum = np.linalg.eigvalsh(r)
-    if spectrum[0] <= tols.rank * max(float(spectrum[-1]), 0.0):
+    r = validate_density(rho)
+    if not _support(np.linalg.eigvalsh(r)).all():
         raise ValueError("state is not faithful")
-    deph = dephasing_channel(r, tols)
-    return max_abs(petz_recovery(deph, r, tols.rank).choi - deph.choi)
+    deph = dephasing_channel(r)
+    return max_abs(petz_recovery(deph, r).choi - deph.choi)

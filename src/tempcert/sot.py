@@ -21,6 +21,7 @@ from .channels import Process, SuperOp, apply, jamiolkowski
 from .operators import (
     DEFAULT_TOLS,
     SpectralDecomposition,
+    _check_tol,
     eig_hermitian,
     require_hermitian,
     swap_factors,
@@ -59,9 +60,9 @@ class Observable:
     spectral: SpectralDecomposition
 
 
-def observable(m: np.ndarray, cluster_tol: float | None = None) -> Observable:
+def observable(m: np.ndarray) -> Observable:
     a = require_hermitian(m)
-    return Observable(matrix=a, spectral=eig_hermitian(a, cluster_tol))
+    return Observable(matrix=a, spectral=eig_hermitian(a))
 
 
 def pauli_string(alpha: tuple[int, ...]) -> Observable:
@@ -105,12 +106,10 @@ def reverse_star(f: SuperOp, rho_b: np.ndarray) -> np.ndarray:
     return swap_factors(star_product(f, rho_b), (f.dim_in, f.dim_out))
 
 
-def is_light_touch(obs: Observable, tol: float | None = None) -> bool:
+def is_light_touch(obs: Observable) -> bool:
     """True iff the clustered spectrum is ``{lam}`` or ``{lam, -lam}`` with ``lam >= 0``."""
     vals = obs.spectral.eigenvalues
-    if tol is None:
-        tol = DEFAULT_TOLS.cluster
-    scale = tol * max(1.0, float(np.max(np.abs(vals))))
+    scale = DEFAULT_TOLS.cluster * max(1.0, float(np.max(np.abs(vals))))
     if len(vals) == 1:
         return vals[0] >= -scale
     if len(vals) == 2:
@@ -118,12 +117,7 @@ def is_light_touch(obs: Observable, tol: float | None = None) -> bool:
     return False
 
 
-def two_time_expectation(
-    m_obs: Observable,
-    n_obs: Observable,
-    process: Process,
-    imag_tol: float = DEFAULT_TOLS.imag,
-) -> float:
+def two_time_expectation(m_obs: Observable, n_obs: Observable, process: Process) -> float:
     """Expectation of measuring ``M`` first, evolving, then measuring ``N``.
 
     Computed as ``sum_i lambda_i Tr[E(P_i rho P_i) N]`` over the eigenspace
@@ -138,7 +132,7 @@ def two_time_expectation(
     value = 0.0 + 0.0j
     for lam, proj in zip(m_obs.spectral.eigenvalues, m_obs.spectral.projectors):
         value += lam * np.trace(apply(e, proj @ rho @ proj) @ n_obs.matrix)
-    if abs(value.imag) > imag_tol:
+    if abs(value.imag) > DEFAULT_TOLS.imag:
         raise ValueError(f"two-time expectation has imaginary residue {value.imag:.3e}")
     return float(value.real)
 
@@ -154,6 +148,7 @@ def representability_check(
 
     Returns the verdict and the absolute residual.
     """
+    _check_tol(tol)
     lhs = np.trace(r @ tensor(m_obs.matrix, n_obs.matrix))
     rhs = two_time_expectation(m_obs, n_obs, process)
     residual = abs(complex(lhs) - rhs)
@@ -176,9 +171,9 @@ class CorrelationTable:
         size = 4**self.qubits
         if t.shape != (size, size):
             raise ValueError(f"incomplete table: expected shape {(size, size)}, got {t.shape}")
-        if abs(t[0, 0] - 1.0) > 1e-9:
+        if abs(t[0, 0] - 1.0) > DEFAULT_TOLS.trace:
             raise ValueError(f"identity-pair entry must be 1, got {t[0, 0]!r}")
-        if np.max(np.abs(t)) > 1.0 + 1e-9:
+        if np.max(np.abs(t)) > 1.0 + DEFAULT_TOLS.correlation:
             raise ValueError("expectation values must lie in [-1, 1]")
         object.__setattr__(self, "table", t)
 

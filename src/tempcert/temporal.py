@@ -34,7 +34,9 @@ from .channels import (
 from .operators import (
     DEFAULT_TOLS,
     SpectralDecomposition,
-    Tolerances,
+    _psd_floor,
+    _require_trace_one,
+    _support,
     eig_hermitian,
     is_psd,
     max_abs,
@@ -74,19 +76,11 @@ class VerdictMismatchError(RuntimeError):
     """The two verdict paths disagreed beyond the boundary zone."""
 
 
-def _require_trace_one(tau: np.ndarray, tols: Tolerances) -> np.ndarray:
-    t = require_hermitian(tau, tols.hermiticity)
-    tr = float(np.trace(t).real)
-    if abs(tr - 1.0) > tols.trace:
-        raise ValueError(f"trace invariant violated: Tr = {tr:.10g}, expected 1")
-    return t
-
-
-def _validated_marginal(tau: np.ndarray, dims: tuple[int, int], side: str, tols: Tolerances) -> np.ndarray:
+def _validated_marginal(tau: np.ndarray, dims: tuple[int, int], side: str) -> np.ndarray:
     traced = "b" if side == "a" else "a"
     marginal = partial_trace(tau, dims, traced)
     try:
-        return validate_density(marginal, tols)
+        return validate_density(marginal)
     except ValueError as exc:
         raise ValueError(f"marginal on side {side}: {exc}") from exc
 
@@ -97,21 +91,21 @@ def _conjugate_first(x4: np.ndarray, v: np.ndarray) -> np.ndarray:
     return r.transpose(0, 1, 3, 2)
 
 
-def _marginal_spectrum(rho: np.ndarray, rank_tol: float) -> tuple[np.ndarray, ...]:
+def _marginal_spectrum(rho: np.ndarray) -> tuple[np.ndarray, ...]:
     """Eigenvalues, eigenvectors, support mask, and Cauchy weights ``2 / (p_i + p_j)`` on support pairs."""
     p, u = np.linalg.eigh(rho)
-    support = p > rank_tol * max(float(p[-1]), 0.0)
+    support = _support(p)
     pair = np.outer(support, support)
     cauchy = np.divide(2.0, np.add.outer(p, p), out=np.zeros(pair.shape), where=pair)
     return p, u, support, cauchy
 
 
-def _eigenbasis_array(t: np.ndarray, dims: tuple[int, int], tols: Tolerances) -> tuple[np.ndarray, ...]:
+def _eigenbasis_array(t: np.ndarray, dims: tuple[int, int]) -> tuple[np.ndarray, ...]:
     """Eigenvectors and support of ``rho_a``, and the ``(m, n, m, n)`` test matrix in that eigenbasis.
 
     ``X[i, x, j, y] = 2 / (p_i + p_j) <u_j, x| tau |u_i, y>``, zero on blocks touching the kernel.
     """
-    _, u, support, cauchy = _marginal_spectrum(partial_trace(t, dims, "b"), tols.rank)
+    _, u, support, cauchy = _marginal_spectrum(partial_trace(t, dims, "b"))
     rotated = _conjugate_first(t.reshape(*dims, *dims), u)
     return u, support, cauchy[:, None, :, None] * rotated.transpose(2, 1, 0, 3)
 
@@ -123,12 +117,7 @@ def _choi_from_eigenbasis(u: np.ndarray, support: np.ndarray, x4: np.ndarray) ->
     return SuperOp(m, n, _conjugate_first(x4, u.T).reshape(m * n, m * n))
 
 
-def temporal_channel(
-    tau: np.ndarray,
-    dims: tuple[int, int],
-    side: str = "a",
-    tols: Tolerances = DEFAULT_TOLS,
-) -> SuperOp:
+def temporal_channel(tau: np.ndarray, dims: tuple[int, int], side: str = "a") -> SuperOp:
     """The HPTP map whose state over time reproduces ``tau`` in the given direction.
 
     For ``side="a"`` the result maps the first factor to the second and
@@ -142,20 +131,15 @@ def temporal_channel(
     one solution among many.
     """
     if side == "b":
-        return temporal_channel(swap_factors(tau, dims), (dims[1], dims[0]), "a", tols)
+        return temporal_channel(swap_factors(tau, dims), (dims[1], dims[0]), "a")
     if side != "a":
         raise ValueError(f"side must be 'a' or 'b', got {side!r}")
-    t = _require_trace_one(tau, tols)
-    _validated_marginal(t, dims, "a", tols)
-    return _choi_from_eigenbasis(*_eigenbasis_array(t, dims, tols))
+    t = _require_trace_one(tau)
+    _validated_marginal(t, dims, "a")
+    return _choi_from_eigenbasis(*_eigenbasis_array(t, dims))
 
 
-def sylvester_oracle(
-    tau: np.ndarray,
-    dims: tuple[int, int],
-    side: str = "a",
-    tols: Tolerances = DEFAULT_TOLS,
-) -> np.ndarray:
+def sylvester_oracle(tau: np.ndarray, dims: tuple[int, int], side: str = "a") -> np.ndarray:
     """Solve ``1/2 {rho (x) 1, X} = tau`` for ``X = J[E]`` by a dense vectorized solve.
 
     Independent of the eigenbasis construction in :func:`temporal_channel`;
@@ -164,16 +148,15 @@ def sylvester_oracle(
     dense system would not fit in memory.
     """
     if side == "b":
-        return sylvester_oracle(swap_factors(tau, dims), (dims[1], dims[0]), "a", tols)
+        return sylvester_oracle(swap_factors(tau, dims), (dims[1], dims[0]), "a")
     if side != "a":
         raise ValueError(f"side must be 'a' or 'b', got {side!r}")
     m, n = dims
     if m * n > _SYLVESTER_MAX_DIM:
         raise ValueError(f"sylvester_oracle is limited to m*n <= {_SYLVESTER_MAX_DIM}, got {m}*{n}")
-    t = _require_trace_one(tau, tols)
-    rho = _validated_marginal(t, dims, "a", tols)
-    p = np.linalg.eigvalsh(rho)
-    if p[0] <= tols.rank * max(float(p[-1]), 0.0):
+    t = _require_trace_one(tau)
+    rho = _validated_marginal(t, dims, "a")
+    if not _support(np.linalg.eigvalsh(rho)).all():
         raise ValueError("non-faithful marginal: the anticommutator equation has no unique solution")
     d = m * n
     r = tensor(rho, np.eye(n))
@@ -181,7 +164,7 @@ def sylvester_oracle(
     return np.linalg.solve(big, t.ravel()).reshape(d, d)
 
 
-def dephasing_channel(rho: np.ndarray, tols: Tolerances = DEFAULT_TOLS) -> SuperOp:
+def dephasing_channel(rho: np.ndarray) -> SuperOp:
     """Generalized dephasing channel of a density matrix.
 
     Acts as ``A -> sum_ij [2 sqrt(p_i p_j) / (p_i + p_j)] P_i A P_j`` over the
@@ -190,9 +173,9 @@ def dephasing_channel(rho: np.ndarray, tols: Tolerances = DEFAULT_TOLS) -> Super
     ``Tr[P_perp A] 1/m`` on the kernel of a rank-deficient ``rho``.  Fixes
     every state commuting with the spectral projectors of ``rho``.
     """
-    r = validate_density(rho, tols)
+    r = validate_density(rho)
     m = r.shape[0]
-    p, u, support, cauchy = _marginal_spectrum(r, tols.rank)
+    p, u, support, cauchy = _marginal_spectrum(r)
     harmonic = cauchy * np.sqrt(np.abs(np.outer(p, p)))
     # Column i of v is the vectorized |conj(u_i)> (x) |u_i>, so v h v^dag is
     # the Choi matrix of the Schur multiplier h in the eigenbasis.
@@ -210,11 +193,7 @@ def correlation_matrix_check(c: np.ndarray, tol: float = DEFAULT_TOLS.psd) -> tu
     return valid, valid and lam_min > tol
 
 
-def pgm(
-    weights: np.ndarray,
-    states: list[np.ndarray],
-    rank_tol: float = DEFAULT_TOLS.rank,
-) -> list[np.ndarray]:
+def pgm(weights: np.ndarray, states: list[np.ndarray]) -> list[np.ndarray]:
     """Pretty good measurement of a probabilistic ensemble of states.
 
     Returns the POVM ``G_t = t rho^{-1/2} rho_t rho^{-1/2}`` built from the
@@ -224,23 +203,18 @@ def pgm(
     w = np.asarray(weights, dtype=float).ravel()
     if w.size != len(states) or w.size == 0:
         raise ValueError("weights and states must be nonempty and of equal length")
-    if np.any(w < -1e-12) or abs(w.sum() - 1.0) > 1e-10:
+    if np.any(w < -DEFAULT_TOLS.weight_floor) or abs(w.sum() - 1.0) > DEFAULT_TOLS.weight_sum:
         raise ValueError("weights do not form a probability distribution")
     mats = [validate_density(s) for s in states]
     avg = sum(t * s for t, s in zip(w, mats))
-    ps = sqrt_pinv(avg, rank_tol)
+    ps = sqrt_pinv(avg)
     povm = [t * (ps.inv_sqrt @ s @ ps.inv_sqrt) for t, s in zip(w, mats)]
     if ps.rank < avg.shape[0]:
         povm.append(ps.complement)
     return povm
 
 
-def pgm_map(
-    tau: np.ndarray,
-    dims: tuple[int, int],
-    side: str = "a",
-    tols: Tolerances = DEFAULT_TOLS,
-) -> SuperOp:
+def pgm_map(tau: np.ndarray, dims: tuple[int, int], side: str = "a") -> SuperOp:
     """Pretty good measure-and-prepare stage of the temporal channel.
 
     For ``side="a"`` this is ``A -> Tr_A[tau ((rho^{-1/2} A rho^{-1/2}) (x) 1)]``
@@ -250,13 +224,13 @@ def pgm_map(
     positive) for every density ``tau``.
     """
     if side == "b":
-        return pgm_map(swap_factors(tau, dims), (dims[1], dims[0]), "a", tols)
+        return pgm_map(swap_factors(tau, dims), (dims[1], dims[0]), "a")
     if side != "a":
         raise ValueError(f"side must be 'a' or 'b', got {side!r}")
     m, n = dims
-    t = require_hermitian(tau, tols.hermiticity)
-    rho = _validated_marginal(t, dims, "a", tols)
-    ps = sqrt_pinv(rho, tols.rank)
+    t = require_hermitian(tau)
+    rho = _validated_marginal(t, dims, "a")
+    ps = sqrt_pinv(rho)
     s = ps.inv_sqrt
     tau4 = t.reshape(m, n, m, n)
     choi4 = np.einsum("ia,bj,jxiy->axby", s, s, tau4)
@@ -266,12 +240,7 @@ def pgm_map(
     return SuperOp(m, n, choi)
 
 
-def verify_decomposition(
-    tau: np.ndarray,
-    dims: tuple[int, int],
-    side: str = "a",
-    tols: Tolerances = DEFAULT_TOLS,
-) -> float:
+def verify_decomposition(tau: np.ndarray, dims: tuple[int, int], side: str = "a") -> float:
     """Max-norm gap between the temporal channel and dephasing followed by PGM.
 
     The identity ``E = G o D`` holds exactly for any Hermitian trace-one
@@ -280,11 +249,11 @@ def verify_decomposition(
     kernel conventions of the two stages differ from the channel's and the
     returned residual is meaningful only as a diagnostic.
     """
-    e = temporal_channel(tau, dims, side, tols)
+    e = temporal_channel(tau, dims, side)
     traced = "b" if side == "a" else "a"
-    rho = partial_trace(require_hermitian(tau, tols.hermiticity), dims, traced)
-    d = dephasing_channel(rho, tols)
-    g = pgm_map(tau, dims, side, tols)
+    rho = partial_trace(require_hermitian(tau), dims, traced)
+    d = dephasing_channel(rho)
+    g = pgm_map(tau, dims, side)
     return max_abs(e.choi - compose(g, d).choi)
 
 
@@ -298,24 +267,19 @@ class DistortedState:
     distorted: np.ndarray
 
 
-def distort(
-    tau: np.ndarray,
-    dims: tuple[int, int],
-    side: str = "a",
-    tols: Tolerances = DEFAULT_TOLS,
-) -> DistortedState:
+def distort(tau: np.ndarray, dims: tuple[int, int], side: str = "a") -> DistortedState:
     """Distort ``tau`` by ``rho^{-1/2}`` on the chosen side's factor."""
     if side not in ("a", "b"):
         raise ValueError(f"side must be 'a' or 'b', got {side!r}")
     m, n = dims
-    t = require_hermitian(tau, tols.hermiticity)
-    rho = _validated_marginal(t, dims, side, tols)
-    ps = sqrt_pinv(rho, tols.rank)
+    t = require_hermitian(tau)
+    rho = _validated_marginal(t, dims, side)
+    ps = sqrt_pinv(rho)
     conj = tensor(ps.inv_sqrt, np.eye(n)) if side == "a" else tensor(np.eye(m), ps.inv_sqrt)
     return DistortedState(
         base=t,
         side=side,
-        marginal_spectrum=eig_hermitian(rho, tols.cluster, tols.hermiticity),
+        marginal_spectrum=eig_hermitian(rho),
         distorted=conj @ t @ conj,
     )
 
@@ -348,31 +312,25 @@ def is_ppt(tau: np.ndarray, dims: tuple[int, int], tol: float = DEFAULT_TOLS.psd
     return is_psd(pt, tol)
 
 
-def _validated_ppt(
-    tau: np.ndarray, dims: tuple[int, int], tol: float, tols: Tolerances
-) -> tuple[np.ndarray, bool, float]:
+def _validated_ppt(tau: np.ndarray, dims: tuple[int, int], tol: float) -> tuple[np.ndarray, bool, float]:
     """Validate ``tau`` and both marginals; return its Hermitian part and the PPT check."""
-    t = _require_trace_one(tau, tols)
-    _validated_marginal(t, dims, "a", tols)
-    _validated_marginal(t, dims, "b", tols)
-    return (t, *is_ppt(t, dims, tol))
+    t = _require_trace_one(tau)
+    _validated_marginal(t, dims, "a")
+    _validated_marginal(t, dims, "b")
+    ppt_ok, ppt_min, _ = _psd_floor(np.linalg.eigvalsh(partial_transpose(t, dims, "a")), tol)
+    return t, ppt_ok, ppt_min
 
 
-def _side_report(
-    t: np.ndarray, dims: tuple[int, int], side: str, ppt: bool, tol: float, tols: Tolerances
-) -> CompatibilityReport:
+def _side_report(t: np.ndarray, dims: tuple[int, int], side: str, ppt: bool, tol: float) -> CompatibilityReport:
     """Both verdict paths in one direction for a validated ``tau``."""
     if side == "a":
         wt, wdims = t, dims
     else:
         wt, wdims = swap_factors(t, dims), (dims[1], dims[0])
-    u, support, x4 = _eigenbasis_array(wt, wdims, tols)
+    u, support, x4 = _eigenbasis_array(wt, wdims)
 
     # Path 1: the dephased distorted partial transpose, read in the eigenbasis.
-    w_test = np.linalg.eigvalsh(x4.reshape(wt.shape))
-    test_min, test_max = float(w_test[0]), float(w_test[-1])
-    scale = max(1.0, test_max)
-    test_ok = test_min >= -tol * scale
+    test_ok, test_min, scale = _psd_floor(np.linalg.eigvalsh(x4.reshape(wt.shape)), tol)
 
     # Path 2: complete positivity of the reconstructed channel.
     channel = _choi_from_eigenbasis(u, support, x4)
@@ -404,8 +362,7 @@ def compatibility_test(
     tau: np.ndarray,
     dims: tuple[int, int],
     side: str = "a",
-    tol: float = 1e-9,
-    tols: Tolerances = DEFAULT_TOLS,
+    tol: float = DEFAULT_TOLS.psd,
 ) -> CompatibilityReport:
     """Decide temporal compatibility of ``tau`` in one direction.
 
@@ -418,8 +375,8 @@ def compatibility_test(
     """
     if side not in ("a", "b"):
         raise ValueError(f"side must be 'a' or 'b', got {side!r}")
-    t, ppt_ok, _ = _validated_ppt(tau, dims, tol, tols)
-    return _side_report(t, dims, side, ppt_ok, tol, tols)
+    t, ppt_ok, _ = _validated_ppt(tau, dims, tol)
+    return _side_report(t, dims, side, ppt_ok, tol)
 
 
 @dataclass(frozen=True)
@@ -436,20 +393,15 @@ class CertificationResult:
         return self.side_a.compatible and self.side_b.compatible
 
 
-def certify(
-    tau: np.ndarray,
-    dims: tuple[int, int],
-    tol: float = 1e-9,
-    tols: Tolerances = DEFAULT_TOLS,
-) -> CertificationResult:
+def certify(tau: np.ndarray, dims: tuple[int, int], tol: float = DEFAULT_TOLS.psd) -> CertificationResult:
     """Run the compatibility test in both directions plus the PPT check.
 
     A PPT state is temporally compatible in both directions; that implication
     is enforced as a consistency assertion outside the boundary zone.
     """
-    t, ppt_ok, ppt_min = _validated_ppt(tau, dims, tol, tols)
-    side_a = _side_report(t, dims, "a", ppt_ok, tol, tols)
-    side_b = _side_report(t, dims, "b", ppt_ok, tol, tols)
+    t, ppt_ok, ppt_min = _validated_ppt(tau, dims, tol)
+    side_a = _side_report(t, dims, "a", ppt_ok, tol)
+    side_b = _side_report(t, dims, "b", ppt_ok, tol)
     if ppt_ok and ppt_min >= 10 * tol:
         for report in (side_a, side_b):
             if not report.compatible and not report.boundary:

@@ -294,6 +294,18 @@ class TestBlochCommand:
         assert np.all(np.abs(floats) <= 1 + 1e-9)
 
 
+class TestTolOption:
+    @pytest.mark.parametrize("command", [["certify"], ["channel"], ["pdm"], ["expect", "--m", "1"], ["bloch"]])
+    @pytest.mark.parametrize("value", ["nan", "-1", "inf"])
+    def test_invalid_tol_exits_1_with_one_line(self, tmp_path, capsys, command, value):
+        path = write(tmp_path, "bell.json", documents.state_document(bell_state(), (2, 2)))
+        assert main([command[0], path, *command[1:], f"--tol={value}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: tol must be finite and >= 0")
+        assert captured.err.count("\n") == 1
+
+
 class TestMissingFile:
     def test_nonexistent_input(self, capsys):
         assert main(["certify", "/nonexistent/state.json"]) == 1

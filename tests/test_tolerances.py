@@ -1,0 +1,110 @@
+"""Tests for the one tolerance record and the threshold rules read from it."""
+
+from __future__ import annotations
+
+import inspect
+import math
+
+import numpy as np
+import pytest
+from conftest import bell_state, random_faithful_separable
+
+import tempcert as tc
+from tempcert import channels, operators, sot, temporal
+
+BAD_TOLS = [math.nan, -1.0, math.inf, -math.inf]
+
+
+def test_only_tolerance_knob_is_tol_at_the_record_default():
+    knobs = []
+    for name in dir(tc):
+        obj = getattr(tc, name)
+        if name.startswith("_") or not inspect.isfunction(obj):
+            continue
+        for param in inspect.signature(obj).parameters.values():
+            if "tol" in param.name:
+                knobs.append((name, param.name, param.default))
+    assert knobs
+    assert all(param == "tol" and default == tc.DEFAULT_TOLS.psd for _, param, default in knobs), knobs
+
+
+class TestInvalidTol:
+    @pytest.fixture
+    def separable(self):
+        return tc.assemble_state(random_faithful_separable((2, 2), np.random.default_rng(3)))
+
+    @pytest.mark.parametrize("tol", BAD_TOLS)
+    def test_every_tol_function_raises(self, separable, tol):
+        process = tc.Process(channel=tc.identity_channel(2), input_state=np.eye(2) / 2)
+        states = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
+        z = tc.observable(tc.PAULIS[3])
+        calls = [
+            lambda: tc.certify(separable, (2, 2), tol),
+            lambda: tc.compatibility_test(separable, (2, 2), "a", tol),
+            lambda: tc.bayesian_inverse(process, tol),
+            lambda: tc.is_ppt(separable, (2, 2), tol),
+            lambda: tc.is_psd(separable, tol),
+            lambda: tc.is_cptp(tc.identity_channel(2), tol),
+            lambda: tc.is_hptp(tc.identity_channel(2), tol),
+            lambda: tc.correlation_matrix_check(np.eye(2), tol),
+            lambda: tc.representability_check(tc.star_product(process.channel, np.eye(2) / 2), z, z, process, tol),
+            lambda: tc.is_orthogonal_ensemble(states, tol),
+            lambda: tc.discrimination_povm([0.5, 0.5], states, tol),
+            lambda: tc.perfect_distinguishability_check(tc.discrimination_povm([0.5, 0.5], states), tol),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+                call()
+
+    def test_inf_no_longer_certifies_the_bell_state(self):
+        with pytest.raises(ValueError, match="tol"):
+            tc.certify(bell_state(), (2, 2), math.inf)
+
+    def test_zero_is_accepted(self, separable):
+        assert tc.is_psd(np.eye(2), 0.0) == (True, 1.0)
+        assert tc.is_ppt(separable, (2, 2), 0.0)[0]
+
+
+@pytest.mark.parametrize("ratio", [1e-13, 1e-11])
+def test_support_cut_agrees_across_modules(ratio):
+    # rho_a has p_min / p_max = ratio, on either side of DEFAULT_TOLS.rank.
+    rng = np.random.default_rng(8)
+    faithful = ratio > tc.DEFAULT_TOLS.rank
+    u = tc.random_unitary(3, seed=rng)
+    p = np.array([1.0, 0.5, ratio]) / (1.5 + ratio)
+    rho_a = u @ np.diag(p) @ u.conj().T
+    tau = tc.tensor(rho_a, tc.random_density(2, seed=rng))
+
+    assert tc.sqrt_pinv(rho_a).rank == (3 if faithful else 2)
+    checks = [
+        lambda: tc.sylvester_oracle(tau, (3, 2)),
+        lambda: tc.verify_dfed(tau, (3, 2)),
+        lambda: tc.petz_selfinverse_dephasing_check(rho_a),
+    ]
+    for check in checks:
+        if faithful:
+            check()
+        else:
+            with pytest.raises(ValueError, match="faithful"):
+                check()
+    if not faithful:
+        assert not tc.compatibility_test(tau, (3, 2), "a").faithful_marginal
+
+
+def test_certify_checks_hermiticity_of_tau_once(monkeypatch):
+    tau = tc.random_density(12, seed=5)
+    sizes = []
+    original = operators.require_hermitian
+
+    def counted(m):
+        sizes.append(np.shape(m)[0])
+        return original(m)
+
+    for module in (operators, channels, sot, temporal):
+        if hasattr(module, "require_hermitian"):
+            monkeypatch.setattr(module, "require_hermitian", counted)
+    result = tc.certify(tau, (3, 4))
+    assert sizes.count(12) == 1
+    # the PPT eigenvalues are those of the partial transpose of the Hermitian part
+    w = np.linalg.eigvalsh(tc.partial_transpose(original(tau), (3, 4), "a"))
+    assert result.ppt_min_eigenvalue == float(w[0])
