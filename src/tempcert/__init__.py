@@ -80,7 +80,6 @@ from .sot import (
 from .temporal import (
     CertificationResult,
     CompatibilityReport,
-    DistortedState,
     VerdictMismatchError,
     certify,
     compatibility_test,

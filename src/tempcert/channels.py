@@ -131,12 +131,16 @@ def _sandwich(left: np.ndarray, right: np.ndarray) -> SuperOp:
 
 
 def apply(e: SuperOp, x: np.ndarray) -> np.ndarray:
-    """Evaluate ``E(X)`` by contracting ``X`` against the Choi matrix."""
-    a = as_complex_matrix(x)
-    if a.shape[0] != e.dim_in:
-        raise ValueError(f"operator dim {a.shape[0]} does not match channel input dim {e.dim_in}")
+    """Evaluate ``E(X)`` by contracting ``X`` against the Choi matrix.
+
+    ``x`` is one operator or a stack of shape ``(..., dim_in, dim_in)``; the
+    result has shape ``(..., dim_out, dim_out)``.
+    """
+    a = np.asarray(x, dtype=np.complex128)
+    if a.shape[-2:] != (e.dim_in, e.dim_in):
+        raise ValueError(f"operator dim {a.shape[-2:]} does not match channel input dim {e.dim_in}")
     c4 = e.choi.reshape(e.dim_in, e.dim_out, e.dim_in, e.dim_out)
-    return np.einsum("iajb,ij->ab", c4, a)
+    return np.einsum("iajb,...ij->...ab", c4, a)
 
 
 def apply_to_factor(e: SuperOp, t: np.ndarray, dims: tuple[int, int], side: str = "a") -> np.ndarray:

@@ -115,15 +115,12 @@ def _bloch_points(tau: np.ndarray, dims: tuple[int, int], stage: str, samples: i
         push = temporal_channel(tau, dims, "a")
     else:
         raise ValueError(f"stage must be input, dephased or output, got {stage!r}")
-    rng = np.random.default_rng(seed)
-    points = np.empty((samples, 3))
-    for k in range(samples):
-        v = rng.standard_normal(3)
-        v /= np.linalg.norm(v)
-        rho = (np.eye(2) + v[0] * PAULIS[1] + v[1] * PAULIS[2] + v[2] * PAULIS[3]) / 2
-        out = rho if push is None else push(rho)
-        points[k] = [float(np.trace(out @ PAULIS[i]).real) for i in (1, 2, 3)]
-    return points
+    v = np.random.default_rng(seed).standard_normal((samples, 3))
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    sigmas = np.stack(PAULIS[1:])
+    rho = (np.eye(2) + np.einsum("sk,kij->sij", v, sigmas)) / 2
+    out = rho if push is None else push(rho)
+    return np.einsum("sij,kji->sk", out, sigmas).real
 
 
 def _cmd_bloch(args: argparse.Namespace) -> int:

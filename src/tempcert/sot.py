@@ -12,7 +12,6 @@ values of light-touch observables (observables whose spectrum is ``{lam}`` or
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,9 +90,11 @@ def star_product(e: SuperOp, rho: np.ndarray) -> np.ndarray:
     r = require_hermitian(rho)
     if r.shape[0] != e.dim_in:
         raise ValueError(f"state dim {r.shape[0]} does not match channel input dim {e.dim_in}")
-    j = jamiolkowski(e)
-    r1 = tensor(r, np.eye(e.dim_out))
-    return (r1 @ j + j @ r1) / 2
+    m, n = e.dim_in, e.dim_out
+    j = jamiolkowski(e).reshape(m, n, m, n)
+    left = np.tensordot(r, j, axes=(1, 0))
+    right = np.tensordot(j, r, axes=(2, 0)).transpose(0, 1, 3, 2)
+    return ((left + right) / 2).reshape(m * n, m * n)
 
 
 def reverse_star(f: SuperOp, rho_b: np.ndarray) -> np.ndarray:
@@ -181,25 +182,36 @@ class CorrelationTable:
         return float(self.table[pauli_index(alpha), pauli_index(beta)])
 
 
-def _all_pauli_observables(qubits: int) -> list[Observable]:
-    return [pauli_string(alpha) for alpha in itertools.product(range(4), repeat=qubits)]
+def _pauli_basis(qubits: int) -> np.ndarray:
+    """All ``4^m`` Pauli strings as a ``(4^m, 2^m, 2^m)`` stack in :func:`pauli_index` order."""
+    paulis = np.stack(PAULIS)
+    basis = np.ones((1, 1, 1), dtype=np.complex128)
+    for _ in range(qubits):
+        d = 2 * basis.shape[1]
+        basis = np.einsum("aij,bkl->abikjl", basis, paulis).reshape(4 * len(basis), d, d)
+    return basis
 
 
 def correlations_from_process(process: Process, qubits: int) -> CorrelationTable:
-    """Tabulate two-time expectation values over all Pauli pairs of ``m`` qubits."""
+    """Tabulate two-time expectation values over all Pauli pairs of ``m`` qubits.
+
+    Each string ``s_a`` is measured through its spectral projectors
+    ``(1 +- s_a)/2`` (the minus projector of the identity string is zero),
+    the channel is applied once to the whole stack of post-measurement states,
+    and ``table[a, b] = Tr[(E(P+ rho P+) - E(P- rho P-)) s_b]``.
+    """
     d = 2**qubits
-    if process.channel.dim_in != d or process.channel.dim_out != d:
-        raise ValueError(
-            f"process dims ({process.channel.dim_in}, {process.channel.dim_out}) "
-            f"are not {qubits}-qubit algebras"
-        )
-    paulis = _all_pauli_observables(qubits)
-    size = 4**qubits
-    table = np.empty((size, size))
-    for i, m_obs in enumerate(paulis):
-        for j, n_obs in enumerate(paulis):
-            table[i, j] = two_time_expectation(m_obs, n_obs, process)
-    return CorrelationTable(qubits=qubits, table=table)
+    e, rho = process.channel, process.input_state
+    if e.dim_in != d or e.dim_out != d:
+        raise ValueError(f"process dims ({e.dim_in}, {e.dim_out}) are not {qubits}-qubit algebras")
+    strings = _pauli_basis(qubits)
+    projectors = np.stack([np.eye(d) + strings, np.eye(d) - strings]) / 2
+    out = apply(e, projectors @ rho @ projectors)
+    table = np.einsum("aij,bji->ab", out[0] - out[1], strings)
+    residue = np.max(np.abs(table.imag))
+    if residue > DEFAULT_TOLS.imag:
+        raise ValueError(f"two-time expectation has imaginary residue {residue:.3e}")
+    return CorrelationTable(qubits=qubits, table=table.real)
 
 
 def pdm_from_correlations(corr: CorrelationTable) -> np.ndarray:
@@ -208,10 +220,8 @@ def pdm_from_correlations(corr: CorrelationTable) -> np.ndarray:
     Returns ``4^-m sum <s_a, s_b> s_a (x) s_b``: Hermitian with unit trace,
     but not positive semidefinite in general.
     """
-    paulis = _all_pauli_observables(corr.qubits)
+    strings = _pauli_basis(corr.qubits)
     d = 2**corr.qubits
-    out = np.zeros((d * d, d * d), dtype=np.complex128)
-    for i, m_obs in enumerate(paulis):
-        for j, n_obs in enumerate(paulis):
-            out += corr.table[i, j] * tensor(m_obs.matrix, n_obs.matrix)
-    return out / 4**corr.qubits
+    second = np.tensordot(corr.table, strings, axes=(1, 0))
+    out = np.tensordot(strings, second, axes=(0, 0)).transpose(0, 2, 1, 3)
+    return out.reshape(d * d, d * d) / 4**corr.qubits

@@ -33,11 +33,9 @@ from .channels import (
 )
 from .operators import (
     DEFAULT_TOLS,
-    SpectralDecomposition,
     _psd_floor,
     _require_trace_one,
     _support,
-    eig_hermitian,
     is_psd,
     max_abs,
     partial_trace,
@@ -52,7 +50,6 @@ from .sot import star_product
 
 __all__ = [
     "VerdictMismatchError",
-    "DistortedState",
     "CompatibilityReport",
     "CertificationResult",
     "temporal_channel",
@@ -257,17 +254,7 @@ def verify_decomposition(tau: np.ndarray, dims: tuple[int, int], side: str = "a"
     return max_abs(e.choi - compose(g, d).choi)
 
 
-@dataclass(frozen=True)
-class DistortedState:
-    """A bipartite operator conjugated by the pseudoinverse root of one marginal."""
-
-    base: np.ndarray
-    side: str
-    marginal_spectrum: SpectralDecomposition
-    distorted: np.ndarray
-
-
-def distort(tau: np.ndarray, dims: tuple[int, int], side: str = "a") -> DistortedState:
+def distort(tau: np.ndarray, dims: tuple[int, int], side: str = "a") -> np.ndarray:
     """Distort ``tau`` by ``rho^{-1/2}`` on the chosen side's factor."""
     if side not in ("a", "b"):
         raise ValueError(f"side must be 'a' or 'b', got {side!r}")
@@ -276,12 +263,7 @@ def distort(tau: np.ndarray, dims: tuple[int, int], side: str = "a") -> Distorte
     rho = _validated_marginal(t, dims, side)
     ps = sqrt_pinv(rho)
     conj = tensor(ps.inv_sqrt, np.eye(n)) if side == "a" else tensor(np.eye(m), ps.inv_sqrt)
-    return DistortedState(
-        base=t,
-        side=side,
-        marginal_spectrum=eig_hermitian(rho),
-        distorted=conj @ t @ conj,
-    )
+    return conj @ t @ conj
 
 
 @dataclass(frozen=True)

@@ -89,6 +89,20 @@ class TestApply:
         with pytest.raises(ValueError, match="dim"):
             tc.apply(tc.identity_channel(2), np.eye(3))
 
+    def test_apply_on_stack(self):
+        rng = np.random.default_rng(21)
+        e = tc.random_cptp(3, 2, 2, seed=rng)
+        xs = np.stack([[random_hermitian(3, rng) for _ in range(4)] for _ in range(2)])
+        out = tc.apply(e, xs)
+        assert out.shape == (2, 4, 2, 2)
+        for idx in np.ndindex(2, 4):
+            np.testing.assert_allclose(out[idx], tc.apply(e, xs[idx]), rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("shape", [(3,), (5, 3, 2), (5, 2, 2), (2, 3, 2, 3)])
+    def test_stack_trailing_shape_mismatch(self, shape):
+        with pytest.raises(ValueError, match="does not match channel input dim 3"):
+            tc.apply(tc.random_cptp(3, 2, 2, seed=0), np.zeros(shape))
+
     def test_superoperator_matrix_agrees(self):
         rng = np.random.default_rng(3)
         e = tc.random_cptp(2, 3, 2, seed=rng)

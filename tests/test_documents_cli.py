@@ -10,7 +10,7 @@ from conftest import bell_state, octahedral_ensemble
 
 import tempcert as tc
 from tempcert import documents
-from tempcert.cli import main
+from tempcert.cli import _bloch_points, main
 
 SWAP = np.array(
     [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
@@ -264,6 +264,24 @@ class TestBlochCommand:
         assert main(["bloch", path, "--stage", "input", "--samples", "64", "--seed", "5", "--out", str(out_in)]) == 0
         assert main(["bloch", path, "--stage", "dephased", "--samples", "64", "--seed", "5", "--out", str(out_dep)]) == 0
         assert out_in.read_text() == out_dep.read_text()
+
+    @pytest.mark.parametrize("stage", ["input", "dephased", "output"])
+    def test_points_match_per_sample_readout(self, stage):
+        tau = tc.assemble_state(octahedral_ensemble())
+        push = {
+            "input": lambda rho: rho,
+            "dephased": tc.dephasing_channel(tc.partial_trace(tau, (2, 2), "b")),
+            "output": tc.temporal_channel(tau, (2, 2), "a"),
+        }[stage]
+        rng = np.random.default_rng(4)
+        expected = []
+        for _ in range(32):
+            v = rng.standard_normal(3)
+            v /= np.linalg.norm(v)
+            out = push((np.eye(2) + sum(c * s for c, s in zip(v, tc.PAULIS[1:]))) / 2)
+            expected.append([np.trace(out @ s).real for s in tc.PAULIS[1:]])
+        points = _bloch_points(tau, (2, 2), stage, 32, 4)
+        np.testing.assert_allclose(points, expected, rtol=0, atol=1e-15)
 
     def test_zero_samples_empty_file(self, tmp_path):
         path = write(tmp_path, "bell.json", documents.state_document(bell_state(), (2, 2)))

@@ -16,6 +16,7 @@ from conftest import (
 )
 
 import tempcert as tc
+from tempcert.sot import _pauli_basis
 
 SWAP = np.array(
     [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
@@ -42,6 +43,13 @@ class TestPauliStrings:
     def test_invalid_index(self):
         with pytest.raises(ValueError, match="0..3"):
             tc.pauli_string((4,))
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_basis_stack_matches_pauli_string(self, m):
+        basis = _pauli_basis(m)
+        assert basis.shape == (4**m, 2**m, 2**m)
+        for a in itertools.product(range(4), repeat=m):
+            np.testing.assert_array_equal(basis[tc.pauli_index(a)], tc.pauli_string(a).matrix)
 
 
 class TestStarProduct:
@@ -211,6 +219,24 @@ class TestCorrelationTables:
         corr = tc.correlations_from_process(p, 1)
         assert abs(corr.entry((0,), (0,)) - 1.0) < 1e-12
 
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("kind", ["cptp", "transpose"])
+    def test_matches_per_pair_expectations(self, m, kind):
+        rng = np.random.default_rng(10 + m)
+        d = 2**m
+        e = tc.random_cptp(d, d, 2, seed=rng) if kind == "cptp" else tc.transpose_map(d)
+        p = tc.Process(channel=e, input_state=tc.random_density(d, seed=rng))
+        strings = [tc.pauli_string(a) for a in itertools.product(range(4), repeat=m)]
+        expected = [[tc.two_time_expectation(s, t, p) for t in strings] for s in strings]
+        corr = tc.correlations_from_process(p, m)
+        np.testing.assert_allclose(corr.table, expected, rtol=0, atol=1e-13)
+
+    def test_non_hermitian_preserving_channel_rejected(self):
+        e = tc.SuperOp(2, 2, 1j * tc.identity_channel(2).choi)
+        p = tc.Process(channel=e, input_state=np.eye(2) / 2)
+        with pytest.raises(ValueError, match="imaginary residue"):
+            tc.correlations_from_process(p, 1)
+
     def test_non_qubit_dims_rejected(self):
         p = tc.Process(channel=tc.identity_channel(3), input_state=np.eye(3) / 3)
         with pytest.raises(ValueError, match="qubit"):
@@ -248,7 +274,7 @@ class TestPdm:
                 value = np.trace(r @ tc.tensor(tc.PAULIS[a], tc.PAULIS[b])).real
                 assert abs(value - corr.table[a, b]) < 1e-10
 
-    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("m", [1, 2, 3])
     def test_round_trip_equals_star_product(self, m):
         rng = np.random.default_rng(m)
         d = 2**m
