@@ -129,7 +129,7 @@ def _cmd_bloch(args: argparse.Namespace) -> int:
     if args.samples == 0:
         text = ""
     elif args.json:
-        text = json.dumps([[float(x), float(y), float(z)] for x, y, z in points]) + "\n"
+        text = json.dumps(points.tolist()) + "\n"
     else:
         text = "".join(f"{float(x)!r},{float(y)!r},{float(z)!r}\n" for x, y, z in points)
     _write_text(text, args.out)

@@ -2,12 +2,14 @@
 
 Complex numbers are encoded as two-element ``[re, im]`` arrays and matrices as
 row-major nested arrays; dimensions are always explicit.  Unknown fields are
-rejected so that a document either parses exactly or fails loudly.
+rejected so that a document either parses exactly or fails loudly.  Numbers
+must be finite JSON numbers (not booleans) that fit a float64.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import chain
 from pathlib import Path
 from typing import Any
 
@@ -77,28 +79,61 @@ def _check_header(doc: Any, kind: str | None) -> str:
 
 
 def encode_matrix(m: np.ndarray) -> list[list[list[float]]]:
-    a = np.asarray(m, dtype=np.complex128)
-    return [[[float(z.real), float(z.imag)] for z in row] for row in a]
+    a = np.ascontiguousarray(m, dtype=np.complex128)
+    return a.view(np.float64).reshape(*a.shape, 2).tolist()
+
+
+def _all_are(values: list, cls: type | tuple[type, ...]) -> bool:
+    """Whether every value is a ``cls`` instance and none is a ``bool``, from the set of their types."""
+    return all(issubclass(t, cls) and t is not bool for t in set(map(type, values)))
+
+
+def _nested_floats(obj: Any, shape: tuple[int, ...]) -> np.ndarray | None:
+    """``obj`` as a float64 array when it is nested lists of ``shape`` holding numbers, else ``None``.
+
+    Each nesting level is checked in bulk, so no Python loop runs per entry.
+    Numbers are ints or floats, not booleans, and must fit a float64.
+    """
+    level = [obj]
+    for n in shape:
+        if not _all_are(level, list) or set(map(len, level)) != {n}:
+            return None
+        level = list(chain.from_iterable(level))
+    if not _all_are(level, (int, float)):
+        return None
+    try:
+        return np.array(level, dtype=np.float64).reshape(shape)
+    except OverflowError:
+        return None
+
+
+def _matrix_error(obj: Any, dim: int, what: str) -> str:
+    """Name the first malformed row or entry of a matrix that :func:`_nested_floats` rejected."""
+    if isinstance(obj, list) and len(obj) == dim:
+        for i, row in enumerate(obj):
+            if not isinstance(row, list) or len(row) != dim:
+                return f"{what} row {i} must have {dim} entries"
+            for j, entry in enumerate(row):
+                if not isinstance(entry, list) or len(entry) != 2 or not _all_are(entry, (int, float)):
+                    return f"{what}[{i}][{j}] must be a [re, im] pair"
+                if _nested_floats(entry, (2,)) is None:
+                    return f"{what}[{i}][{j}] is out of range for a float"
+    return f"{what} must be a {dim}x{dim} nested array"
+
+
+def _require_finite(values: np.ndarray, what: str) -> np.ndarray:
+    finite = np.isfinite(values)
+    if not finite.all():
+        index = "".join(f"[{k}]" for k in np.argwhere(~finite)[0])
+        raise ValueError(f"{what} contains non-finite entries, first at {what}{index}")
+    return values
 
 
 def decode_matrix(obj: Any, dim: int, what: str = "matrix") -> np.ndarray:
-    if not isinstance(obj, list) or len(obj) != dim:
-        raise ValueError(f"{what} must be a {dim}x{dim} nested array")
-    out = np.empty((dim, dim), dtype=np.complex128)
-    for i, row in enumerate(obj):
-        if not isinstance(row, list) or len(row) != dim:
-            raise ValueError(f"{what} row {i} must have {dim} entries")
-        for j, entry in enumerate(row):
-            if (
-                not isinstance(entry, list)
-                or len(entry) != 2
-                or not all(isinstance(x, (int, float)) for x in entry)
-            ):
-                raise ValueError(f"{what}[{i}][{j}] must be a [re, im] pair")
-            out[i, j] = complex(entry[0], entry[1])
-    if not np.all(np.isfinite(out.view(float))):
-        raise ValueError(f"{what} contains non-finite entries")
-    return out
+    values = _nested_floats(obj, (dim, dim, 2))
+    if values is None:
+        raise ValueError(_matrix_error(obj, dim, what))
+    return _require_finite(values.view(np.complex128).reshape(dim, dim), what)
 
 
 def _positive_dim(doc: dict[str, Any], key: str) -> int:
@@ -181,7 +216,7 @@ def ensemble_document(ensemble: ProductEnsemble) -> dict[str, Any]:
         "kind": "ensemble",
         "dim_a": da,
         "dim_b": db,
-        "weights": [float(w) for w in ensemble.weights],
+        "weights": ensemble.weights.tolist(),
         "states_a": [encode_matrix(s) for s in ensemble.states_a],
         "states_b": [encode_matrix(s) for s in ensemble.states_b],
     }
@@ -192,14 +227,16 @@ def parse_ensemble_document(doc: dict[str, Any]) -> ProductEnsemble:
     da = _positive_dim(doc, "dim_a")
     db = _positive_dim(doc, "dim_b")
     weights = doc["weights"]
-    if not isinstance(weights, list) or not all(isinstance(w, (int, float)) for w in weights):
-        raise ValueError("weights must be an array of numbers")
+    w = _nested_floats(weights, (len(weights),)) if isinstance(weights, list) else None
+    if w is None:
+        raise ValueError("weights must be an array of numbers that fit a float")
+    _require_finite(w, "weights")
     for key in ("states_a", "states_b"):
-        if not isinstance(doc[key], list) or len(doc[key]) != len(weights):
+        if not isinstance(doc[key], list) or len(doc[key]) != len(w):
             raise ValueError(f"{key} must list one matrix per weight")
     states_a = tuple(decode_matrix(s, da, f"states_a[{i}]") for i, s in enumerate(doc["states_a"]))
     states_b = tuple(decode_matrix(s, db, f"states_b[{i}]") for i, s in enumerate(doc["states_b"]))
-    return ProductEnsemble(weights=np.asarray(weights, dtype=float), states_a=states_a, states_b=states_b)
+    return ProductEnsemble(weights=w, states_a=states_a, states_b=states_b)
 
 
 def correlations_document(corr: CorrelationTable) -> dict[str, Any]:
@@ -207,8 +244,19 @@ def correlations_document(corr: CorrelationTable) -> dict[str, Any]:
         "schema_version": SCHEMA_VERSION,
         "kind": "correlations",
         "qubits": corr.qubits,
-        "table": [[float(x) for x in row] for row in corr.table],
+        "table": corr.table.tolist(),
     }
+
+
+def _table_error(table: Any, size: int) -> str:
+    """Name the first malformed row of a table that :func:`_nested_floats` rejected."""
+    if isinstance(table, list) and len(table) == size:
+        for i, row in enumerate(table):
+            if not isinstance(row, list) or len(row) != size or not _all_are(row, (int, float)):
+                return f"incomplete table: row {i} must hold {size} numbers"
+            if _nested_floats(row, (size,)) is None:
+                return f"table row {i} holds a number out of range for a float"
+    return f"incomplete table: expected {size} rows"
 
 
 def parse_correlations_document(doc: dict[str, Any]) -> CorrelationTable:
@@ -216,14 +264,10 @@ def parse_correlations_document(doc: dict[str, Any]) -> CorrelationTable:
     qubits = _positive_dim(doc, "qubits")
     size = 4**qubits
     table = doc["table"]
-    if not isinstance(table, list) or len(table) != size:
-        raise ValueError(f"incomplete table: expected {size} rows")
-    rows = []
-    for i, row in enumerate(table):
-        if not isinstance(row, list) or len(row) != size or not all(isinstance(x, (int, float)) for x in row):
-            raise ValueError(f"incomplete table: row {i} must hold {size} numbers")
-        rows.append([float(x) for x in row])
-    return CorrelationTable(qubits=qubits, table=np.asarray(rows))
+    values = _nested_floats(table, (size, size))
+    if values is None:
+        raise ValueError(_table_error(table, size))
+    return CorrelationTable(qubits=qubits, table=_require_finite(values, "table"))
 
 
 def _side_payload(report: CompatibilityReport) -> dict[str, Any]:
@@ -260,8 +304,14 @@ def load_document(path: str | Path, kind: str | None = None) -> dict[str, Any]:
 
 
 def dump_document(doc: dict[str, Any], path: str | Path | None = None) -> str:
-    """Serialize a document; write it to ``path`` when given, always return the text."""
-    text = json.dumps(doc, indent=2)
+    """Serialize a document; write it to ``path`` when given, always return the text.
+
+    Each top-level field is written on its own line and its value on one line,
+    so the whole text comes from json's C encoder (``indent`` would select the
+    pure-Python one).
+    """
+    fields = ",\n".join(f"  {json.dumps(key)}: {json.dumps(value)}" for key, value in doc.items())
+    text = "{\n" + fields + "\n}"
     if path is not None:
         Path(path).write_text(text + "\n", encoding="utf-8")
     return text

@@ -108,10 +108,15 @@ def _eigenbasis_array(t: np.ndarray, dims: tuple[int, int]) -> tuple[np.ndarray,
 
 
 def _choi_from_eigenbasis(u: np.ndarray, support: np.ndarray, x4: np.ndarray) -> SuperOp:
-    """The temporal channel from :func:`_eigenbasis_array`; overwrites kernel blocks of ``x4``."""
+    """The temporal channel from :func:`_eigenbasis_array`; overwrites kernel blocks of ``x4``.
+
+    The rotated Choi matrix is Hermitian only up to rounding, which the Cauchy
+    weights amplify; it is returned exactly Hermitian, ``(c + c^dag) / 2``.
+    """
     m, n = x4.shape[:2]
     x4[~support, :, ~support, :] = np.eye(n) / n
-    return SuperOp(m, n, _conjugate_first(x4, u.T).reshape(m * n, m * n))
+    c = _conjugate_first(x4, u.T).reshape(m * n, m * n)
+    return SuperOp(m, n, (c + c.conj().T) / 2)
 
 
 def temporal_channel(tau: np.ndarray, dims: tuple[int, int], side: str = "a") -> SuperOp:

@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import json
+import re
 
 import numpy as np
 import pytest
 from conftest import bell_state, octahedral_ensemble
 
 import tempcert as tc
-from tempcert import documents
+from tempcert import cli, documents
 from tempcert.cli import _bloch_points, main
 
 SWAP = np.array(
@@ -111,6 +112,149 @@ class TestDocuments:
             documents.load_document(path)
 
 
+def _state_matrix():
+    return documents.state_document(np.eye(4) / 4, (2, 2))["matrix"]
+
+
+def _set(m, i, j, entry):
+    m[i][j] = entry
+    return m
+
+
+def _truncate_row(m, i, n):
+    m[i] = m[i][:n]
+    return m
+
+
+class TestDecoderRejections:
+    @pytest.mark.parametrize(
+        "matrix, message",
+        [
+            (_state_matrix()[:3], "matrix must be a 4x4 nested array"),
+            ({"rows": []}, "matrix must be a 4x4 nested array"),
+            (_truncate_row(_state_matrix(), 2, 3), "matrix row 2 must have 4 entries"),
+            (_set(_state_matrix(), 1, 0, 0.25), "matrix[1][0] must be a [re, im] pair"),
+            (_set(_state_matrix(), 1, 3, [0.0]), "matrix[1][3] must be a [re, im] pair"),
+            (_set(_state_matrix(), 1, 2, ["0", 0]), "matrix[1][2] must be a [re, im] pair"),
+            (_set(_state_matrix(), 0, 0, [True, False]), "matrix[0][0] must be a [re, im] pair"),
+            (_set(_state_matrix(), 3, 1, [float("nan"), 0.0]), "matrix contains non-finite entries, first at matrix[3][1]"),
+            (_set(_state_matrix(), 0, 2, [0.0, float("-inf")]), "matrix contains non-finite entries, first at matrix[0][2]"),
+            (_set(_state_matrix(), 2, 3, [0, 10**400]), "matrix[2][3] is out of range for a float"),
+            (_set(_state_matrix(), 2, 3, [-(10**400), 0]), "matrix[2][3] is out of range for a float"),
+            # The first bad row or entry in row-major order is the one named.
+            (_truncate_row(_set(_state_matrix(), 0, 3, [True, 0]), 1, 2), "matrix[0][3] must be a [re, im] pair"),
+            (_set(_set(_state_matrix(), 1, 1, [10**400, 0]), 1, 2, [False, 0]), "matrix[1][1] is out of range for a float"),
+        ],
+        ids=[
+            "row-count", "not-a-list", "row-length", "entry-not-a-list", "pair-length", "string", "boolean",
+            "nan", "inf", "overflow", "negative-overflow", "first-bad-entry", "first-bad-overflow",
+        ],
+    )
+    def test_matrix(self, matrix, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            documents.decode_matrix(matrix, 4)
+
+    def test_matrix_name_in_message(self):
+        doc = documents.channel_document(tc.identity_channel(2))
+        doc["choi"][2][1] = [True, 0.0]
+        with pytest.raises(ValueError, match=re.escape("choi[2][1] must be a [re, im] pair")):
+            documents.parse_channel_document(doc)
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ([1.0, 0.0, 0.0], "incomplete table: row 2 must hold 4 numbers"),
+            ([1.0, 0.0, 0.0, True], "incomplete table: row 2 must hold 4 numbers"),
+            ([1.0, 0.0, None, 0.0], "incomplete table: row 2 must hold 4 numbers"),
+            ([1.0, 0.0, 0.0, 10**400], "table row 2 holds a number out of range for a float"),
+            ([1.0, 0.0, float("nan"), 0.0], "table contains non-finite entries, first at table[2][2]"),
+        ],
+        ids=["row-length", "boolean", "null", "overflow", "nan"],
+    )
+    def test_table(self, row, message):
+        p = tc.Process(channel=tc.identity_channel(2), input_state=np.eye(2) / 2)
+        doc = documents.correlations_document(tc.correlations_from_process(p, 1))
+        doc["table"][2] = row
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            documents.parse_correlations_document(doc)
+
+    @pytest.mark.parametrize(
+        "weight, message",
+        [
+            (True, "weights must be an array of numbers that fit a float"),
+            (10**400, "weights must be an array of numbers that fit a float"),
+            ("0.5", "weights must be an array of numbers that fit a float"),
+            ([0.5], "weights must be an array of numbers that fit a float"),
+            (float("inf"), "weights contains non-finite entries, first at weights[1]"),
+        ],
+        ids=["boolean", "overflow", "string", "list", "inf"],
+    )
+    def test_weights(self, weight, message):
+        doc = documents.ensemble_document(octahedral_ensemble())
+        doc["weights"][1] = weight
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            documents.parse_ensemble_document(doc)
+
+    def test_pdm_of_non_finite_table_exits_1(self, tmp_path, capsys):
+        p = tc.Process(channel=tc.identity_channel(2), input_state=np.eye(2) / 2)
+        doc = documents.correlations_document(tc.correlations_from_process(p, 1))
+        doc["table"][1][2] = float("nan")
+        out = tmp_path / "pdm.json"
+        assert main(["pdm", write(tmp_path, "corr.json", doc), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: table contains non-finite entries, first at table[1][2]\n"
+        assert not out.exists()
+
+    def test_integer_entries_accepted(self):
+        doc = documents.state_document(np.diag([1.0, 0, 0, 0]), (2, 2))
+        doc["matrix"] = [[[int(x) for x in entry] for entry in row] for row in doc["matrix"]]
+        tau, _ = documents.parse_state_document(doc)
+        assert np.array_equal(tau, np.diag([1.0, 0, 0, 0]))
+
+
+class TestDocumentText:
+    def test_encode_matrix_matches_per_entry_reference(self):
+        rng = np.random.default_rng(11)
+        m = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+        m[0, 0] = complex(-0.0, 0.0)
+        m[1, 2] = complex(5e-324, -1e308)
+        m[4, 4] = complex(0.1, -0.0)
+        reference = [[[float(z.real), float(z.imag)] for z in row] for row in m]
+        encoded = documents.encode_matrix(m)
+        assert json.dumps(encoded) == json.dumps(reference)
+        assert {type(x) for row in encoded for entry in row for x in entry} == {float}
+        assert documents.encode_matrix(m.real.tolist()) == [[[x, 0.0] for x in row] for row in m.real.tolist()]
+
+    def test_channel_16x16_round_trip_bit_identical(self, tmp_path):
+        e = tc.random_cptp(16, 16, 2, seed=12)
+        doc = documents.channel_document(e, tc.is_cptp(e))
+        path = write(tmp_path, "channel.json", doc)
+        back = documents.parse_channel_document(documents.load_document(path, "channel"))
+        assert back.choi.tobytes() == e.choi.tobytes()
+
+    def test_one_top_level_field_per_line(self):
+        result = tc.certify(bell_state(), (2, 2))
+        for doc in (
+            documents.state_document(bell_state(), (2, 2)),
+            documents.report_document(result),
+            documents.channel_document(result.side_a.channel, result.side_a.cptp),
+        ):
+            text = documents.dump_document(doc)
+            lines = text.split("\n")
+            assert lines[0] == "{" and lines[-1] == "}"
+            assert len(lines) == len(doc) + 2
+            for line, key in zip(lines[1:-1], doc):
+                assert line.startswith(f'  "{key}": ')
+            assert json.loads(text) == doc == json.loads(json.dumps(doc, indent=2))
+
+    def test_indented_document_still_loads(self, tmp_path):
+        ens = octahedral_ensemble()
+        doc = documents.ensemble_document(ens)
+        path = tmp_path / "indented.json"
+        path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+        back = documents.parse_ensemble_document(documents.load_document(path, "ensemble"))
+        assert documents.ensemble_document(back) == doc
+
+
 class TestCertifyCommand:
     def test_bell_state_exits_2_with_report(self, tmp_path, capsys):
         path = write(tmp_path, "bell.json", documents.state_document(bell_state(), (2, 2)))
@@ -137,25 +281,26 @@ class TestCertifyCommand:
         assert code == 1
         assert "trace" in capsys.readouterr().err
 
-    def test_verdict_mismatch_exits_3_with_one_line(self, tmp_path, capsys):
-        # Separable, so compatible; the first marginal's smallest eigenvalue 1e-11
-        # amplifies rounding in the channel's hermiticity and trace gates until its
-        # CP verdict disagrees with the positive test matrix.
-        rng = np.random.default_rng(0)
-        eps = 1e-11
-        u = tc.random_unitary(3, seed=rng)
-        states_a = []
-        for _ in range(3):
-            q = rng.dirichlet(np.ones(2)) * (1 - eps)
-            states_a.append(u @ np.diag([q[0], q[1], eps]) @ u.conj().T)
-        states_b = tuple(tc.random_density(3, seed=rng) for _ in range(3))
-        weights = rng.dirichlet(np.ones(3))
-        ens = tc.ProductEnsemble(weights=weights, states_a=tuple(states_a), states_b=states_b)
-        path = write(tmp_path, "ill.json", documents.state_document(tc.assemble_state(ens), (3, 3)))
+    def test_verdict_mismatch_exits_3_with_one_line(self, tmp_path, capsys, monkeypatch):
+        def mismatch(tau, dims, tol):
+            raise tc.VerdictMismatchError(
+                "side a: test-matrix verdict True (min eig 8.481e-02) disagrees "
+                "with channel CP verdict False (choi min eig 8.481e-02)"
+            )
+
+        monkeypatch.setattr(cli, "certify", mismatch)
+        path = write(tmp_path, "sep.json", documents.state_document(np.eye(4) / 4, (2, 2)))
         assert main(["certify", path]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: side a:")
         assert err.count("\n") == 1
+
+    def test_out_of_range_entry_exits_1_with_one_line(self, tmp_path, capsys):
+        doc = documents.state_document(np.eye(4) / 4, (2, 2))
+        doc["matrix"][0][1] = [10**400, 0]
+        path = write(tmp_path, "huge.json", doc)
+        assert main(["certify", path]) == 1
+        assert capsys.readouterr().err == "error: matrix[0][1] is out of range for a float\n"
 
     def test_exit_code_is_reproducible(self, tmp_path):
         path = write(tmp_path, "bell.json", documents.state_document(bell_state(), (2, 2)))

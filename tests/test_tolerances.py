@@ -64,6 +64,17 @@ class TestInvalidTol:
         assert tc.is_psd(np.eye(2), 0.0) == (True, 1.0)
         assert tc.is_ppt(separable, (2, 2), 0.0)[0]
 
+    @pytest.mark.parametrize("dims", [(2, 2), (3, 3), (2, 4)])
+    def test_zero_certifies_separable_states(self, dims):
+        # The returned Choi matrices are exactly Hermitian, so tol=0 leaves no
+        # rounding for the channel's CP gate to trip on.
+        for seed in range(10):
+            tau = tc.assemble_state(random_faithful_separable(dims, np.random.default_rng(seed)))
+            result = tc.certify(tau, dims, 0.0)
+            assert result.compatible_both
+            for report in (result.side_a, result.side_b):
+                assert report.cptp.hermiticity_defect == 0.0
+
 
 @pytest.mark.parametrize("ratio", [1e-13, 1e-11])
 def test_support_cut_agrees_across_modules(ratio):
