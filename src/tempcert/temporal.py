@@ -15,8 +15,11 @@ is positive semidefinite, where ``D`` is the generalized dephasing channel of
 eigenbasis the test matrix is ``tau`` with the first factor transposed and
 weighted entrywise by the Cauchy matrix ``2 / (p_i + p_j)``, zero on blocks
 touching the kernel.  The same array, rotated back to the computational basis,
-is the Choi matrix of ``E``; its complete positivity and the reconstruction
-residual ``max|E * rho_a - tau|`` cross-check the verdict.
+is the Choi matrix of ``E``, so one eigensolve of the test matrix's support
+block gives both spectra.  The verdict is cross-checked on the returned Choi
+matrix by a different algorithm, a Cholesky factorization shifted by ``5 tol``
+times the spectral scale, which succeeds iff ``E`` is completely positive
+outside the boundary zone, and by the reconstruction residual ``max|E * rho_a - tau|``.
 """
 
 from __future__ import annotations
@@ -28,8 +31,8 @@ import numpy as np
 from .channels import (
     CptpReport,
     SuperOp,
+    _trace_gate,
     compose,
-    is_cptp,
 )
 from .operators import (
     DEFAULT_TOLS,
@@ -275,10 +278,13 @@ def distort(tau: np.ndarray, dims: tuple[int, int], side: str = "a") -> np.ndarr
 class CompatibilityReport:
     """Verdict of the temporal-compatibility test in one direction.
 
-    ``compatible`` is decided by the sign of ``test_min_eigenvalue``; the
-    reconstructed temporal channel, its CPTP diagnostics and the
-    reconstruction residual ``max|tau - E * rho|`` provide the
-    cross-check.  ``boundary`` flags verdicts within ten tolerances of zero.
+    ``compatible`` is decided by the sign of ``test_min_eigenvalue``.  The
+    cross-check is ``cptp.cp``, a Cholesky factorization of the returned
+    ``channel``'s Choi matrix, together with the reconstruction residual
+    ``max|tau - E * rho|``.  ``cptp.choi_min_eigenvalue`` is read off the test
+    matrix's spectrum, which the Choi matrix shares up to a unitary rotation
+    (plus ``1/n`` on the kernel of a rank-deficient marginal).  ``boundary``
+    flags verdicts within ten tolerances of zero.
     """
 
     side: str
@@ -308,6 +314,17 @@ def _validated_ppt(tau: np.ndarray, dims: tuple[int, int], tol: float) -> tuple[
     return t, ppt_ok, ppt_min
 
 
+def _cholesky_cp(c: np.ndarray, shift: float) -> bool:
+    """True iff ``c + shift * 1`` has a Cholesky factorization, i.e. is positive definite."""
+    a = c.copy()
+    a.flat[:: a.shape[0] + 1] += shift
+    try:
+        np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def _side_report(t: np.ndarray, dims: tuple[int, int], side: str, ppt: bool, tol: float) -> CompatibilityReport:
     """Both verdict paths in one direction for a validated ``tau``."""
     if side == "a":
@@ -315,20 +332,33 @@ def _side_report(t: np.ndarray, dims: tuple[int, int], side: str, ppt: bool, tol
     else:
         wt, wdims = swap_factors(t, dims), (dims[1], dims[0])
     u, support, x4 = _eigenbasis_array(wt, wdims)
+    n, r = wdims[1], int(support.sum())
+    faithful = r == wdims[0]
 
-    # Path 1: the dephased distorted partial transpose, read in the eigenbasis.
-    test_ok, test_min, scale = _psd_floor(np.linalg.eigvalsh(x4.reshape(wt.shape)), tol)
+    # Path 1: the dephased distorted partial transpose, read in the eigenbasis.  Its kernel
+    # rows and columns are zero, so one eigensolve of the support block gives its spectrum
+    # plus 0 on the kernel.  The Choi matrix is the same block plus 1/n on the kernel; the
+    # block's partial trace is the identity, so 1/n is its mean eigenvalue and w[0] <= 1/n.
+    w = np.linalg.eigvalsh((x4 if faithful else x4[support][:, :, support]).reshape(r * n, r * n))
+    choi_min = float(w[0])
+    test_ok, test_min, scale = _psd_floor(w if faithful else np.insert(w, 0, min(choi_min, 0.0)), tol)
 
-    # Path 2: complete positivity of the reconstructed channel.
+    # Path 2: a Cholesky factorization of the returned Choi matrix, shifted to the middle of
+    # the (tol, 10 tol) * scale band, so it succeeds iff the channel is CP outside the boundary zone.
     channel = _choi_from_eigenbasis(u, support, x4)
-    cptp = is_cptp(channel, tol)
+    cp = _cholesky_cp(channel.choi, 5 * tol * scale)
+    tp, trace_residual = _trace_gate(channel, tol)
+    # hermiticity_defect is 0: _choi_from_eigenbasis returns (c + c^dag) / 2, Hermitian to the bit.
+    cptp = CptpReport(
+        cp=cp, tp=tp, choi_min_eigenvalue=choi_min, trace_residual=trace_residual, hermiticity_defect=0.0
+    )
     reconstruction = max_abs(star_product(channel, partial_trace(wt, wdims, "b")) - wt)
 
-    boundary = abs(test_min) < 10 * tol * scale or abs(cptp.choi_min_eigenvalue) < 10 * tol * scale
-    if test_ok != cptp.cp and not boundary:
+    boundary = abs(test_min) < 10 * tol * scale or abs(choi_min) < 10 * tol * scale
+    if test_ok != cp and not boundary:
         raise VerdictMismatchError(
             f"side {side}: test-matrix verdict {test_ok} (min eig {test_min:.3e}) disagrees "
-            f"with channel CP verdict {cptp.cp} (choi min eig {cptp.choi_min_eigenvalue:.3e})"
+            f"with channel CP verdict {cp} (choi min eig {choi_min:.3e})"
         )
 
     return CompatibilityReport(
@@ -338,7 +368,7 @@ def _side_report(t: np.ndarray, dims: tuple[int, int], side: str, ppt: bool, tol
         channel=channel,
         reconstruction_residual=reconstruction,
         cptp=cptp,
-        faithful_marginal=bool(support.all()),
+        faithful_marginal=faithful,
         ppt=ppt,
         boundary=boundary,
         tolerance=tol,
@@ -355,8 +385,9 @@ def compatibility_test(
 
     ``tau`` must be Hermitian with unit trace and density-matrix marginals
     (it need not itself be positive).  Two verdicts are computed from one
-    eigenbasis array: the Cauchy-weighted partial transpose as the test matrix,
-    and complete positivity of its rotation to the channel's Choi matrix.  They
+    eigenbasis array: the sign of the smallest eigenvalue of the Cauchy-weighted
+    partial transpose (the test matrix), and a Cholesky factorization of its
+    rotation to the channel's Choi matrix, the matrix that is returned.  They
     must agree outside the ``10 * tol`` boundary zone, else
     :class:`VerdictMismatchError` is raised.
     """

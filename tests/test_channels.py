@@ -166,6 +166,16 @@ class TestVerdicts:
         bad = tc.SuperOp(2, 2, tc.tensor(1j * tc.PAULIS[2], np.eye(2)))
         assert not tc.is_hptp(bad)
 
+    def test_trace_gate_rejects_a_real_trace_defect(self):
+        # The rounding floor of the TP gate is ~1e-14 here; a 1e-6 defect stays far above it.
+        e = tc.random_cptp(3, 2, 2, seed=4)
+        off = tc.SuperOp(3, 2, e.choi + 1e-6 * tc.tensor(np.diag([1.0, 0.0, 0.0]), np.eye(2) / 2))
+        rep = tc.is_cptp(off)
+        assert rep.cp and not rep.tp
+        assert abs(rep.trace_residual - 1e-6) < 1e-12
+        assert not tc.is_hptp(off)
+        assert tc.is_cptp(e, 0.0).tp
+
 
 class TestComposeAndAdjoint:
     def test_compose_identity_and_replace(self):

@@ -7,7 +7,7 @@ import re
 
 import numpy as np
 import pytest
-from conftest import bell_state, octahedral_ensemble
+from conftest import bell_state, octahedral_ensemble, random_faithful_separable
 
 import tempcert as tc
 from tempcert import cli, documents
@@ -321,6 +321,13 @@ class TestChannelCommand:
         chan = documents.parse_channel_document(doc)
         assert tc.max_abs(chan.choi - tc.replace_channel(rho_b).choi) < 1e-9
         assert doc["diagnostics"]["cp"] and doc["diagnostics"]["tp"]
+
+    def test_zero_tol_reports_tp(self, tmp_path, capsys):
+        tau = tc.assemble_state(random_faithful_separable((2, 2), np.random.default_rng(3)))
+        path = write(tmp_path, "sep.json", documents.state_document(tau, (2, 2)))
+        assert main(["channel", path, "--tol", "0"]) == 0
+        diagnostics = json.loads(capsys.readouterr().out)["diagnostics"]
+        assert diagnostics["tp"] is True and diagnostics["trace_residual"] > 0
 
     def test_swap_half_gives_identity_channel(self, tmp_path, capsys):
         path = write(tmp_path, "swap.json", documents.state_document(SWAP / 2, (2, 2)))

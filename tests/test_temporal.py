@@ -392,6 +392,15 @@ class TestCompatibility:
         report = tc.compatibility_test(werner(1 / 3), (2, 2), "a")
         assert report.boundary
 
+    def test_cholesky_shift_sits_mid_boundary_zone(self):
+        # A Werner state has test_min = (1 - 3p) / 2 and scale 1.  The Cholesky check is
+        # shifted by 5 tol, so inside the boundary zone it accepts -3 tol and rejects -7 tol.
+        for lam, cp in [(-3e-9, True), (-7e-9, False)]:
+            report = tc.compatibility_test(werner((1 - 2 * lam) / 3), (2, 2), "a")
+            assert abs(report.test_min_eigenvalue - lam) < 1e-15
+            assert report.boundary and not report.compatible
+            assert report.cptp.cp == cp
+
     def test_spectrum_match_between_paths(self):
         rng = np.random.default_rng(13)
         for _ in range(5):
@@ -445,21 +454,69 @@ class TestEigenbasisKernel:
         report = tc.compatibility_test(tau, dims, side)
         assert abs(report.test_min_eigenvalue - _composed_test_min(tau, dims, side)) < 1e-10
 
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        kind=st.sampled_from(["density", "separable_rank_deficient", "non_positive", "isotropic"]),
+        dims=st.sampled_from(KERNEL_DIMS),
+        side=st.sampled_from(["a", "b"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_report_matches_public_cptp_oracle(self, kind, dims, side, seed):
+        # The report reads the Choi spectrum off path 1 and decides CP by a Cholesky
+        # factorization; the public is_cptp runs eigvalsh on the returned matrix.
+        tau = _kernel_case(kind, dims, np.random.default_rng(seed))
+        report = tc.compatibility_test(tau, dims, side)
+        oracle = tc.is_cptp(report.channel, report.tolerance)
+        lam = oracle.choi_min_eigenvalue
+        assert abs(report.cptp.choi_min_eigenvalue - lam) <= 1e-12 * max(1.0, abs(lam))
+        assert report.cptp.tp == oracle.tp
+        assert report.cptp.trace_residual == oracle.trace_residual
+        if not report.boundary:
+            assert report.cptp.cp == oracle.cp
+
     def test_certify_eigensolve_count(self, monkeypatch):
-        tau = tc.random_density(12, seed=17)
-        sizes = []
-        for name in ("eigh", "eigvalsh"):
+        sizes = {"eigh": [], "eigvalsh": [], "cholesky": []}
+        for name, calls in sizes.items():
             original = getattr(np.linalg, name)
 
-            def counted(a, *args, _original=original, **kwargs):
-                sizes.append(np.shape(a)[-1])
+            def counted(a, *args, _original=original, _calls=calls, **kwargs):
+                _calls.append(np.shape(a)[-1])
                 return _original(a, *args, **kwargs)
 
             monkeypatch.setattr(np.linalg, name, counted)
-        tc.certify(tau, (3, 4))
-        # one PPT, test-matrix and Choi solve per side; marginal validation and one
-        # eigendecomposition per side
-        assert sorted(sizes) == [3, 3, 4, 4] + [12] * 5
+        rank_deficient = rank_deficient_separable((4, 3), 3, 7, np.random.default_rng(2))
+        cases = [
+            # faithful marginals: marginal validation and one eigh per side, one PPT solve,
+            # one test-matrix solve per side
+            (tc.random_density(12, seed=17), (3, 4), [3, 3, 4, 4] + [12] * 3),
+            # a rank-3 side-a marginal: that side's test matrix is solved on its 9 x 9 support block
+            (tc.assemble_state(rank_deficient), (4, 3), [3, 3, 4, 4, 9, 12, 12]),
+        ]
+        for tau, dims, eigensolves in cases:
+            for calls in sizes.values():
+                calls.clear()
+            tc.certify(tau, dims)
+            assert sorted(sizes["eigh"] + sizes["eigvalsh"]) == eigensolves
+            # path 2: one Cholesky factorization of each returned Choi matrix
+            assert sizes["cholesky"] == [dims[0] * dims[1]] * 2
+
+    def test_cholesky_path_reads_the_returned_choi(self, monkeypatch):
+        # Negating a support-diagonal block of the eigenbasis array leaves path 1's spectrum
+        # untouched but makes the returned Choi matrix negative on that block.
+        original = tc.temporal._choi_from_eigenbasis
+
+        def negated(u, support, x4):
+            i = int(np.flatnonzero(support)[0])
+            x4[i, :, i, :] *= -1
+            return original(u, support, x4)
+
+        tau = tc.tensor(np.diag([0.6, 0.4]).astype(complex), np.eye(3) / 3)
+        assert tc.certify(tau, (2, 3)).compatible_both
+        monkeypatch.setattr(tc.temporal, "_choi_from_eigenbasis", negated)
+        with pytest.raises(tc.VerdictMismatchError, match="side a: test-matrix verdict True"):
+            tc.certify(tau, (2, 3))
+        with pytest.raises(tc.VerdictMismatchError, match="side b: test-matrix verdict True"):
+            tc.compatibility_test(tau, (2, 3), "b")
 
 
 class TestIsPpt:

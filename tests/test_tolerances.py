@@ -74,6 +74,7 @@ class TestInvalidTol:
             assert result.compatible_both
             for report in (result.side_a, result.side_b):
                 assert report.cptp.hermiticity_defect == 0.0
+                assert report.cptp.tp  # residuals of ~1e-16 pass the TP gate's rounding floor
 
 
 @pytest.mark.parametrize("ratio", [1e-13, 1e-11])
