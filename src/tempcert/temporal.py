@@ -19,7 +19,8 @@ is the Choi matrix of ``E``, so one eigensolve of the test matrix's support
 block gives both spectra.  The verdict is cross-checked on the returned Choi
 matrix by a different algorithm, a Cholesky factorization shifted by ``5 tol``
 times the spectral scale, which succeeds iff ``E`` is completely positive
-outside the boundary zone, and by the reconstruction residual ``max|E * rho_a - tau|``.
+outside the boundary zone, gated on the matrix's Hermiticity defect, and by the
+reconstruction residual ``max|E * rho_a - tau|``.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from .operators import (
     _psd_floor,
     _require_trace_one,
     _support,
+    hermiticity_defect,
     is_psd,
     max_abs,
     partial_trace,
@@ -280,7 +282,8 @@ class CompatibilityReport:
 
     ``compatible`` is decided by the sign of ``test_min_eigenvalue``.  The
     cross-check is ``cptp.cp``, a Cholesky factorization of the returned
-    ``channel``'s Choi matrix, together with the reconstruction residual
+    ``channel``'s Choi matrix gated on ``cptp.hermiticity_defect <= tol``,
+    together with the reconstruction residual
     ``max|tau - E * rho|``.  ``cptp.choi_min_eigenvalue`` is read off the test
     matrix's spectrum, which the Choi matrix shares up to a unitary rotation
     (plus ``1/n`` on the kernel of a rank-deficient marginal).  ``boundary``
@@ -345,16 +348,18 @@ def _side_report(t: np.ndarray, dims: tuple[int, int], side: str, ppt: bool, tol
 
     # Path 2: a Cholesky factorization of the returned Choi matrix, shifted to the middle of
     # the (tol, 10 tol) * scale band, so it succeeds iff the channel is CP outside the boundary zone.
+    # The factorization reads only the lower triangle, so Hermiticity is gated separately, as in is_cptp.
     channel = _choi_from_eigenbasis(u, support, x4)
-    cp = _cholesky_cp(channel.choi, 5 * tol * scale)
+    herm = hermiticity_defect(channel.choi)
+    cp = herm <= tol and _cholesky_cp(channel.choi, 5 * tol * scale)
     tp, trace_residual = _trace_gate(channel, tol)
-    # hermiticity_defect is 0: _choi_from_eigenbasis returns (c + c^dag) / 2, Hermitian to the bit.
     cptp = CptpReport(
-        cp=cp, tp=tp, choi_min_eigenvalue=choi_min, trace_residual=trace_residual, hermiticity_defect=0.0
+        cp=cp, tp=tp, choi_min_eigenvalue=choi_min, trace_residual=trace_residual, hermiticity_defect=herm
     )
     reconstruction = max_abs(star_product(channel, partial_trace(wt, wdims, "b")) - wt)
 
-    boundary = abs(test_min) < 10 * tol * scale or abs(choi_min) < 10 * tol * scale
+    # On a rank-deficient marginal test_min is 0 or choi_min, so it alone sets the zone.
+    boundary = abs(test_min) < 10 * tol * scale
     if test_ok != cp and not boundary:
         raise VerdictMismatchError(
             f"side {side}: test-matrix verdict {test_ok} (min eig {test_min:.3e}) disagrees "

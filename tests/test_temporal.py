@@ -402,11 +402,13 @@ class TestCompatibility:
             assert report.cptp.cp == cp
 
     def test_spectrum_match_between_paths(self):
+        # The report's Choi spectrum is read off path 1; the public is_cptp solves the returned matrix.
         rng = np.random.default_rng(13)
         for _ in range(5):
             tau = random_trace_one_hermitian((3, 2), rng)
             report = tc.compatibility_test(tau, (3, 2), "a")
-            assert abs(report.test_min_eigenvalue - report.cptp.choi_min_eigenvalue) < 1e-9
+            oracle = tc.is_cptp(report.channel).choi_min_eigenvalue
+            assert abs(report.cptp.choi_min_eigenvalue - oracle) < 1e-9
 
     def test_rejects_invalid_marginal(self):
         with pytest.raises(ValueError, match="marginal"):
@@ -517,6 +519,25 @@ class TestEigenbasisKernel:
             tc.certify(tau, (2, 3))
         with pytest.raises(tc.VerdictMismatchError, match="side b: test-matrix verdict True"):
             tc.compatibility_test(tau, (2, 3), "b")
+
+    def test_cp_path_gates_hermiticity_of_the_returned_choi(self, monkeypatch):
+        # The Cholesky factorization reads only the lower triangle, so a defect placed in the
+        # upper triangle is seen only by the Hermiticity gate.
+        original = tc.temporal._choi_from_eigenbasis
+
+        def skewed(u, support, x4):
+            e = original(u, support, x4)
+            c = e.choi.copy()
+            c[0, -1] += 1e-6
+            return tc.SuperOp(e.dim_in, e.dim_out, c)
+
+        tau = tc.tensor(np.diag([0.6, 0.4]).astype(complex), np.eye(3) / 3)
+        monkeypatch.setattr(tc.temporal, "_choi_from_eigenbasis", skewed)
+        with pytest.raises(tc.VerdictMismatchError, match="side a: test-matrix verdict True"):
+            tc.compatibility_test(tau, (2, 3), "a")
+        report = tc.compatibility_test(tau, (2, 3), "a", tol=1e-5)
+        assert report.cptp.hermiticity_defect == pytest.approx(1e-6)
+        assert report.cptp.cp and report.compatible
 
 
 class TestIsPpt:
