@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import SuperOp, from_kraus
-from .operators import DEFAULT_TOLS, _check_tol, max_abs, sqrt_pinv, tensor, validate_density
+from .operators import DEFAULT_TOLS, _check_tol, max_abs, sqrt_pinv, validate_density
 from .sot import Observable, observable
 
 __all__ = [
@@ -71,10 +71,10 @@ def assemble_state(ensemble: ProductEnsemble) -> np.ndarray:
     """The bipartite operator of an ensemble: Hermitian and trace one, PSD iff
     the weights can be taken nonnegative."""
     da, db = ensemble.dims
-    out = np.zeros((da * db, da * db), dtype=np.complex128)
+    out = np.zeros((da, db, da, db), dtype=np.complex128)
     for w, a, b in zip(ensemble.weights, ensemble.states_a, ensemble.states_b):
-        out += w * tensor(a, b)
-    return out
+        out += w * (a[:, None, :, None] * b[None, :, None, :])
+    return out.reshape(da * db, da * db)
 
 
 def random_unitary(dim: int, seed: Seed = None) -> np.ndarray:

@@ -206,10 +206,15 @@ def validate_density(m: np.ndarray) -> np.ndarray:
     (hermiticity, trace, or psd).
     """
     a = _require_trace_one(m)
-    ok, lam_min, _ = _psd_floor(np.linalg.eigvalsh(a), DEFAULT_TOLS.psd)
+    _require_psd_spectrum(np.linalg.eigvalsh(a))
+    return a
+
+
+def _require_psd_spectrum(w: np.ndarray) -> None:
+    """The density PSD gate on ascending eigenvalues ``w``, naming the min eigenvalue when it fails."""
+    ok, lam_min, _ = _psd_floor(w, DEFAULT_TOLS.psd)
     if not ok:
         raise ValueError(f"psd invariant violated: min eigenvalue = {lam_min:.3e}")
-    return a
 
 
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:

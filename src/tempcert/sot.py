@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import Process, SuperOp, apply, jamiolkowski
+from .channels import Process, SuperOp, apply
 from .operators import (
     DEFAULT_TOLS,
     SpectralDecomposition,
@@ -90,10 +90,15 @@ def star_product(e: SuperOp, rho: np.ndarray) -> np.ndarray:
     r = require_hermitian(rho)
     if r.shape[0] != e.dim_in:
         raise ValueError(f"state dim {r.shape[0]} does not match channel input dim {e.dim_in}")
+    return _star(e, r)
+
+
+def _star(e: SuperOp, r: np.ndarray) -> np.ndarray:
+    """:func:`star_product` of a validated ``r``: ``(r (x) 1) J`` and ``J (r (x) 1)`` as one matmul each."""
     m, n = e.dim_in, e.dim_out
-    j = jamiolkowski(e).reshape(m, n, m, n)
-    left = np.tensordot(r, j, axes=(1, 0))
-    right = np.tensordot(j, r, axes=(2, 0)).transpose(0, 1, 3, 2)
+    j = e.choi.reshape(m, n, m, n).transpose(2, 1, 0, 3)  # J[E], the Choi matrix transposed on the input
+    left = (r @ j.reshape(m, n * m * n)).reshape(m, n, m, n)
+    right = (j.transpose(0, 1, 3, 2).reshape(m * n * n, m) @ r).reshape(m, n, n, m).transpose(0, 1, 3, 2)
     return ((left + right) / 2).reshape(m * n, m * n)
 
 

@@ -30,17 +30,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import (
+    _EPS,
     CptpReport,
     SuperOp,
-    _trace_gate,
+    _hptp_gates,
     compose,
 )
 from .operators import (
     DEFAULT_TOLS,
     _psd_floor,
+    _require_psd_spectrum,
     _require_trace_one,
     _support,
-    hermiticity_defect,
     is_psd,
     max_abs,
     partial_trace,
@@ -51,7 +52,7 @@ from .operators import (
     tensor,
     validate_density,
 )
-from .sot import star_product
+from .sot import _star
 
 __all__ = [
     "VerdictMismatchError",
@@ -72,42 +73,50 @@ __all__ = [
 
 
 _SYLVESTER_MAX_DIM = 64  # sylvester_oracle's dense (m n)^2 x (m n)^2 system takes 268 MB at 64
+# Exact zero test eigenvalues (rho (x) |psi><psi|, 800 states at (2,2)..(16,16)) round to below 50 m n eps
+# scale; the zone's floor allows 64 units.  The rounding grows with the marginal's condition number.
+_ZONE_ROUNDING = 64
 
 
 class VerdictMismatchError(RuntimeError):
     """The two verdict paths disagreed beyond the boundary zone."""
 
 
-def _validated_marginal(tau: np.ndarray, dims: tuple[int, int], side: str) -> np.ndarray:
-    traced = "b" if side == "a" else "a"
-    marginal = partial_trace(tau, dims, traced)
+def _density_spectrum(m: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Validate a density matrix from one ``eigh``: its Hermitian part, eigenvalues, eigenvectors,
+    support mask, and Cauchy weights ``2 / (p_i + p_j)`` on support pairs."""
+    a = _require_trace_one(m)
+    p, u = np.linalg.eigh(a)
+    _require_psd_spectrum(p)
+    support = _support(p)
+    pair = np.outer(support, support)
+    cauchy = np.divide(2.0, np.add.outer(p, p), out=np.zeros(pair.shape), where=pair)
+    return a, p, u, support, cauchy
+
+
+def _validated_marginal(tau: np.ndarray, dims: tuple[int, int], side: str) -> tuple[np.ndarray, ...]:
+    """:func:`_density_spectrum` of the marginal on ``side``; its errors name the side."""
     try:
-        return validate_density(marginal)
+        return _density_spectrum(partial_trace(tau, dims, "b" if side == "a" else "a"))
     except ValueError as exc:
         raise ValueError(f"marginal on side {side}: {exc}") from exc
 
 
 def _conjugate_first(x4: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """``(v^dag (x) 1) X (v (x) 1)`` on a bipartite operator in ``(m, n, m, n)`` form."""
-    r = np.tensordot(np.tensordot(v.conj(), x4, axes=(0, 0)), v, axes=(2, 0))
-    return r.transpose(0, 1, 3, 2)
+    """``(v^dag (x) 1) X (v (x) 1)`` on a bipartite operator in ``(m, n, m, n)`` form, as two matmuls."""
+    m, n, k = x4.shape[0], x4.shape[1], v.shape[1]
+    left = (v.conj().T @ x4.reshape(m, n * m * n)).reshape(k, n, m, n)
+    right = left.transpose(0, 1, 3, 2).reshape(k * n * n, m) @ v
+    return right.reshape(k, n, n, k).transpose(0, 1, 3, 2)
 
 
-def _marginal_spectrum(rho: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Eigenvalues, eigenvectors, support mask, and Cauchy weights ``2 / (p_i + p_j)`` on support pairs."""
-    p, u = np.linalg.eigh(rho)
-    support = _support(p)
-    pair = np.outer(support, support)
-    cauchy = np.divide(2.0, np.add.outer(p, p), out=np.zeros(pair.shape), where=pair)
-    return p, u, support, cauchy
-
-
-def _eigenbasis_array(t: np.ndarray, dims: tuple[int, int]) -> tuple[np.ndarray, ...]:
+def _eigenbasis_array(t: np.ndarray, dims: tuple[int, int], spectrum: tuple) -> tuple[np.ndarray, ...]:
     """Eigenvectors and support of ``rho_a``, and the ``(m, n, m, n)`` test matrix in that eigenbasis.
 
+    ``spectrum`` is :func:`_validated_marginal` on side a.
     ``X[i, x, j, y] = 2 / (p_i + p_j) <u_j, x| tau |u_i, y>``, zero on blocks touching the kernel.
     """
-    _, u, support, cauchy = _marginal_spectrum(partial_trace(t, dims, "b"))
+    _, _, u, support, cauchy = spectrum
     rotated = _conjugate_first(t.reshape(*dims, *dims), u)
     return u, support, cauchy[:, None, :, None] * rotated.transpose(2, 1, 0, 3)
 
@@ -142,8 +151,7 @@ def temporal_channel(tau: np.ndarray, dims: tuple[int, int], side: str = "a") ->
     if side != "a":
         raise ValueError(f"side must be 'a' or 'b', got {side!r}")
     t = _require_trace_one(tau)
-    _validated_marginal(t, dims, "a")
-    return _choi_from_eigenbasis(*_eigenbasis_array(t, dims))
+    return _choi_from_eigenbasis(*_eigenbasis_array(t, dims, _validated_marginal(t, dims, "a")))
 
 
 def sylvester_oracle(tau: np.ndarray, dims: tuple[int, int], side: str = "a") -> np.ndarray:
@@ -162,8 +170,8 @@ def sylvester_oracle(tau: np.ndarray, dims: tuple[int, int], side: str = "a") ->
     if m * n > _SYLVESTER_MAX_DIM:
         raise ValueError(f"sylvester_oracle is limited to m*n <= {_SYLVESTER_MAX_DIM}, got {m}*{n}")
     t = _require_trace_one(tau)
-    rho = _validated_marginal(t, dims, "a")
-    if not _support(np.linalg.eigvalsh(rho)).all():
+    rho, _, _, support, _ = _validated_marginal(t, dims, "a")
+    if not support.all():
         raise ValueError("non-faithful marginal: the anticommutator equation has no unique solution")
     d = m * n
     r = tensor(rho, np.eye(n))
@@ -180,9 +188,8 @@ def dephasing_channel(rho: np.ndarray) -> SuperOp:
     ``Tr[P_perp A] 1/m`` on the kernel of a rank-deficient ``rho``.  Fixes
     every state commuting with the spectral projectors of ``rho``.
     """
-    r = validate_density(rho)
+    r, p, u, support, cauchy = _density_spectrum(rho)
     m = r.shape[0]
-    p, u, support, cauchy = _marginal_spectrum(r)
     harmonic = cauchy * np.sqrt(np.abs(np.outer(p, p)))
     # Column i of v is the vectorized |conj(u_i)> (x) |u_i>, so v h v^dag is
     # the Choi matrix of the Schur multiplier h in the eigenbasis.
@@ -236,8 +243,7 @@ def pgm_map(tau: np.ndarray, dims: tuple[int, int], side: str = "a") -> SuperOp:
         raise ValueError(f"side must be 'a' or 'b', got {side!r}")
     m, n = dims
     t = require_hermitian(tau)
-    rho = _validated_marginal(t, dims, "a")
-    ps = sqrt_pinv(rho)
+    ps = sqrt_pinv(_validated_marginal(t, dims, "a")[0])
     s = ps.inv_sqrt
     tau4 = t.reshape(m, n, m, n)
     choi4 = np.einsum("ia,bj,jxiy->axby", s, s, tau4)
@@ -270,8 +276,7 @@ def distort(tau: np.ndarray, dims: tuple[int, int], side: str = "a") -> np.ndarr
         raise ValueError(f"side must be 'a' or 'b', got {side!r}")
     m, n = dims
     t = require_hermitian(tau)
-    rho = _validated_marginal(t, dims, side)
-    ps = sqrt_pinv(rho)
+    ps = sqrt_pinv(_validated_marginal(t, dims, side)[0])
     conj = tensor(ps.inv_sqrt, np.eye(n)) if side == "a" else tensor(np.eye(m), ps.inv_sqrt)
     return conj @ t @ conj
 
@@ -282,12 +287,12 @@ class CompatibilityReport:
 
     ``compatible`` is decided by the sign of ``test_min_eigenvalue``.  The
     cross-check is ``cptp.cp``, a Cholesky factorization of the returned
-    ``channel``'s Choi matrix gated on ``cptp.hermiticity_defect <= tol``,
-    together with the reconstruction residual
-    ``max|tau - E * rho|``.  ``cptp.choi_min_eigenvalue`` is read off the test
-    matrix's spectrum, which the Choi matrix shares up to a unitary rotation
-    (plus ``1/n`` on the kernel of a rank-deficient marginal).  ``boundary``
-    flags verdicts within ten tolerances of zero.
+    ``channel``'s Choi matrix gated on ``cptp.hermiticity_defect`` as in ``is_cptp``,
+    together with the reconstruction residual ``max|tau - E * rho|``.
+    ``cptp.choi_min_eigenvalue`` is read off the test matrix's spectrum, which the
+    Choi matrix shares up to a unitary rotation (plus ``1/n`` on the kernel of a
+    rank-deficient marginal).  ``boundary`` flags verdicts within ``10 tol + 64 m n eps``
+    of zero, relative to the spectral scale.
     """
 
     side: str
@@ -308,13 +313,12 @@ def is_ppt(tau: np.ndarray, dims: tuple[int, int], tol: float = DEFAULT_TOLS.psd
     return is_psd(pt, tol)
 
 
-def _validated_ppt(tau: np.ndarray, dims: tuple[int, int], tol: float) -> tuple[np.ndarray, bool, float]:
-    """Validate ``tau`` and both marginals; return its Hermitian part and the PPT check."""
+def _validated_ppt(tau: np.ndarray, dims: tuple[int, int], tol: float) -> tuple:
+    """Validate ``tau`` and both marginals: its Hermitian part, marginal spectra by side, PPT check."""
     t = _require_trace_one(tau)
-    _validated_marginal(t, dims, "a")
-    _validated_marginal(t, dims, "b")
+    spectra = {side: _validated_marginal(t, dims, side) for side in "ab"}
     ppt_ok, ppt_min, _ = _psd_floor(np.linalg.eigvalsh(partial_transpose(t, dims, "a")), tol)
-    return t, ppt_ok, ppt_min
+    return t, spectra, ppt_ok, ppt_min
 
 
 def _cholesky_cp(c: np.ndarray, shift: float) -> bool:
@@ -328,13 +332,11 @@ def _cholesky_cp(c: np.ndarray, shift: float) -> bool:
     return True
 
 
-def _side_report(t: np.ndarray, dims: tuple[int, int], side: str, ppt: bool, tol: float) -> CompatibilityReport:
-    """Both verdict paths in one direction for a validated ``tau``."""
-    if side == "a":
-        wt, wdims = t, dims
-    else:
-        wt, wdims = swap_factors(t, dims), (dims[1], dims[0])
-    u, support, x4 = _eigenbasis_array(wt, wdims)
+def _side_report(validated: tuple, dims: tuple[int, int], side: str, tol: float) -> CompatibilityReport:
+    """Both verdict paths in one direction for a ``tau`` validated by :func:`_validated_ppt`."""
+    t, spectra, ppt, _ = validated
+    wt, wdims = (t, dims) if side == "a" else (swap_factors(t, dims), (dims[1], dims[0]))
+    u, support, x4 = _eigenbasis_array(wt, wdims, spectra[side])
     n, r = wdims[1], int(support.sum())
     faithful = r == wdims[0]
 
@@ -350,16 +352,16 @@ def _side_report(t: np.ndarray, dims: tuple[int, int], side: str, ppt: bool, tol
     # the (tol, 10 tol) * scale band, so it succeeds iff the channel is CP outside the boundary zone.
     # The factorization reads only the lower triangle, so Hermiticity is gated separately, as in is_cptp.
     channel = _choi_from_eigenbasis(u, support, x4)
-    herm = hermiticity_defect(channel.choi)
-    cp = herm <= tol and _cholesky_cp(channel.choi, 5 * tol * scale)
-    tp, trace_residual = _trace_gate(channel, tol)
+    herm_ok, herm, tp, trace_residual = _hptp_gates(channel, tol)
+    cp = herm_ok and _cholesky_cp(channel.choi, 5 * tol * scale)
     cptp = CptpReport(
         cp=cp, tp=tp, choi_min_eigenvalue=choi_min, trace_residual=trace_residual, hermiticity_defect=herm
     )
-    reconstruction = max_abs(star_product(channel, partial_trace(wt, wdims, "b")) - wt)
+    reconstruction = max_abs(_star(channel, spectra[side][0]) - wt)
 
-    # On a rank-deficient marginal test_min is 0 or choi_min, so it alone sets the zone.
-    boundary = abs(test_min) < 10 * tol * scale
+    # On a rank-deficient marginal test_min is 0 or choi_min, so it alone sets the zone.  Its
+    # rounding floor keeps an exact zero eigenvalue inside the zone at tol=0.
+    boundary = abs(test_min) < (10 * tol + _ZONE_ROUNDING * t.shape[0] * _EPS) * scale
     if test_ok != cp and not boundary:
         raise VerdictMismatchError(
             f"side {side}: test-matrix verdict {test_ok} (min eig {test_min:.3e}) disagrees "
@@ -398,8 +400,7 @@ def compatibility_test(
     """
     if side not in ("a", "b"):
         raise ValueError(f"side must be 'a' or 'b', got {side!r}")
-    t, ppt_ok, _ = _validated_ppt(tau, dims, tol)
-    return _side_report(t, dims, side, ppt_ok, tol)
+    return _side_report(_validated_ppt(tau, dims, tol), dims, side, tol)
 
 
 @dataclass(frozen=True)
@@ -422,9 +423,10 @@ def certify(tau: np.ndarray, dims: tuple[int, int], tol: float = DEFAULT_TOLS.ps
     A PPT state is temporally compatible in both directions; that implication
     is enforced as a consistency assertion outside the boundary zone.
     """
-    t, ppt_ok, ppt_min = _validated_ppt(tau, dims, tol)
-    side_a = _side_report(t, dims, "a", ppt_ok, tol)
-    side_b = _side_report(t, dims, "b", ppt_ok, tol)
+    validated = _validated_ppt(tau, dims, tol)
+    _, _, ppt_ok, ppt_min = validated
+    side_a = _side_report(validated, dims, "a", tol)
+    side_b = _side_report(validated, dims, "b", tol)
     if ppt_ok and ppt_min >= 10 * tol:
         for report in (side_a, side_b):
             if not report.compatible and not report.boundary:

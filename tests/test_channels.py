@@ -176,6 +176,21 @@ class TestVerdicts:
         assert not tc.is_hptp(off)
         assert tc.is_cptp(e, 0.0).tp
 
+    def test_hermiticity_gate_has_a_rounding_floor(self):
+        # from_kraus leaves a Hermiticity defect of ~3e-17, which the gate's rounding floor
+        # absorbs at tol=0; a 1e-6 defect in the upper triangle stays far above the floor.
+        e = tc.random_cptp(3, 2, 2, seed=4)
+        assert 0.0 < tc.is_cptp(e).hermiticity_defect < 1e-16
+        assert tc.is_hptp(e, 0.0)
+        full_rank = tc.random_cptp(3, 2, 6, seed=0)  # Choi min eigenvalue 0.068
+        assert 0.0 < tc.is_cptp(full_rank).hermiticity_defect
+        assert tc.is_cptp(full_rank, 0.0).cp
+        c = full_rank.choi.copy()
+        c[0, -1] += 1e-6
+        skewed = tc.SuperOp(3, 2, c)
+        assert not tc.is_hptp(skewed) and not tc.is_hptp(skewed, 0.0)
+        assert not tc.is_cptp(skewed).cp and tc.is_cptp(skewed, 1e-5).cp
+
 
 class TestComposeAndAdjoint:
     def test_compose_identity_and_replace(self):

@@ -40,6 +40,18 @@ class TestProductEnsemble:
         ok, _ = tc.is_psd(tau)
         assert not ok
 
+    @pytest.mark.parametrize("dims", [(2, 3), (3, 2), (4, 4), (16, 16)])
+    def test_assembly_matches_the_kron_sum(self, dims):
+        # The reference is the per-term np.kron loop; the broadcast outer product must
+        # reproduce it bit for bit, index order included.
+        rng = np.random.default_rng(dims[0] * dims[1])
+        for terms in range(1, 21):
+            ens = tc.random_separable(*dims, terms, seed=rng)
+            reference = np.zeros((dims[0] * dims[1],) * 2, dtype=complex)
+            for w, a, b in zip(ens.weights, ens.states_a, ens.states_b):
+                reference += w * np.kron(a, b)
+            assert np.array_equal(tc.assemble_state(ens), reference)
+
     def test_weight_sum_enforced(self):
         with pytest.raises(ValueError, match="sum"):
             tc.ProductEnsemble(weights=[0.5, 0.4], states_a=(proj(KET0),) * 2, states_b=(proj(KET0),) * 2)

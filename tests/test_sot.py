@@ -77,6 +77,24 @@ class TestStarProduct:
         np.testing.assert_allclose(tc.partial_trace(r, (3, 2), "b"), rho, atol=1e-10)
         np.testing.assert_allclose(tc.partial_trace(r, (3, 2), "a"), tc.apply(e, rho), atol=1e-10)
 
+    @pytest.mark.parametrize("dims", [(2, 3), (3, 2), (4, 4)])
+    def test_matches_the_definitional_anticommutator(self, dims):
+        # 1/2 {rho (x) 1, J[E]} with J[E] = sum_ij |i><j| (x) E(|j><i|), built with np.kron,
+        # for a CPTP map and for a map that is not Hermitian-preserving.
+        m, n = dims
+        rng = np.random.default_rng(m * n)
+        g = rng.standard_normal((m * n, m * n)) + 1j * rng.standard_normal((m * n, m * n))
+        rho = tc.random_density(m, seed=rng)
+        units = np.eye(m)
+        for e in (tc.random_cptp(m, n, 2, seed=rng), tc.SuperOp(m, n, g / tc.max_abs(g))):
+            j = sum(
+                np.kron(np.outer(units[i], units[k]), tc.apply(e, np.outer(units[k], units[i])))
+                for i in range(m)
+                for k in range(m)
+            )
+            lifted = np.kron(rho, np.eye(n))
+            assert tc.max_abs(tc.star_product(e, rho) - (lifted @ j + j @ lifted) / 2) < 1e-15
+
     def test_hptp_input_stays_hermitian(self):
         r = tc.star_product(tc.transpose_map(2), tc.random_density(2, seed=5))
         assert tc.max_abs(r - r.conj().T) < 1e-12

@@ -488,11 +488,11 @@ class TestEigenbasisKernel:
             monkeypatch.setattr(np.linalg, name, counted)
         rank_deficient = rank_deficient_separable((4, 3), 3, 7, np.random.default_rng(2))
         cases = [
-            # faithful marginals: marginal validation and one eigh per side, one PPT solve,
-            # one test-matrix solve per side
-            (tc.random_density(12, seed=17), (3, 4), [3, 3, 4, 4] + [12] * 3),
+            # faithful marginals: one eigh per side validates the marginal and gives its
+            # eigenbasis, one PPT solve, one test-matrix solve per side
+            (tc.random_density(12, seed=17), (3, 4), [3, 4] + [12] * 3),
             # a rank-3 side-a marginal: that side's test matrix is solved on its 9 x 9 support block
-            (tc.assemble_state(rank_deficient), (4, 3), [3, 3, 4, 4, 9, 12, 12]),
+            (tc.assemble_state(rank_deficient), (4, 3), [3, 4, 9, 12, 12]),
         ]
         for tau, dims, eigensolves in cases:
             for calls in sizes.values():
@@ -501,6 +501,22 @@ class TestEigenbasisKernel:
             assert sorted(sizes["eigh"] + sizes["eigvalsh"]) == eigensolves
             # path 2: one Cholesky factorization of each returned Choi matrix
             assert sizes["cholesky"] == [dims[0] * dims[1]] * 2
+
+    def test_certify_makes_no_tensordot_or_kron_call(self, monkeypatch):
+        # Small certifications are dominated by per-call overhead; the factor kernels are
+        # plain matmuls on reshaped views.
+        calls = []
+        for name in ("tensordot", "kron"):
+
+            def counted(*args, _original=getattr(np, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np, name, counted)
+        tc.certify(tc.random_density(4, seed=3), (2, 2))
+        assert calls == []
+        tc.tensor(np.eye(2), np.eye(2))
+        assert calls == ["kron"]
 
     def test_cholesky_path_reads_the_returned_choi(self, monkeypatch):
         # Negating a support-diagonal block of the eigenbasis array leaves path 1's spectrum

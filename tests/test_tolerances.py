@@ -120,3 +120,33 @@ def test_certify_checks_hermiticity_of_tau_once(monkeypatch):
     # the PPT eigenvalues are those of the partial transpose of the Hermitian part
     w = np.linalg.eigvalsh(tc.partial_transpose(original(tau), (3, 4), "a"))
     assert result.ppt_min_eigenvalue == float(w[0])
+
+
+def test_zero_tol_boundary_zone_holds_exact_zero_eigenvalues(monkeypatch):
+    # tau = rho (x) |psi><psi| has a singular Choi matrix, so its test matrix has exact zero
+    # eigenvalues that rounding puts on either side of 0.  At tol=0 the zone 10 tol is empty;
+    # its rounding floor keeps those eigenvalues in the zone, so the paths may differ there.
+    rng = np.random.default_rng(11)
+    states = []
+    for _ in range(200):
+        m, n = int(rng.integers(2, 5)), int(rng.integers(2, 5))
+        rho = tc.random_density(m, seed=rng)
+        psi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        states.append((tc.tensor(rho, np.outer(psi, psi.conj()) / np.vdot(psi, psi).real), (m, n)))
+
+    def flags(result):
+        return [(r.compatible, r.boundary, r.cptp.cp, r.cptp.tp) for r in (result.side_a, result.side_b)]
+
+    for tau, dims in states:
+        tc.certify(tau, dims, 0.0)
+    with_floor = [flags(tc.certify(tau, dims)) for tau, dims in states]
+
+    monkeypatch.setattr(tc.temporal, "_ZONE_ROUNDING", 0)
+    assert [flags(tc.certify(tau, dims)) for tau, dims in states] == with_floor
+    mismatches = 0
+    for tau, dims in states:
+        try:
+            tc.certify(tau, dims, 0.0)
+        except tc.VerdictMismatchError:
+            mismatches += 1
+    assert mismatches > 0  # without the floor some of these states raise
