@@ -9,6 +9,10 @@ in the computational basis, a bipartite operator with factor dims
 ``(dim_in, dim_out)``.  The Jamiolkowski operator ``J[E] = (id (x) E)(SWAP)``
 is a derived view: it differs from the Choi matrix by a partial transpose on
 the input factor.
+
+Every map action goes through :func:`apply`, one matmul against the superoperator
+matrix: :func:`apply_to_factor` runs it on the blocks of a bipartite operator and
+:func:`compose` on the blocks of the inner map's Choi matrix.
 """
 
 from __future__ import annotations
@@ -120,16 +124,8 @@ def from_kraus(ops: list[np.ndarray]) -> SuperOp:
     return SuperOp(dim_in, dim_out, choi)
 
 
-def _sandwich(left: np.ndarray, right: np.ndarray) -> SuperOp:
-    """Choi matrix of ``X -> left X right^dag``."""
-    left = np.asarray(left, dtype=np.complex128)
-    right = np.asarray(right, dtype=np.complex128)
-    dim_out, dim_in = left.shape
-    return SuperOp(dim_in, dim_out, np.outer(left.T.ravel(), right.T.ravel().conj()))
-
-
 def apply(e: SuperOp, x: np.ndarray) -> np.ndarray:
-    """Evaluate ``E(X)`` by contracting ``X`` against the Choi matrix.
+    """Evaluate ``E(X)`` as one matmul against the superoperator matrix.
 
     ``x`` is one operator or a stack of shape ``(..., dim_in, dim_in)``; the
     result has shape ``(..., dim_out, dim_out)``.
@@ -137,8 +133,9 @@ def apply(e: SuperOp, x: np.ndarray) -> np.ndarray:
     a = np.asarray(x, dtype=np.complex128)
     if a.shape[-2:] != (e.dim_in, e.dim_in):
         raise ValueError(f"operator dim {a.shape[-2:]} does not match channel input dim {e.dim_in}")
-    c4 = e.choi.reshape(e.dim_in, e.dim_out, e.dim_in, e.dim_out)
-    return np.einsum("iajb,...ij->...ab", c4, a)
+    lead = a.shape[:-2]
+    out = a.reshape(lead + (e.dim_in**2,)) @ superoperator_matrix(e).T
+    return out.reshape(lead + (e.dim_out, e.dim_out))
 
 
 def apply_to_factor(e: SuperOp, t: np.ndarray, dims: tuple[int, int], side: str = "a") -> np.ndarray:
@@ -147,10 +144,9 @@ def apply_to_factor(e: SuperOp, t: np.ndarray, dims: tuple[int, int], side: str 
     if side == "a":
         if e.dim_in != da:
             raise ValueError(f"channel input dim {e.dim_in} does not match factor dim {da}")
-        r = as_complex_matrix(t).reshape(da, db, da, db)
-        c4 = e.choi.reshape(da, e.dim_out, da, e.dim_out)
-        out = np.einsum("iajb,ixjy->axby", c4, r)
-        return out.reshape(e.dim_out * db, e.dim_out * db)
+        # The blocks t[i x, j y] at fixed (x, y) form a stack of da x da operators.
+        blocks = apply(e, as_complex_matrix(t).reshape(da, db, da, db).transpose(1, 3, 0, 2))
+        return blocks.transpose(2, 0, 3, 1).reshape(e.dim_out * db, e.dim_out * db)
     if side == "b":
         swapped = apply_to_factor(e, swap_factors(t, dims), (db, da), "a")
         return swap_factors(swapped, (e.dim_out, da))
@@ -196,6 +192,10 @@ _TRACE_ROUNDING = 64
 # Hermiticity defects stay below 1.2 * eps * max|C| on 400 random CPTP maps at dims (2,2) to
 # (16,16) built by from_kraus; the gate's floor allows 8 of those units.
 _HERMITICITY_ROUNDING = 8
+# Exact zero Choi eigenvalues of 1,572 from_kraus maps of Kraus rank below full, at dims (2,2) to (16,16),
+# round to above -0.35 d eps max(1, lambda_max), d = dim_in dim_out.  is_cptp's PSD floor,
+# lambda_min >= -(tol + _CHOI_ROUNDING d eps) max(1, lambda_max), allows 4 units, so tol=0 accepts them.
+_CHOI_ROUNDING = 4
 
 
 def _hptp_gates(e: SuperOp, tol: float) -> tuple[bool, float, bool, float]:
@@ -214,9 +214,10 @@ def _hptp_gates(e: SuperOp, tol: float) -> tuple[bool, float, bool, float]:
 def is_cptp(e: SuperOp, tol: float = DEFAULT_TOLS.psd) -> CptpReport:
     """Check Choi positivity and trace preservation, returning full diagnostics."""
     herm_ok, herm, tp, trace_residual = _hptp_gates(e, tol)
-    psd_ok, lam_min, _ = _psd_floor(np.linalg.eigvalsh((e.choi + e.choi.conj().T) / 2), tol)
+    w = np.linalg.eigvalsh((e.choi + e.choi.conj().T) / 2)
+    _, lam_min, scale = _psd_floor(w, tol)
     return CptpReport(
-        cp=herm_ok and psd_ok,
+        cp=herm_ok and lam_min >= -(tol + _CHOI_ROUNDING * len(w) * _EPS) * scale,
         tp=tp,
         choi_min_eigenvalue=lam_min,
         trace_residual=trace_residual,
@@ -231,12 +232,11 @@ def is_hptp(e: SuperOp, tol: float = DEFAULT_TOLS.psd) -> bool:
 
 
 def compose(f: SuperOp, e: SuperOp) -> SuperOp:
-    """The composite ``F o E`` (apply ``E`` first)."""
+    """The composite ``F o E`` (apply ``E`` first): ``F`` applied to the blocks of ``E``'s Choi matrix."""
     if e.dim_out != f.dim_in:
         raise ValueError(f"cannot compose: inner dims {e.dim_out} vs {f.dim_in}")
     ce = e.choi.reshape(e.dim_in, e.dim_out, e.dim_in, e.dim_out)
-    cf = f.choi.reshape(f.dim_in, f.dim_out, f.dim_in, f.dim_out)
-    out = np.einsum("ikjl,kalb->iajb", ce, cf)
+    out = apply(f, ce.transpose(0, 2, 1, 3)).transpose(0, 2, 1, 3)
     d = e.dim_in * f.dim_out
     return SuperOp(e.dim_in, f.dim_out, out.reshape(d, d))
 

@@ -217,6 +217,18 @@ def _require_psd_spectrum(w: np.ndarray) -> None:
         raise ValueError(f"psd invariant violated: min eigenvalue = {lam_min:.3e}")
 
 
+def _density_spectrum(m: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Validate a density matrix from one ``eigh``: its Hermitian part, eigenvalues, eigenvectors,
+    support mask, and Cauchy weights ``2 / (p_i + p_j)`` on support pairs."""
+    a = _require_trace_one(m)
+    p, u = np.linalg.eigh(a)
+    _require_psd_spectrum(p)
+    support = _support(p)
+    pair = np.outer(support, support)
+    cauchy = np.divide(2.0, np.add.outer(p, p), out=np.zeros(pair.shape), where=pair)
+    return a, p, u, support, cauchy
+
+
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product with the ``i_a * dim_b + i_b`` index convention."""
     return np.kron(np.asarray(a, dtype=np.complex128), np.asarray(b, dtype=np.complex128))
@@ -286,8 +298,11 @@ def sqrt_pinv(rho: np.ndarray) -> PseudoSqrt:
     Eigenvalues below the support cut ``DEFAULT_TOLS.rank * p_max`` count as
     zero; rank deficiency is handled, not an error.
     """
-    a = require_hermitian(rho)
-    w, v = np.linalg.eigh(a)
+    return _pseudo_sqrt(*np.linalg.eigh(require_hermitian(rho)))
+
+
+def _pseudo_sqrt(w: np.ndarray, v: np.ndarray) -> PseudoSqrt:
+    """:func:`sqrt_pinv` from a spectrum already solved: ascending eigenvalues ``w``, eigenvectors ``v``."""
     mask = _support(w)
     inv = np.divide(1.0, np.sqrt(np.abs(w)), out=np.zeros_like(w), where=mask)
     root = np.where(mask, np.sqrt(np.abs(w)), 0.0)
@@ -297,7 +312,7 @@ def sqrt_pinv(rho: np.ndarray) -> PseudoSqrt:
         inv_sqrt=(v * inv) @ v.conj().T,
         sqrt=(v * root) @ v.conj().T,
         support=support,
-        complement=np.eye(a.shape[0]) - support,
+        complement=np.eye(len(w)) - support,
         rank=int(np.count_nonzero(mask)),
     )
 

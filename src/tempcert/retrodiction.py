@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channels import Process, SuperOp, _sandwich, apply, compose, hs_adjoint
-from .operators import DEFAULT_TOLS, _support, max_abs, partial_trace, sqrt_pinv, validate_density
+from .channels import Process, SuperOp, apply, compose, from_kraus, hs_adjoint
+from .operators import DEFAULT_TOLS, _density_spectrum, _pseudo_sqrt, _support, max_abs, partial_trace
 from .sot import star_product
 from .temporal import CompatibilityReport, compatibility_test, dephasing_channel, temporal_channel
 
@@ -31,15 +31,13 @@ def petz_recovery(e: SuperOp, prior: np.ndarray) -> SuperOp:
     ``sigma = E(rho)``; square roots are pseudoinverse roots, so the map is
     meaningful on the supports.
     """
-    rho = validate_density(prior)
+    rho, p, u, _, _ = _density_spectrum(prior)
     if rho.shape[0] != e.dim_in:
         raise ValueError(f"prior dim {rho.shape[0]} does not match channel input dim {e.dim_in}")
     sigma = apply(e, rho)
-    ps_rho = sqrt_pinv(rho)
-    ps_sigma = sqrt_pinv((sigma + sigma.conj().T) / 2)
-    normalize = _sandwich(ps_sigma.inv_sqrt, ps_sigma.inv_sqrt)
-    rescale = _sandwich(ps_rho.sqrt, ps_rho.sqrt)
-    return compose(rescale, compose(hs_adjoint(e), normalize))
+    ps_rho = _pseudo_sqrt(p, u)
+    ps_sigma = _pseudo_sqrt(*np.linalg.eigh((sigma + sigma.conj().T) / 2))
+    return compose(from_kraus([ps_rho.sqrt]), compose(hs_adjoint(e), from_kraus([ps_sigma.inv_sqrt])))
 
 
 def bayesian_inverse(
@@ -82,8 +80,8 @@ def verify_dfed(tau: np.ndarray, dims: tuple[int, int]) -> float:
 
 def petz_selfinverse_dephasing_check(rho: np.ndarray) -> float:
     """Residual of the generalized dephasing channel being its own Petz recovery."""
-    r = validate_density(rho)
-    if not _support(np.linalg.eigvalsh(r)).all():
+    r, _, _, support, _ = _density_spectrum(rho)
+    if not support.all():
         raise ValueError("state is not faithful")
     deph = dephasing_channel(r)
     return max_abs(petz_recovery(deph, r).choi - deph.choi)

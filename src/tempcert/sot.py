@@ -193,7 +193,8 @@ def _pauli_basis(qubits: int) -> np.ndarray:
     basis = np.ones((1, 1, 1), dtype=np.complex128)
     for _ in range(qubits):
         d = 2 * basis.shape[1]
-        basis = np.einsum("aij,bkl->abikjl", basis, paulis).reshape(4 * len(basis), d, d)
+        outer = basis[:, None, :, None, :, None] * paulis[None, :, None, :, None, :]
+        basis = outer.reshape(4 * len(basis), d, d)
     return basis
 
 
@@ -203,7 +204,7 @@ def correlations_from_process(process: Process, qubits: int) -> CorrelationTable
     Each string ``s_a`` is measured through its spectral projectors
     ``(1 +- s_a)/2`` (the minus projector of the identity string is zero),
     the channel is applied once to the whole stack of post-measurement states,
-    and ``table[a, b] = Tr[(E(P+ rho P+) - E(P- rho P-)) s_b]``.
+    and ``table[a, b] = Tr[(E(P+ rho P+) - E(P- rho P-)) s_b]``, one matmul as ``s_b^T = conj(s_b)``.
     """
     d = 2**qubits
     e, rho = process.channel, process.input_state
@@ -212,7 +213,7 @@ def correlations_from_process(process: Process, qubits: int) -> CorrelationTable
     strings = _pauli_basis(qubits)
     projectors = np.stack([np.eye(d) + strings, np.eye(d) - strings]) / 2
     out = apply(e, projectors @ rho @ projectors)
-    table = np.einsum("aij,bji->ab", out[0] - out[1], strings)
+    table = (out[0] - out[1]).reshape(4**qubits, d * d) @ strings.conj().reshape(4**qubits, d * d).T
     residue = np.max(np.abs(table.imag))
     if residue > DEFAULT_TOLS.imag:
         raise ValueError(f"two-time expectation has imaginary residue {residue:.3e}")

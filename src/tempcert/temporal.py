@@ -38,10 +38,10 @@ from .channels import (
 )
 from .operators import (
     DEFAULT_TOLS,
+    _density_spectrum,
     _psd_floor,
-    _require_psd_spectrum,
+    _pseudo_sqrt,
     _require_trace_one,
-    _support,
     is_psd,
     max_abs,
     partial_trace,
@@ -80,18 +80,6 @@ _ZONE_ROUNDING = 64
 
 class VerdictMismatchError(RuntimeError):
     """The two verdict paths disagreed beyond the boundary zone."""
-
-
-def _density_spectrum(m: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Validate a density matrix from one ``eigh``: its Hermitian part, eigenvalues, eigenvectors,
-    support mask, and Cauchy weights ``2 / (p_i + p_j)`` on support pairs."""
-    a = _require_trace_one(m)
-    p, u = np.linalg.eigh(a)
-    _require_psd_spectrum(p)
-    support = _support(p)
-    pair = np.outer(support, support)
-    cauchy = np.divide(2.0, np.add.outer(p, p), out=np.zeros(pair.shape), where=pair)
-    return a, p, u, support, cauchy
 
 
 def _validated_marginal(tau: np.ndarray, dims: tuple[int, int], side: str) -> tuple[np.ndarray, ...]:
@@ -243,11 +231,10 @@ def pgm_map(tau: np.ndarray, dims: tuple[int, int], side: str = "a") -> SuperOp:
         raise ValueError(f"side must be 'a' or 'b', got {side!r}")
     m, n = dims
     t = require_hermitian(tau)
-    ps = sqrt_pinv(_validated_marginal(t, dims, "a")[0])
-    s = ps.inv_sqrt
-    tau4 = t.reshape(m, n, m, n)
-    choi4 = np.einsum("ia,bj,jxiy->axby", s, s, tau4)
-    choi = choi4.reshape(m * n, m * n)
+    ps = _pseudo_sqrt(*_validated_marginal(t, dims, "a")[1:3])
+    # (s^T (x) 1) tau^{T_a} (s^T (x) 1) with s = rho^{-1/2}; s^T = conj(s) as s is Hermitian.
+    pt4 = partial_transpose(t, dims, "a").reshape(m, n, m, n)
+    choi = _conjugate_first(pt4, ps.inv_sqrt.conj()).reshape(m * n, m * n)
     if ps.rank < m:
         choi = choi + tensor(ps.complement.T, np.eye(n) / n)
     return SuperOp(m, n, choi)
@@ -276,7 +263,7 @@ def distort(tau: np.ndarray, dims: tuple[int, int], side: str = "a") -> np.ndarr
         raise ValueError(f"side must be 'a' or 'b', got {side!r}")
     m, n = dims
     t = require_hermitian(tau)
-    ps = sqrt_pinv(_validated_marginal(t, dims, side)[0])
+    ps = _pseudo_sqrt(*_validated_marginal(t, dims, side)[1:3])
     conj = tensor(ps.inv_sqrt, np.eye(n)) if side == "a" else tensor(np.eye(m), ps.inv_sqrt)
     return conj @ t @ conj
 

@@ -191,6 +191,29 @@ class TestVerdicts:
         assert not tc.is_hptp(skewed) and not tc.is_hptp(skewed, 0.0)
         assert not tc.is_cptp(skewed).cp and tc.is_cptp(skewed, 1e-5).cp
 
+    def test_psd_floor_accepts_rank_deficient_maps_at_tol_zero(self):
+        # 2 Kraus operators give a 6x6 Choi matrix of rank 2; eigvalsh returns about -3.9e-16
+        # for its exact zero eigenvalues, which the floor's rounding term absorbs.
+        e = tc.random_cptp(3, 2, 2, seed=4)
+        rep = tc.is_cptp(e, 0.0)
+        assert rep.choi_min_eigenvalue < 0 and rep.cp and rep.ok
+
+    @pytest.mark.parametrize("dims", [(2, 2), (3, 2), (4, 4), (8, 8), (16, 16)])
+    def test_psd_floor_across_dims(self, dims):
+        rng = np.random.default_rng(dims[0] * dims[1])
+        for kraus in (1, 2, dims[0] * dims[1] - 1):
+            if kraus * dims[1] >= dims[0]:
+                assert tc.is_cptp(tc.random_cptp(*dims, kraus, seed=rng), 0.0).ok
+
+    def test_psd_floor_rejects_a_real_negative_eigenvalue(self):
+        # The identity channel's Choi matrix has a 3-dimensional kernel; push one kernel
+        # direction to a true eigenvalue of -1e-8, far below the rounding floor (7e-15 here).
+        c = tc.identity_channel(2).choi.copy()
+        c[1, 1] -= 1e-8
+        rep = tc.is_cptp(tc.SuperOp(2, 2, c), 0.0)
+        assert not rep.cp
+        assert abs(rep.choi_min_eigenvalue + 1e-8) < 1e-15
+
 
 class TestComposeAndAdjoint:
     def test_compose_identity_and_replace(self):

@@ -22,6 +22,26 @@ class TestPetzRecovery:
         petz = tc.petz_recovery(tc.from_kraus([u]), prior)
         np.testing.assert_allclose(petz.choi, tc.from_kraus([u.conj().T]).choi, atol=1e-10)
 
+    def test_one_solve_per_root(self, monkeypatch):
+        # rho's spectrum both validates the prior and gives rho^{1/2}; sigma = E(rho) is solved once.
+        e = tc.random_cptp(3, 2, 2, seed=3)
+        prior = tc.random_density(3, seed=4)
+        sizes = []
+        original_eigh, original_eigvalsh = np.linalg.eigh, np.linalg.eigvalsh
+
+        def counting_eigh(a, *args, **kwargs):
+            sizes.append(("eigh", a.shape[-1]))
+            return original_eigh(a, *args, **kwargs)
+
+        def counting_eigvalsh(a, *args, **kwargs):
+            sizes.append(("eigvalsh", a.shape[-1]))
+            return original_eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+        tc.petz_recovery(e, prior)
+        assert sizes == [("eigh", 3), ("eigh", 2)]
+
     def test_petz_is_cptp(self):
         rng = np.random.default_rng(3)
         for _ in range(5):

@@ -292,7 +292,7 @@ class TestPdm:
                 value = np.trace(r @ tc.tensor(tc.PAULIS[a], tc.PAULIS[b])).real
                 assert abs(value - corr.table[a, b]) < 1e-10
 
-    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_round_trip_equals_star_product(self, m):
         rng = np.random.default_rng(m)
         d = 2**m

@@ -336,6 +336,51 @@ class TestPgmMap:
             ok, _ = tc.is_psd(tc.apply(g, rho))
             assert ok
 
+    @pytest.mark.parametrize("dims", [(2, 3), (3, 2), (4, 4)])
+    def test_matches_three_operand_reference(self, dims):
+        rng = np.random.default_rng(sum(dims))
+        for _ in range(3):
+            tau = tc.random_density(dims[0] * dims[1], seed=rng)
+            for side in "ab":
+                ref = pgm_map_reference(tau, dims, side)
+                np.testing.assert_allclose(tc.pgm_map(tau, dims, side).choi, ref, rtol=0, atol=1e-12)
+
+    def test_matches_reference_on_rank_deficient_marginal(self):
+        rng = np.random.default_rng(33)
+        tau = tc.assemble_state(rank_deficient_separable((4, 3), 2, 5, rng))
+        assert tc.sqrt_pinv(tc.partial_trace(tau, (4, 3), "b")).rank == 2
+        ref = pgm_map_reference(tau, (4, 3), "a")
+        np.testing.assert_allclose(tc.pgm_map(tau, (4, 3), "a").choi, ref, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("func", [tc.pgm_map, tc.distort])
+    def test_one_marginal_solve(self, func, monkeypatch):
+        # The spectrum that validates the marginal also gives its pseudoinverse root.
+        tau = tc.random_density(6, seed=34)
+        original = np.linalg.eigh
+        sizes = []
+
+        def counting(a, *args, **kwargs):
+            sizes.append(a.shape[-1])
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        func(tau, (2, 3), "a")
+        func(tau, (2, 3), "b")
+        assert sizes == [2, 3]
+
+
+def pgm_map_reference(tau: np.ndarray, dims: tuple[int, int], side: str) -> np.ndarray:
+    """The Choi matrix of pgm_map as the three-operand contraction ``s[i,a] s[b,j] tau[j,x,i,y]``."""
+    if side == "b":
+        tau, dims = tc.swap_factors(tau, dims), (dims[1], dims[0])
+    m, n = dims
+    ps = tc.sqrt_pinv(tc.partial_trace(tau, dims, "b"))
+    s = ps.inv_sqrt
+    choi = np.einsum("ia,bj,jxiy->axby", s, s, tau.reshape(m, n, m, n)).reshape(m * n, m * n)
+    if ps.rank < m:
+        choi = choi + tc.tensor(ps.complement.T, np.eye(n) / n)
+    return choi
+
 
 class TestVerifyDecomposition:
     def test_product_state(self):
