@@ -85,9 +85,7 @@ from .temporal import (
     compatibility_test,
     correlation_matrix_check,
     dephasing_channel,
-    distort,
     is_ppt,
-    pgm,
     pgm_map,
     sylvester_oracle,
     temporal_channel,

@@ -118,9 +118,9 @@ def _bloch_points(tau: np.ndarray, dims: tuple[int, int], stage: str, samples: i
     v = np.random.default_rng(seed).standard_normal((samples, 3))
     v /= np.linalg.norm(v, axis=1, keepdims=True)
     sigmas = np.stack(PAULIS[1:])
-    rho = (np.eye(2) + np.einsum("sk,kij->sij", v, sigmas)) / 2
+    rho = (np.eye(2) + (v @ sigmas.reshape(3, 4)).reshape(-1, 2, 2)) / 2
     out = rho if push is None else push(rho)
-    return np.einsum("sij,kji->sk", out, sigmas).real
+    return (out.reshape(-1, 4) @ sigmas.transpose(0, 2, 1).reshape(3, 4).T).real
 
 
 def _cmd_bloch(args: argparse.Namespace) -> int:

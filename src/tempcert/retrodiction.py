@@ -12,9 +12,9 @@ from __future__ import annotations
 import numpy as np
 
 from .channels import Process, SuperOp, apply, compose, from_kraus, hs_adjoint
-from .operators import DEFAULT_TOLS, _density_spectrum, _pseudo_sqrt, _support, max_abs, partial_trace
+from .operators import DEFAULT_TOLS, _density_spectrum, _pseudo_sqrt, max_abs, partial_trace
 from .sot import star_product
-from .temporal import CompatibilityReport, compatibility_test, dephasing_channel, temporal_channel
+from .temporal import CompatibilityReport, _validated, compatibility_test, dephasing_channel, temporal_channel
 
 __all__ = [
     "petz_recovery",
@@ -65,11 +65,12 @@ def verify_dfed(tau: np.ndarray, dims: tuple[int, int]) -> float:
     dephasings ``D`` and ``D'``, and the Petz recovery ``E^`` of ``E``; returns
     ``max|choi(D o F) - choi(E^ o D')|``, which vanishes identically.
     """
+    _, spectra = _validated(tau, dims)
+    for side, (_, _, _, support, _) in spectra.items():
+        if not support.all():
+            raise ValueError(f"marginal on side {side} is not faithful")
     rho_a = partial_trace(tau, dims, "b")
     rho_b = partial_trace(tau, dims, "a")
-    for name, rho in (("a", rho_a), ("b", rho_b)):
-        if not _support(np.linalg.eigvalsh((rho + rho.conj().T) / 2)).all():
-            raise ValueError(f"marginal on side {name} is not faithful")
     e = temporal_channel(tau, dims, "a")
     f = temporal_channel(tau, dims, "b")
     deph_a = dephasing_channel(rho_a)

@@ -47,10 +47,8 @@ from .operators import (
     partial_trace,
     partial_transpose,
     require_hermitian,
-    sqrt_pinv,
     swap_factors,
     tensor,
-    validate_density,
 )
 from .sot import _star
 
@@ -62,10 +60,8 @@ __all__ = [
     "sylvester_oracle",
     "dephasing_channel",
     "correlation_matrix_check",
-    "pgm",
     "pgm_map",
     "verify_decomposition",
-    "distort",
     "compatibility_test",
     "is_ppt",
     "certify",
@@ -80,6 +76,15 @@ _ZONE_ROUNDING = 64
 
 class VerdictMismatchError(RuntimeError):
     """The two verdict paths disagreed beyond the boundary zone."""
+
+
+def _oriented(tau: np.ndarray, dims: tuple[int, int], side: str) -> tuple[np.ndarray, tuple[int, int]]:
+    """``tau`` and ``dims`` with the measured factor first: unchanged for side a, swapped for side b."""
+    if side == "a":
+        return tau, dims
+    if side == "b":
+        return swap_factors(tau, dims), (dims[1], dims[0])
+    raise ValueError(f"side must be 'a' or 'b', got {side!r}")
 
 
 def _validated_marginal(tau: np.ndarray, dims: tuple[int, int], side: str) -> tuple[np.ndarray, ...]:
@@ -134,11 +139,8 @@ def temporal_channel(tau: np.ndarray, dims: tuple[int, int], side: str = "a") ->
     output and kernel-touching off-diagonal units map to zero; the map is then
     one solution among many.
     """
-    if side == "b":
-        return temporal_channel(swap_factors(tau, dims), (dims[1], dims[0]), "a")
-    if side != "a":
-        raise ValueError(f"side must be 'a' or 'b', got {side!r}")
-    t = _require_trace_one(tau)
+    t, dims = _oriented(tau, dims, side)
+    t = _require_trace_one(t)
     return _choi_from_eigenbasis(*_eigenbasis_array(t, dims, _validated_marginal(t, dims, "a")))
 
 
@@ -150,14 +152,11 @@ def sylvester_oracle(tau: np.ndarray, dims: tuple[int, int], side: str = "a") ->
     solution is not unique, and dimensions ``m * n`` above 64, where the
     dense system would not fit in memory.
     """
-    if side == "b":
-        return sylvester_oracle(swap_factors(tau, dims), (dims[1], dims[0]), "a")
-    if side != "a":
-        raise ValueError(f"side must be 'a' or 'b', got {side!r}")
+    t, dims = _oriented(tau, dims, side)
     m, n = dims
     if m * n > _SYLVESTER_MAX_DIM:
         raise ValueError(f"sylvester_oracle is limited to m*n <= {_SYLVESTER_MAX_DIM}, got {m}*{n}")
-    t = _require_trace_one(tau)
+    t = _require_trace_one(t)
     rho, _, _, support, _ = _validated_marginal(t, dims, "a")
     if not support.all():
         raise ValueError("non-faithful marginal: the anticommutator equation has no unique solution")
@@ -195,27 +194,6 @@ def correlation_matrix_check(c: np.ndarray, tol: float = DEFAULT_TOLS.psd) -> tu
     return valid, valid and lam_min > tol
 
 
-def pgm(weights: np.ndarray, states: list[np.ndarray]) -> list[np.ndarray]:
-    """Pretty good measurement of a probabilistic ensemble of states.
-
-    Returns the POVM ``G_t = t rho^{-1/2} rho_t rho^{-1/2}`` built from the
-    average state ``rho``; when ``rho`` is rank-deficient the kernel projector
-    is adjoined so the elements still sum to the identity.
-    """
-    w = np.asarray(weights, dtype=float).ravel()
-    if w.size != len(states) or w.size == 0:
-        raise ValueError("weights and states must be nonempty and of equal length")
-    if np.any(w < -DEFAULT_TOLS.weight_floor) or abs(w.sum() - 1.0) > DEFAULT_TOLS.weight_sum:
-        raise ValueError("weights do not form a probability distribution")
-    mats = [validate_density(s) for s in states]
-    avg = sum(t * s for t, s in zip(w, mats))
-    ps = sqrt_pinv(avg)
-    povm = [t * (ps.inv_sqrt @ s @ ps.inv_sqrt) for t, s in zip(w, mats)]
-    if ps.rank < avg.shape[0]:
-        povm.append(ps.complement)
-    return povm
-
-
 def pgm_map(tau: np.ndarray, dims: tuple[int, int], side: str = "a") -> SuperOp:
     """Pretty good measure-and-prepare stage of the temporal channel.
 
@@ -225,12 +203,9 @@ def pgm_map(tau: np.ndarray, dims: tuple[int, int], side: str = "a") -> SuperOp:
     when ``tau`` is separable, and positive (though not necessarily completely
     positive) for every density ``tau``.
     """
-    if side == "b":
-        return pgm_map(swap_factors(tau, dims), (dims[1], dims[0]), "a")
-    if side != "a":
-        raise ValueError(f"side must be 'a' or 'b', got {side!r}")
+    t, dims = _oriented(tau, dims, side)
     m, n = dims
-    t = require_hermitian(tau)
+    t = require_hermitian(t)
     ps = _pseudo_sqrt(*_validated_marginal(t, dims, "a")[1:3])
     # (s^T (x) 1) tau^{T_a} (s^T (x) 1) with s = rho^{-1/2}; s^T = conj(s) as s is Hermitian.
     pt4 = partial_transpose(t, dims, "a").reshape(m, n, m, n)
@@ -249,23 +224,11 @@ def verify_decomposition(tau: np.ndarray, dims: tuple[int, int], side: str = "a"
     kernel conventions of the two stages differ from the channel's and the
     returned residual is meaningful only as a diagnostic.
     """
-    e = temporal_channel(tau, dims, side)
-    traced = "b" if side == "a" else "a"
-    rho = partial_trace(require_hermitian(tau), dims, traced)
-    d = dephasing_channel(rho)
-    g = pgm_map(tau, dims, side)
+    t, dims = _oriented(tau, dims, side)
+    e = temporal_channel(t, dims)
+    d = dephasing_channel(partial_trace(require_hermitian(t), dims, "b"))
+    g = pgm_map(t, dims)
     return max_abs(e.choi - compose(g, d).choi)
-
-
-def distort(tau: np.ndarray, dims: tuple[int, int], side: str = "a") -> np.ndarray:
-    """Distort ``tau`` by ``rho^{-1/2}`` on the chosen side's factor."""
-    if side not in ("a", "b"):
-        raise ValueError(f"side must be 'a' or 'b', got {side!r}")
-    m, n = dims
-    t = require_hermitian(tau)
-    ps = _pseudo_sqrt(*_validated_marginal(t, dims, side)[1:3])
-    conj = tensor(ps.inv_sqrt, np.eye(n)) if side == "a" else tensor(np.eye(m), ps.inv_sqrt)
-    return conj @ t @ conj
 
 
 @dataclass(frozen=True)
@@ -289,7 +252,6 @@ class CompatibilityReport:
     reconstruction_residual: float
     cptp: CptpReport
     faithful_marginal: bool
-    ppt: bool
     boundary: bool
     tolerance: float
 
@@ -300,12 +262,10 @@ def is_ppt(tau: np.ndarray, dims: tuple[int, int], tol: float = DEFAULT_TOLS.psd
     return is_psd(pt, tol)
 
 
-def _validated_ppt(tau: np.ndarray, dims: tuple[int, int], tol: float) -> tuple:
-    """Validate ``tau`` and both marginals: its Hermitian part, marginal spectra by side, PPT check."""
+def _validated(tau: np.ndarray, dims: tuple[int, int]) -> tuple[np.ndarray, dict[str, tuple]]:
+    """Validate ``tau`` and both marginals: its Hermitian part and the marginal spectra by side."""
     t = _require_trace_one(tau)
-    spectra = {side: _validated_marginal(t, dims, side) for side in "ab"}
-    ppt_ok, ppt_min, _ = _psd_floor(np.linalg.eigvalsh(partial_transpose(t, dims, "a")), tol)
-    return t, spectra, ppt_ok, ppt_min
+    return t, {side: _validated_marginal(t, dims, side) for side in "ab"}
 
 
 def _cholesky_cp(c: np.ndarray, shift: float) -> bool:
@@ -320,9 +280,9 @@ def _cholesky_cp(c: np.ndarray, shift: float) -> bool:
 
 
 def _side_report(validated: tuple, dims: tuple[int, int], side: str, tol: float) -> CompatibilityReport:
-    """Both verdict paths in one direction for a ``tau`` validated by :func:`_validated_ppt`."""
-    t, spectra, ppt, _ = validated
-    wt, wdims = (t, dims) if side == "a" else (swap_factors(t, dims), (dims[1], dims[0]))
+    """Both verdict paths in one direction for a ``tau`` validated by :func:`_validated`."""
+    t, spectra = validated
+    wt, wdims = _oriented(t, dims, side)
     u, support, x4 = _eigenbasis_array(wt, wdims, spectra[side])
     n, r = wdims[1], int(support.sum())
     faithful = r == wdims[0]
@@ -363,7 +323,6 @@ def _side_report(validated: tuple, dims: tuple[int, int], side: str, tol: float)
         reconstruction_residual=reconstruction,
         cptp=cptp,
         faithful_marginal=faithful,
-        ppt=ppt,
         boundary=boundary,
         tolerance=tol,
     )
@@ -387,7 +346,7 @@ def compatibility_test(
     """
     if side not in ("a", "b"):
         raise ValueError(f"side must be 'a' or 'b', got {side!r}")
-    return _side_report(_validated_ppt(tau, dims, tol), dims, side, tol)
+    return _side_report(_validated(tau, dims), dims, side, tol)
 
 
 @dataclass(frozen=True)
@@ -410,8 +369,8 @@ def certify(tau: np.ndarray, dims: tuple[int, int], tol: float = DEFAULT_TOLS.ps
     A PPT state is temporally compatible in both directions; that implication
     is enforced as a consistency assertion outside the boundary zone.
     """
-    validated = _validated_ppt(tau, dims, tol)
-    _, _, ppt_ok, ppt_min = validated
+    validated = _validated(tau, dims)
+    ppt_ok, ppt_min, _ = _psd_floor(np.linalg.eigvalsh(partial_transpose(validated[0], dims, "a")), tol)
     side_a = _side_report(validated, dims, "a", tol)
     side_b = _side_report(validated, dims, "b", tol)
     if ppt_ok and ppt_min >= 10 * tol:

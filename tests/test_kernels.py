@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tempcert as tc
+from tempcert.cli import _bloch_points
 
 DIMS = st.tuples(st.integers(1, 5), st.integers(1, 5)).filter(lambda d: d[0] != d[1])
 SEEDS = st.integers(0, 2**32 - 1)
@@ -111,5 +112,7 @@ def test_kernels_make_no_multi_operand_einsum(monkeypatch):
         d = 2**q
         p = tc.Process(tc.random_cptp(d, d, 2, seed=rng), tc.random_density(d, seed=rng))
         tc.correlations_from_process(p, q)
+    for stage in ("input", "dephased", "output"):
+        _bloch_points(tc.random_density(4, seed=rng), (2, 2), stage, 8, 0)
     assert calls == []
 

@@ -268,37 +268,6 @@ class TestCorrelationMatrixCheck:
         assert not valid
 
 
-class TestPgm:
-    def test_orthogonal_pure_ensemble(self):
-        povm = tc.pgm([0.5, 0.5], [proj(KET0), proj(KET1)])
-        assert len(povm) == 2
-        np.testing.assert_allclose(povm[0], proj(KET0), atol=1e-12)
-        np.testing.assert_allclose(povm[1], proj(KET1), atol=1e-12)
-
-    def test_single_faithful_state(self):
-        povm = tc.pgm([1.0], [np.eye(2) / 2])
-        assert len(povm) == 1
-        np.testing.assert_allclose(povm[0], np.eye(2), atol=1e-12)
-
-    def test_rank_deficient_average_adjoins_kernel(self):
-        povm = tc.pgm([1.0], [proj(KET0)])
-        assert len(povm) == 2
-        np.testing.assert_allclose(sum(povm), np.eye(2), atol=1e-12)
-
-    def test_six_state_povm_resolves_identity(self):
-        ens = octahedral_ensemble()
-        povm = tc.pgm(ens.weights, list(ens.states_a))
-        np.testing.assert_allclose(sum(povm), np.eye(2), atol=1e-10)
-        for g in povm:
-            assert tc.is_psd(g)[0]
-
-    def test_rejects_bad_weights(self):
-        with pytest.raises(ValueError, match="probability"):
-            tc.pgm([0.5, 0.4], [proj(KET0), proj(KET1)])
-        with pytest.raises(ValueError, match="probability"):
-            tc.pgm([1.5, -0.5], [proj(KET0), proj(KET1)])
-
-
 class TestPgmMap:
     def test_product_state_gives_replace(self):
         rng = np.random.default_rng(9)
@@ -313,7 +282,8 @@ class TestPgmMap:
         ens = random_faithful_separable((2, 3), rng)
         tau = tc.assemble_state(ens)
         g = tc.pgm_map(tau, (2, 3), "a")
-        povm = tc.pgm(ens.weights, list(ens.states_a))
+        s = tc.sqrt_pinv(tc.partial_trace(tau, (2, 3), "b")).inv_sqrt
+        povm = [w * s @ a @ s for w, a in zip(ens.weights, ens.states_a)]
         rng2 = np.random.default_rng(seed + 100)
         for _ in range(3):
             x = rng2.standard_normal((2, 2)) + 1j * rng2.standard_normal((2, 2))
@@ -352,9 +322,9 @@ class TestPgmMap:
         ref = pgm_map_reference(tau, (4, 3), "a")
         np.testing.assert_allclose(tc.pgm_map(tau, (4, 3), "a").choi, ref, rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("func", [tc.pgm_map, tc.distort])
+    @pytest.mark.parametrize("func", [tc.pgm_map, tc.temporal_channel])
     def test_one_marginal_solve(self, func, monkeypatch):
-        # The spectrum that validates the marginal also gives its pseudoinverse root.
+        # The spectrum that validates the marginal also gives its pseudoinverse root or eigenbasis.
         tau = tc.random_density(6, seed=34)
         original = np.linalg.eigh
         sizes = []
@@ -413,7 +383,7 @@ class TestCompatibility:
             assert not report.compatible
             assert abs(report.test_min_eigenvalue + 1) < 1e-8
             assert report.cptp.choi_min_eigenvalue < 0
-            assert not report.ppt
+        assert not tc.is_ppt(bell_state(), (2, 2))[0]
 
     @pytest.mark.parametrize("dims", [(2, 2), (3, 2)])
     def test_separable_states_compatible(self, dims):
@@ -460,6 +430,28 @@ class TestCompatibility:
             tc.compatibility_test(tc.tensor(np.diag([1.5, -0.5]), np.eye(2) / 2), (2, 2), "a")
 
 
+def _apply_identity_to_factor(t: np.ndarray, dims: tuple[int, int], side: str) -> np.ndarray:
+    return tc.apply_to_factor(tc.identity_channel(2), t, dims, side)
+
+
+@pytest.mark.parametrize(
+    "func",
+    [
+        tc.temporal_channel,
+        tc.sylvester_oracle,
+        tc.pgm_map,
+        tc.verify_decomposition,
+        tc.compatibility_test,
+        _apply_identity_to_factor,
+        tc.partial_trace,
+        tc.partial_transpose,
+    ],
+)
+def test_invalid_side_raises(func):
+    with pytest.raises(ValueError, match="side must be 'a' or 'b'"):
+        func(np.eye(4, dtype=complex) / 4, (2, 2), "c")
+
+
 KERNEL_DIMS = [(m, n) for m in (2, 3, 4) for n in (2, 3)]
 
 
@@ -483,9 +475,25 @@ def _kernel_case(kind: str, dims: tuple[int, int], rng: np.random.Generator) -> 
 def _composed_test_min(tau: np.ndarray, dims: tuple[int, int], side: str) -> float:
     """Smallest eigenvalue of the partial transpose of the dephased distortion, built stage by stage."""
     rho = tc.partial_trace(tau, dims, "b" if side == "a" else "a")
-    distorted = tc.distort(tau, dims, side)
+    inv = tc.sqrt_pinv(rho).inv_sqrt
+    conj = tc.tensor(inv, np.eye(dims[1])) if side == "a" else tc.tensor(np.eye(dims[0]), inv)
+    distorted = conj @ tau @ conj
     dephased = tc.apply_to_factor(tc.dephasing_channel(rho), distorted, dims, side)
     return float(np.linalg.eigvalsh(tc.partial_transpose(dephased, dims, side))[0])
+
+
+def _count_factorizations(monkeypatch) -> dict[str, list[int]]:
+    """Record the size of every ``eigh``, ``eigvalsh`` and ``cholesky`` call, by function."""
+    sizes = {"eigh": [], "eigvalsh": [], "cholesky": []}
+    for name, calls in sizes.items():
+        original = getattr(np.linalg, name)
+
+        def counted(a, *args, _original=original, _calls=calls, **kwargs):
+            _calls.append(np.shape(a)[-1])
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return sizes
 
 
 class TestEigenbasisKernel:
@@ -522,15 +530,7 @@ class TestEigenbasisKernel:
             assert report.cptp.cp == oracle.cp
 
     def test_certify_eigensolve_count(self, monkeypatch):
-        sizes = {"eigh": [], "eigvalsh": [], "cholesky": []}
-        for name, calls in sizes.items():
-            original = getattr(np.linalg, name)
-
-            def counted(a, *args, _original=original, _calls=calls, **kwargs):
-                _calls.append(np.shape(a)[-1])
-                return _original(a, *args, **kwargs)
-
-            monkeypatch.setattr(np.linalg, name, counted)
+        sizes = _count_factorizations(monkeypatch)
         rank_deficient = rank_deficient_separable((4, 3), 3, 7, np.random.default_rng(2))
         cases = [
             # faithful marginals: one eigh per side validates the marginal and gives its
@@ -546,6 +546,25 @@ class TestEigenbasisKernel:
             assert sorted(sizes["eigh"] + sizes["eigvalsh"]) == eigensolves
             # path 2: one Cholesky factorization of each returned Choi matrix
             assert sizes["cholesky"] == [dims[0] * dims[1]] * 2
+
+    def test_one_sided_eigensolve_count(self, monkeypatch):
+        # A one-sided call validates both marginals by eigh and solves only its own test matrix;
+        # the partial transpose is solved by certify alone.
+        process = tc.Process(tc.random_cptp(3, 4, 2, seed=5), tc.random_density(3, seed=6))
+        tau = tc.star_product(process.channel, process.input_state)
+        sizes = _count_factorizations(monkeypatch)
+        one_sided = {"eigh": [3, 4], "eigvalsh": [12], "cholesky": [12]}
+        cases = [
+            (lambda: tc.compatibility_test(tau, (3, 4), "a"), one_sided),
+            (lambda: tc.compatibility_test(tau, (3, 4), "b"), one_sided),
+            (lambda: tc.bayesian_inverse(process), one_sided),
+            (lambda: tc.certify(tau, (3, 4)), {"eigh": [3, 4], "eigvalsh": [12] * 3, "cholesky": [12] * 2}),
+        ]
+        for call, expected in cases:
+            for solves in sizes.values():
+                solves.clear()
+            call()
+            assert sizes == expected
 
     def test_certify_makes_no_tensordot_or_kron_call(self, monkeypatch):
         # Small certifications are dominated by per-call overhead; the factor kernels are
@@ -640,18 +659,6 @@ class TestCertify:
 
 
 class TestDistort:
-    def test_matches_definition(self):
-        rng = np.random.default_rng(15)
-        tau = tc.assemble_state(random_faithful_separable((2, 3), rng))
-        rho_a = tc.partial_trace(tau, (2, 3), "b")
-        inv = tc.sqrt_pinv(rho_a).inv_sqrt
-        expected = tc.tensor(inv, np.eye(3)) @ tau @ tc.tensor(inv, np.eye(3))
-        np.testing.assert_allclose(tc.distort(tau, (2, 3), "a"), expected, atol=1e-12)
-        rho_b = tc.partial_trace(tau, (2, 3), "a")
-        inv_b = tc.sqrt_pinv(rho_b).inv_sqrt
-        expected_b = tc.tensor(np.eye(2), inv_b) @ tau @ tc.tensor(np.eye(2), inv_b)
-        np.testing.assert_allclose(tc.distort(tau, (2, 3), "b"), expected_b, atol=1e-12)
-
     def test_decohered_transpose_identity(self):
         # ((T o D) x id) applied to the distortion equals (D o Ad) applied to
         # the eigenbasis partial transpose
