@@ -56,7 +56,6 @@ class Tolerances:
     rank         : support cut: eigenvalues ``p <= rank * max(p_max, 0)`` count as zero.
     imag         : largest imaginary residue discarded by real-valued results.
     weight_sum   : bound on ``|sum_t w_t - 1|`` of ensemble weights.
-    weight_floor : most negative weight a probability distribution may hold.
     correlation  : slack on the ``[-1, 1]`` range of Pauli expectation values.
     """
 
@@ -67,7 +66,6 @@ class Tolerances:
     rank: float = 1e-12
     imag: float = 1e-9
     weight_sum: float = 1e-10
-    weight_floor: float = 1e-12
     correlation: float = 1e-9
 
 

@@ -12,9 +12,18 @@ from __future__ import annotations
 import numpy as np
 
 from .channels import Process, SuperOp, apply, compose, from_kraus, hs_adjoint
-from .operators import DEFAULT_TOLS, _density_spectrum, _pseudo_sqrt, max_abs, partial_trace
+from .operators import DEFAULT_TOLS, _density_spectrum, _pseudo_sqrt, max_abs
 from .sot import star_product
-from .temporal import CompatibilityReport, _validated, compatibility_test, dephasing_channel, temporal_channel
+from .temporal import (
+    CompatibilityReport,
+    _choi_from_eigenbasis,
+    _dephasing,
+    _eigenbasis_array,
+    _oriented,
+    _validated,
+    compatibility_test,
+    dephasing_channel,
+)
 
 __all__ = [
     "petz_recovery",
@@ -35,8 +44,13 @@ def petz_recovery(e: SuperOp, prior: np.ndarray) -> SuperOp:
     if rho.shape[0] != e.dim_in:
         raise ValueError(f"prior dim {rho.shape[0]} does not match channel input dim {e.dim_in}")
     sigma = apply(e, rho)
-    ps_rho = _pseudo_sqrt(p, u)
-    ps_sigma = _pseudo_sqrt(*np.linalg.eigh((sigma + sigma.conj().T) / 2))
+    return _petz(e, (p, u), np.linalg.eigh((sigma + sigma.conj().T) / 2))
+
+
+def _petz(e: SuperOp, prior: tuple, sigma: tuple) -> SuperOp:
+    """:func:`petz_recovery` from the solved ``(eigenvalues, eigenvectors)`` of the prior and ``E(prior)``."""
+    ps_rho = _pseudo_sqrt(*prior)
+    ps_sigma = _pseudo_sqrt(*sigma)
     return compose(from_kraus([ps_rho.sqrt]), compose(hs_adjoint(e), from_kraus([ps_sigma.inv_sqrt])))
 
 
@@ -65,17 +79,14 @@ def verify_dfed(tau: np.ndarray, dims: tuple[int, int]) -> float:
     dephasings ``D`` and ``D'``, and the Petz recovery ``E^`` of ``E``; returns
     ``max|choi(D o F) - choi(E^ o D')|``, which vanishes identically.
     """
-    _, spectra = _validated(tau, dims)
+    t, spectra = _validated(tau, dims)
     for side, (_, _, _, support, _) in spectra.items():
         if not support.all():
             raise ValueError(f"marginal on side {side} is not faithful")
-    rho_a = partial_trace(tau, dims, "b")
-    rho_b = partial_trace(tau, dims, "a")
-    e = temporal_channel(tau, dims, "a")
-    f = temporal_channel(tau, dims, "b")
-    deph_a = dephasing_channel(rho_a)
-    deph_b = dephasing_channel(rho_b)
-    petz_e = petz_recovery(e, rho_a)
+    # Each marginal is solved once, by _validated.  E(rho_a) = rho_b, as E * rho_a = tau.
+    e, f = (_choi_from_eigenbasis(*_eigenbasis_array(*_oriented(t, dims, s), spectra[s])) for s in "ab")
+    deph_a, deph_b = _dephasing(spectra["a"]), _dephasing(spectra["b"])
+    petz_e = _petz(e, spectra["a"][1:3], spectra["b"][1:3])
     return max_abs(compose(deph_a, f).choi - compose(petz_e, deph_b).choi)
 
 

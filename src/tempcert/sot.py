@@ -12,6 +12,7 @@ values of light-touch observables (observables whose spectrum is ``{lam}`` or
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -187,33 +188,41 @@ class CorrelationTable:
         return float(self.table[pauli_index(alpha), pauli_index(beta)])
 
 
-def _pauli_basis(qubits: int) -> np.ndarray:
-    """All ``4^m`` Pauli strings as a ``(4^m, 2^m, 2^m)`` stack in :func:`pauli_index` order."""
+@functools.lru_cache(maxsize=4)
+def _pauli_basis(qubits: int) -> tuple[np.ndarray, np.ndarray]:
+    """All ``4^m`` Pauli strings as a ``(4^m, 2^m, 2^m)`` stack in :func:`pauli_index` order,
+    and the readout matrix whose column ``b`` is ``conj(s_b)`` flattened.
+
+    Built once per qubit count; both arrays are read-only, as every caller shares them.
+    """
     paulis = np.stack(PAULIS)
     basis = np.ones((1, 1, 1), dtype=np.complex128)
     for _ in range(qubits):
         d = 2 * basis.shape[1]
         outer = basis[:, None, :, None, :, None] * paulis[None, :, None, :, None, :]
         basis = outer.reshape(4 * len(basis), d, d)
-    return basis
+    readout = np.ascontiguousarray(basis.conj().reshape(len(basis), -1).T)
+    basis.flags.writeable = False
+    readout.flags.writeable = False
+    return basis, readout
 
 
 def correlations_from_process(process: Process, qubits: int) -> CorrelationTable:
     """Tabulate two-time expectation values over all Pauli pairs of ``m`` qubits.
 
-    Each string ``s_a`` is measured through its spectral projectors
-    ``(1 +- s_a)/2`` (the minus projector of the identity string is zero),
-    the channel is applied once to the whole stack of post-measurement states,
-    and ``table[a, b] = Tr[(E(P+ rho P+) - E(P- rho P-)) s_b]``, one matmul as ``s_b^T = conj(s_b)``.
+    Measuring the light-touch string ``s_a`` leaves ``P+ rho P+ - P- rho P-``
+    over its spectral projectors ``(1 +- s_a)/2``, which is the anticommutator
+    ``{s_a, rho} / 2`` (``rho`` itself for the identity string).  The channel is
+    applied once to the stack of all ``4^m`` anticommutators, and
+    ``table[a, b] = Tr[E({s_a, rho} / 2) s_b]`` is one readout matmul, as ``s_b^T = conj(s_b)``.
     """
     d = 2**qubits
     e, rho = process.channel, process.input_state
     if e.dim_in != d or e.dim_out != d:
         raise ValueError(f"process dims ({e.dim_in}, {e.dim_out}) are not {qubits}-qubit algebras")
-    strings = _pauli_basis(qubits)
-    projectors = np.stack([np.eye(d) + strings, np.eye(d) - strings]) / 2
-    out = apply(e, projectors @ rho @ projectors)
-    table = (out[0] - out[1]).reshape(4**qubits, d * d) @ strings.conj().reshape(4**qubits, d * d).T
+    strings, readout = _pauli_basis(qubits)
+    out = apply(e, (strings @ rho + rho @ strings) / 2)
+    table = out.reshape(4**qubits, d * d) @ readout
     residue = np.max(np.abs(table.imag))
     if residue > DEFAULT_TOLS.imag:
         raise ValueError(f"two-time expectation has imaginary residue {residue:.3e}")
@@ -226,8 +235,9 @@ def pdm_from_correlations(corr: CorrelationTable) -> np.ndarray:
     Returns ``4^-m sum <s_a, s_b> s_a (x) s_b``: Hermitian with unit trace,
     but not positive semidefinite in general.
     """
-    strings = _pauli_basis(corr.qubits)
+    strings, _ = _pauli_basis(corr.qubits)
     d = 2**corr.qubits
-    second = np.tensordot(corr.table, strings, axes=(1, 0))
-    out = np.tensordot(strings, second, axes=(0, 0)).transpose(0, 2, 1, 3)
+    flat = strings.reshape(4**corr.qubits, d * d)
+    # out[(i, j), (x, y)] = sum_ab s_a[i, j] table[a, b] s_b[x, y], reordered to (i x, j y)
+    out = (flat.T @ (corr.table @ flat)).reshape(d, d, d, d).transpose(0, 2, 1, 3)
     return out.reshape(d * d, d * d) / 4**corr.qubits

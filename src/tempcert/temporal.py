@@ -106,7 +106,7 @@ def _conjugate_first(x4: np.ndarray, v: np.ndarray) -> np.ndarray:
 def _eigenbasis_array(t: np.ndarray, dims: tuple[int, int], spectrum: tuple) -> tuple[np.ndarray, ...]:
     """Eigenvectors and support of ``rho_a``, and the ``(m, n, m, n)`` test matrix in that eigenbasis.
 
-    ``spectrum`` is :func:`_validated_marginal` on side a.
+    ``t`` is oriented by :func:`_oriented`; ``spectrum`` is :func:`_validated_marginal` of its first factor.
     ``X[i, x, j, y] = 2 / (p_i + p_j) <u_j, x| tau |u_i, y>``, zero on blocks touching the kernel.
     """
     _, _, u, support, cauchy = spectrum
@@ -139,9 +139,9 @@ def temporal_channel(tau: np.ndarray, dims: tuple[int, int], side: str = "a") ->
     output and kernel-touching off-diagonal units map to zero; the map is then
     one solution among many.
     """
-    t, dims = _oriented(tau, dims, side)
-    t = _require_trace_one(t)
-    return _choi_from_eigenbasis(*_eigenbasis_array(t, dims, _validated_marginal(t, dims, "a")))
+    t = _require_trace_one(tau)
+    wt, wdims = _oriented(t, dims, side)
+    return _choi_from_eigenbasis(*_eigenbasis_array(wt, wdims, _validated_marginal(t, dims, side)))
 
 
 def sylvester_oracle(tau: np.ndarray, dims: tuple[int, int], side: str = "a") -> np.ndarray:
@@ -152,18 +152,18 @@ def sylvester_oracle(tau: np.ndarray, dims: tuple[int, int], side: str = "a") ->
     solution is not unique, and dimensions ``m * n`` above 64, where the
     dense system would not fit in memory.
     """
-    t, dims = _oriented(tau, dims, side)
     m, n = dims
     if m * n > _SYLVESTER_MAX_DIM:
         raise ValueError(f"sylvester_oracle is limited to m*n <= {_SYLVESTER_MAX_DIM}, got {m}*{n}")
-    t = _require_trace_one(t)
-    rho, _, _, support, _ = _validated_marginal(t, dims, "a")
+    t = _require_trace_one(tau)
+    wt, (m, n) = _oriented(t, dims, side)
+    rho, _, _, support, _ = _validated_marginal(t, dims, side)
     if not support.all():
         raise ValueError("non-faithful marginal: the anticommutator equation has no unique solution")
     d = m * n
     r = tensor(rho, np.eye(n))
     big = 0.5 * (np.kron(r, np.eye(d)) + np.kron(np.eye(d), r.T))
-    return np.linalg.solve(big, t.ravel()).reshape(d, d)
+    return np.linalg.solve(big, wt.ravel()).reshape(d, d)
 
 
 def dephasing_channel(rho: np.ndarray) -> SuperOp:
@@ -175,7 +175,12 @@ def dephasing_channel(rho: np.ndarray) -> SuperOp:
     ``Tr[P_perp A] 1/m`` on the kernel of a rank-deficient ``rho``.  Fixes
     every state commuting with the spectral projectors of ``rho``.
     """
-    r, p, u, support, cauchy = _density_spectrum(rho)
+    return _dephasing(_density_spectrum(rho))
+
+
+def _dephasing(spectrum: tuple) -> SuperOp:
+    """:func:`dephasing_channel` of a density matrix already solved by :func:`_density_spectrum`."""
+    r, p, u, support, cauchy = spectrum
     m = r.shape[0]
     harmonic = cauchy * np.sqrt(np.abs(np.outer(p, p)))
     # Column i of v is the vectorized |conj(u_i)> (x) |u_i>, so v h v^dag is
@@ -203,12 +208,11 @@ def pgm_map(tau: np.ndarray, dims: tuple[int, int], side: str = "a") -> SuperOp:
     when ``tau`` is separable, and positive (though not necessarily completely
     positive) for every density ``tau``.
     """
-    t, dims = _oriented(tau, dims, side)
-    m, n = dims
-    t = require_hermitian(t)
-    ps = _pseudo_sqrt(*_validated_marginal(t, dims, "a")[1:3])
+    t = require_hermitian(tau)
+    wt, (m, n) = _oriented(t, dims, side)
+    ps = _pseudo_sqrt(*_validated_marginal(t, dims, side)[1:3])
     # (s^T (x) 1) tau^{T_a} (s^T (x) 1) with s = rho^{-1/2}; s^T = conj(s) as s is Hermitian.
-    pt4 = partial_transpose(t, dims, "a").reshape(m, n, m, n)
+    pt4 = partial_transpose(wt, (m, n), "a").reshape(m, n, m, n)
     choi = _conjugate_first(pt4, ps.inv_sqrt.conj()).reshape(m * n, m * n)
     if ps.rank < m:
         choi = choi + tensor(ps.complement.T, np.eye(n) / n)
@@ -224,10 +228,10 @@ def verify_decomposition(tau: np.ndarray, dims: tuple[int, int], side: str = "a"
     kernel conventions of the two stages differ from the channel's and the
     returned residual is meaningful only as a diagnostic.
     """
-    t, dims = _oriented(tau, dims, side)
-    e = temporal_channel(t, dims)
-    d = dephasing_channel(partial_trace(require_hermitian(t), dims, "b"))
-    g = pgm_map(t, dims)
+    e = temporal_channel(tau, dims, side)
+    g = pgm_map(tau, dims, side)
+    t, dims = _oriented(require_hermitian(tau), dims, side)
+    d = dephasing_channel(partial_trace(t, dims, "b"))
     return max_abs(e.choi - compose(g, d).choi)
 
 

@@ -18,6 +18,20 @@ SIGMA_Y = tc.PAULIS[2]
 SIGMA_Z = tc.PAULIS[3]
 
 
+def count_factorizations(monkeypatch) -> dict[str, list[int]]:
+    """Record the size of every ``eigh``, ``eigvalsh`` and ``cholesky`` call, by function."""
+    sizes = {"eigh": [], "eigvalsh": [], "cholesky": []}
+    for name, calls in sizes.items():
+        original = getattr(np.linalg, name)
+
+        def counted(a, *args, _original=original, _calls=calls, **kwargs):
+            _calls.append(np.shape(a)[-1])
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return sizes
+
+
 def proj(vec: np.ndarray) -> np.ndarray:
     return np.outer(vec, vec.conj())
 

@@ -87,17 +87,24 @@ class TestKernelProperties:
 def test_kernels_make_no_multi_operand_einsum(monkeypatch):
     # An unoptimized np.einsum over two or more operands does not reach BLAS; every contraction
     # below is a matmul.  Single-operand einsums (the traces in partial_trace) stay allowed.
+    # np.tensordot costs a transpose copy and a reshape per call, so the Pauli tables avoid it too.
     calls = []
-    original = np.einsum
+    original_einsum, original_tensordot = np.einsum, np.tensordot
 
     def counting(*args, **kwargs):
         if isinstance(args[0], str) and len(args) > 2:
             calls.append(args[0])
-        return original(*args, **kwargs)
+        return original_einsum(*args, **kwargs)
+
+    def counting_tensordot(*args, **kwargs):
+        calls.append("tensordot")
+        return original_tensordot(*args, **kwargs)
 
     monkeypatch.setattr(np, "einsum", counting)
+    monkeypatch.setattr(np, "tensordot", counting_tensordot)
     np.einsum("ij,jk->ik", np.eye(2), np.eye(2))
-    assert calls == ["ij,jk->ik"]  # the patch is live
+    np.tensordot(np.eye(2), np.eye(2), axes=1)
+    assert calls == ["ij,jk->ik", "tensordot"]  # the patches are live
     calls.clear()
 
     rng = np.random.default_rng(12)
@@ -111,7 +118,7 @@ def test_kernels_make_no_multi_operand_einsum(monkeypatch):
     for q in (1, 2, 3):
         d = 2**q
         p = tc.Process(tc.random_cptp(d, d, 2, seed=rng), tc.random_density(d, seed=rng))
-        tc.correlations_from_process(p, q)
+        tc.pdm_from_correlations(tc.correlations_from_process(p, q))
     for stage in ("input", "dephased", "output"):
         _bloch_points(tc.random_density(4, seed=rng), (2, 2), stage, 8, 0)
     assert calls == []

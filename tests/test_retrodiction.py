@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from conftest import octahedral_ensemble, random_faithful_separable
+from conftest import count_factorizations, octahedral_ensemble, random_faithful_separable
 
 import tempcert as tc
 
@@ -153,6 +153,14 @@ class TestDephasingRelation:
         rng = np.random.default_rng(seed)
         tau = tc.assemble_state(random_faithful_separable((3, 2), rng))
         assert tc.verify_dfed(tau, (3, 2)) < 1e-9
+
+    def test_one_solve_per_marginal(self, monkeypatch):
+        # The validating eigh of each marginal gives both temporal channels, both dephasings
+        # and the Petz recovery, whose sigma = E(rho_a) is rho_b.
+        tau = tc.random_density(12, seed=9)
+        sizes = count_factorizations(monkeypatch)
+        assert tc.verify_dfed(tau, (3, 4)) < 1e-9
+        assert sizes == {"eigh": [3, 4], "eigvalsh": [], "cholesky": []}
 
     def test_non_faithful_raises(self):
         from conftest import KET0, proj

@@ -46,10 +46,19 @@ class TestPauliStrings:
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_basis_stack_matches_pauli_string(self, m):
-        basis = _pauli_basis(m)
+        basis, readout = _pauli_basis(m)
         assert basis.shape == (4**m, 2**m, 2**m)
+        assert readout.shape == (4**m, 4**m)
         for a in itertools.product(range(4), repeat=m):
-            np.testing.assert_array_equal(basis[tc.pauli_index(a)], tc.pauli_string(a).matrix)
+            s = tc.pauli_string(a).matrix
+            np.testing.assert_array_equal(basis[tc.pauli_index(a)], s)
+            np.testing.assert_array_equal(readout[:, tc.pauli_index(a)], s.conj().ravel())
+
+    def test_cached_basis_is_read_only(self):
+        for array in _pauli_basis(2):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 0
 
 
 class TestStarProduct:
@@ -237,7 +246,7 @@ class TestCorrelationTables:
         corr = tc.correlations_from_process(p, 1)
         assert abs(corr.entry((0,), (0,)) - 1.0) < 1e-12
 
-    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("m", [1, 2, 3])
     @pytest.mark.parametrize("kind", ["cptp", "transpose"])
     def test_matches_per_pair_expectations(self, m, kind):
         rng = np.random.default_rng(10 + m)
@@ -248,6 +257,18 @@ class TestCorrelationTables:
         expected = [[tc.two_time_expectation(s, t, p) for t in strings] for s in strings]
         corr = tc.correlations_from_process(p, m)
         np.testing.assert_allclose(corr.table, expected, rtol=0, atol=1e-13)
+
+    def test_mutating_results_leaves_the_next_call_unchanged(self):
+        rng = np.random.default_rng(8)
+        p = tc.Process(tc.random_cptp(4, 4, 2, seed=rng), tc.random_density(4, seed=rng))
+        corr = tc.correlations_from_process(p, 2)
+        table, pdm = corr.table.copy(), tc.pdm_from_correlations(corr)
+        want = pdm.copy()
+        corr.table[:] = 0.5
+        pdm[:] = 7.0
+        again = tc.correlations_from_process(p, 2)
+        np.testing.assert_array_equal(again.table, table)
+        np.testing.assert_array_equal(tc.pdm_from_correlations(again), want)
 
     def test_non_hermitian_preserving_channel_rejected(self):
         e = tc.SuperOp(2, 2, 1j * tc.identity_channel(2).choi)

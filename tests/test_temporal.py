@@ -8,6 +8,7 @@ from conftest import (
     KET0,
     KET1,
     bell_state,
+    count_factorizations,
     octahedral_ensemble,
     proj,
     random_faithful_separable,
@@ -452,6 +453,15 @@ def test_invalid_side_raises(func):
         func(np.eye(4, dtype=complex) / 4, (2, 2), "c")
 
 
+@pytest.mark.parametrize("func", [tc.temporal_channel, tc.sylvester_oracle, tc.pgm_map, tc.verify_decomposition])
+@pytest.mark.parametrize("side", ["a", "b"])
+def test_invalid_marginal_error_names_the_side(func, side):
+    bad = np.diag([1.5, -0.5]).astype(complex)
+    tau = tc.tensor(bad, np.eye(2) / 2) if side == "a" else tc.tensor(np.eye(2) / 2, bad)
+    with pytest.raises(ValueError, match=f"marginal on side {side}: psd"):
+        func(tau, (2, 2), side)
+
+
 KERNEL_DIMS = [(m, n) for m in (2, 3, 4) for n in (2, 3)]
 
 
@@ -480,20 +490,6 @@ def _composed_test_min(tau: np.ndarray, dims: tuple[int, int], side: str) -> flo
     distorted = conj @ tau @ conj
     dephased = tc.apply_to_factor(tc.dephasing_channel(rho), distorted, dims, side)
     return float(np.linalg.eigvalsh(tc.partial_transpose(dephased, dims, side))[0])
-
-
-def _count_factorizations(monkeypatch) -> dict[str, list[int]]:
-    """Record the size of every ``eigh``, ``eigvalsh`` and ``cholesky`` call, by function."""
-    sizes = {"eigh": [], "eigvalsh": [], "cholesky": []}
-    for name, calls in sizes.items():
-        original = getattr(np.linalg, name)
-
-        def counted(a, *args, _original=original, _calls=calls, **kwargs):
-            _calls.append(np.shape(a)[-1])
-            return _original(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, counted)
-    return sizes
 
 
 class TestEigenbasisKernel:
@@ -530,7 +526,7 @@ class TestEigenbasisKernel:
             assert report.cptp.cp == oracle.cp
 
     def test_certify_eigensolve_count(self, monkeypatch):
-        sizes = _count_factorizations(monkeypatch)
+        sizes = count_factorizations(monkeypatch)
         rank_deficient = rank_deficient_separable((4, 3), 3, 7, np.random.default_rng(2))
         cases = [
             # faithful marginals: one eigh per side validates the marginal and gives its
@@ -552,7 +548,7 @@ class TestEigenbasisKernel:
         # the partial transpose is solved by certify alone.
         process = tc.Process(tc.random_cptp(3, 4, 2, seed=5), tc.random_density(3, seed=6))
         tau = tc.star_product(process.channel, process.input_state)
-        sizes = _count_factorizations(monkeypatch)
+        sizes = count_factorizations(monkeypatch)
         one_sided = {"eigh": [3, 4], "eigvalsh": [12], "cholesky": [12]}
         cases = [
             (lambda: tc.compatibility_test(tau, (3, 4), "a"), one_sided),
