@@ -40,8 +40,8 @@ from .ensembles import (
 )
 from .operators import (
     DEFAULT_TOLS,
-    PseudoSqrt,
     SpectralDecomposition,
+    Spectrum,
     Tolerances,
     cauchy_matrix,
     eig_hermitian,

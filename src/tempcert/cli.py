@@ -23,7 +23,7 @@ import numpy as np
 from . import documents
 from .channels import is_cptp
 from .ensembles import assemble_state
-from .operators import DEFAULT_TOLS, _check_tol, partial_trace, validate_density
+from .operators import DEFAULT_TOLS, _check_tol, partial_trace
 from .sot import PAULIS, correlations_from_process, pdm_from_correlations
 from .temporal import VerdictMismatchError, certify, dephasing_channel, temporal_channel
 
@@ -110,7 +110,7 @@ def _bloch_points(tau: np.ndarray, dims: tuple[int, int], stage: str, samples: i
     if stage == "input":
         push = None
     elif stage == "dephased":
-        push = dephasing_channel(validate_density(partial_trace(tau, dims, "b")))
+        push = dephasing_channel(partial_trace(tau, dims, "b"))
     elif stage == "output":
         push = temporal_channel(tau, dims, "a")
     else:

@@ -17,7 +17,6 @@ import numpy as np
 
 from .channels import CptpReport, Process, SuperOp
 from .ensembles import ProductEnsemble
-from .operators import validate_density
 from .sot import CorrelationTable
 from .temporal import CertificationResult, CompatibilityReport
 
@@ -205,8 +204,7 @@ def parse_process_document(doc: dict[str, Any]) -> Process:
     din = _positive_dim(doc, "dim_in")
     dout = _positive_dim(doc, "dim_out")
     channel = SuperOp(din, dout, decode_matrix(doc["choi"], din * dout, "choi"))
-    state = validate_density(decode_matrix(doc["input_state"], din, "input_state"))
-    return Process(channel=channel, input_state=state)
+    return Process(channel=channel, input_state=decode_matrix(doc["input_state"], din, "input_state"))
 
 
 def ensemble_document(ensemble: ProductEnsemble) -> dict[str, Any]:

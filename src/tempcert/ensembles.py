@@ -146,8 +146,8 @@ def random_povm(dim: int, outcomes: int, seed: Seed = None) -> list[np.ndarray]:
         g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         parts.append(g @ g.conj().T)
     total = sum(parts)
-    ps = sqrt_pinv(total)
-    return [ps.inv_sqrt @ p @ ps.inv_sqrt for p in parts]
+    inv = sqrt_pinv(total).inv_sqrt
+    return [inv @ p @ inv for p in parts]
 
 
 def is_orthogonal_ensemble(states: list[np.ndarray], tol: float = DEFAULT_TOLS.psd) -> bool:

@@ -17,7 +17,7 @@ __all__ = [
     "Tolerances",
     "DEFAULT_TOLS",
     "SpectralDecomposition",
-    "PseudoSqrt",
+    "Spectrum",
     "as_complex_matrix",
     "max_abs",
     "hermiticity_defect",
@@ -128,11 +128,6 @@ def _psd_floor(w: np.ndarray, tol: float) -> tuple[bool, float, float]:
     return lam_min >= -tol * scale, lam_min, scale
 
 
-def _support(p: np.ndarray) -> np.ndarray:
-    """The support cut on ascending eigenvalues ``p``: the mask ``p > rank * max(p_max, 0)``."""
-    return p > DEFAULT_TOLS.rank * max(float(p[-1]) if p.size else 0.0, 0.0)
-
-
 @dataclass(frozen=True)
 class SpectralDecomposition:
     """Clustered spectral decomposition ``M = sum_i lambda_i P_i``.
@@ -215,16 +210,66 @@ def _require_psd_spectrum(w: np.ndarray) -> None:
         raise ValueError(f"psd invariant violated: min eigenvalue = {lam_min:.3e}")
 
 
-def _density_spectrum(m: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Validate a density matrix from one ``eigh``: its Hermitian part, eigenvalues, eigenvectors,
-    support mask, and Cauchy weights ``2 / (p_i + p_j)`` on support pairs."""
-    a = _require_trace_one(m)
+@dataclass(frozen=True)
+class Spectrum:
+    """One ``eigh`` of a Hermitian matrix, and the functions of it that the maps are built from.
+
+    ``matrix`` is the Hermitian part that was solved, ``p`` its eigenvalues in
+    ascending order, ``u`` the eigenvectors as columns, and ``mask`` the support
+    cut: eigenvalues ``p <= DEFAULT_TOLS.rank * max(p_max, 0)`` count as zero.
+    The other attributes are computed on access; all but ``complement`` vanish on the kernel.
+    """
+
+    matrix: np.ndarray
+    p: np.ndarray
+    u: np.ndarray
+    mask: np.ndarray
+
+    @property
+    def rank(self) -> int:
+        return int(np.count_nonzero(self.mask))
+
+    @property
+    def cauchy(self) -> np.ndarray:
+        """The weights ``2 / (p_i + p_j)`` on support pairs, zero on pairs touching the kernel."""
+        pair = np.outer(self.mask, self.mask)
+        return np.divide(2.0, np.add.outer(self.p, self.p), out=np.zeros(pair.shape), where=pair)
+
+    @property
+    def sqrt(self) -> np.ndarray:
+        """The square root."""
+        return (self.u * np.where(self.mask, np.sqrt(np.abs(self.p)), 0.0)) @ self.u.conj().T
+
+    @property
+    def inv_sqrt(self) -> np.ndarray:
+        """The Moore-Penrose pseudoinverse square root."""
+        inv = np.divide(1.0, np.sqrt(np.abs(self.p)), out=np.zeros_like(self.p), where=self.mask)
+        return (self.u * inv) @ self.u.conj().T
+
+    @property
+    def support(self) -> np.ndarray:
+        """The projector onto the range."""
+        vs = self.u[:, self.mask]
+        return vs @ vs.conj().T
+
+    @property
+    def complement(self) -> np.ndarray:
+        """The projector onto the kernel."""
+        vk = self.u[:, ~self.mask]
+        return vk @ vk.conj().T
+
+
+def _spectrum(a: np.ndarray) -> Spectrum:
+    """The :class:`Spectrum` of a Hermitian matrix ``a``."""
     p, u = np.linalg.eigh(a)
-    _require_psd_spectrum(p)
-    support = _support(p)
-    pair = np.outer(support, support)
-    cauchy = np.divide(2.0, np.add.outer(p, p), out=np.zeros(pair.shape), where=pair)
-    return a, p, u, support, cauchy
+    return Spectrum(a, p, u, p > DEFAULT_TOLS.rank * max(float(p[-1]) if p.size else 0.0, 0.0))
+
+
+def _density_spectrum(m: np.ndarray) -> Spectrum:
+    """Validate a density matrix and return its :class:`Spectrum`, from one ``eigh``."""
+    s = _spectrum(_require_trace_one(m))
+    _require_psd_spectrum(s.p)
+    return s
 
 
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -274,45 +319,13 @@ def hadamard_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x * y
 
 
-@dataclass(frozen=True)
-class PseudoSqrt:
-    """Support-restricted square root data of a PSD operator.
-
-    ``inv_sqrt`` is the Moore-Penrose pseudoinverse square root (zero on the
-    kernel), ``sqrt`` the ordinary square root, ``support`` the projection
-    onto the range and ``complement`` its orthogonal complement.
-    """
-
-    inv_sqrt: np.ndarray
-    sqrt: np.ndarray
-    support: np.ndarray
-    complement: np.ndarray
-    rank: int
-
-
-def sqrt_pinv(rho: np.ndarray) -> PseudoSqrt:
-    """Pseudoinverse square root of a PSD matrix.
+def sqrt_pinv(rho: np.ndarray) -> Spectrum:
+    """Pseudoinverse square root of a PSD matrix, as the :class:`Spectrum` whose ``inv_sqrt`` it is.
 
     Eigenvalues below the support cut ``DEFAULT_TOLS.rank * p_max`` count as
     zero; rank deficiency is handled, not an error.
     """
-    return _pseudo_sqrt(*np.linalg.eigh(require_hermitian(rho)))
-
-
-def _pseudo_sqrt(w: np.ndarray, v: np.ndarray) -> PseudoSqrt:
-    """:func:`sqrt_pinv` from a spectrum already solved: ascending eigenvalues ``w``, eigenvectors ``v``."""
-    mask = _support(w)
-    inv = np.divide(1.0, np.sqrt(np.abs(w)), out=np.zeros_like(w), where=mask)
-    root = np.where(mask, np.sqrt(np.abs(w)), 0.0)
-    vs = v[:, mask]
-    support = vs @ vs.conj().T
-    return PseudoSqrt(
-        inv_sqrt=(v * inv) @ v.conj().T,
-        sqrt=(v * root) @ v.conj().T,
-        support=support,
-        complement=np.eye(len(w)) - support,
-        rank=int(np.count_nonzero(mask)),
-    )
+    return _spectrum(require_hermitian(rho))
 
 
 def swap_factors(t: np.ndarray, dims: tuple[int, int]) -> np.ndarray:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .channels import Process, SuperOp, apply, compose, from_kraus, hs_adjoint
-from .operators import DEFAULT_TOLS, _density_spectrum, _pseudo_sqrt, max_abs
+from .operators import DEFAULT_TOLS, Spectrum, _density_spectrum, _spectrum, max_abs
 from .sot import star_product
 from .temporal import (
     CompatibilityReport,
@@ -22,7 +22,6 @@ from .temporal import (
     _oriented,
     _validated,
     compatibility_test,
-    dephasing_channel,
 )
 
 __all__ = [
@@ -40,18 +39,16 @@ def petz_recovery(e: SuperOp, prior: np.ndarray) -> SuperOp:
     ``sigma = E(rho)``; square roots are pseudoinverse roots, so the map is
     meaningful on the supports.
     """
-    rho, p, u, _, _ = _density_spectrum(prior)
-    if rho.shape[0] != e.dim_in:
-        raise ValueError(f"prior dim {rho.shape[0]} does not match channel input dim {e.dim_in}")
-    sigma = apply(e, rho)
-    return _petz(e, (p, u), np.linalg.eigh((sigma + sigma.conj().T) / 2))
+    s = _density_spectrum(prior)
+    if len(s.p) != e.dim_in:
+        raise ValueError(f"prior dim {len(s.p)} does not match channel input dim {e.dim_in}")
+    sigma = apply(e, s.matrix)
+    return _petz(e, s, _spectrum((sigma + sigma.conj().T) / 2))
 
 
-def _petz(e: SuperOp, prior: tuple, sigma: tuple) -> SuperOp:
-    """:func:`petz_recovery` from the solved ``(eigenvalues, eigenvectors)`` of the prior and ``E(prior)``."""
-    ps_rho = _pseudo_sqrt(*prior)
-    ps_sigma = _pseudo_sqrt(*sigma)
-    return compose(from_kraus([ps_rho.sqrt]), compose(hs_adjoint(e), from_kraus([ps_sigma.inv_sqrt])))
+def _petz(e: SuperOp, prior: Spectrum, sigma: Spectrum) -> SuperOp:
+    """:func:`petz_recovery` from the solved spectra of the prior and of ``E(prior)``."""
+    return compose(from_kraus([prior.sqrt]), compose(hs_adjoint(e), from_kraus([sigma.inv_sqrt])))
 
 
 def bayesian_inverse(
@@ -80,20 +77,21 @@ def verify_dfed(tau: np.ndarray, dims: tuple[int, int]) -> float:
     ``max|choi(D o F) - choi(E^ o D')|``, which vanishes identically.
     """
     t, spectra = _validated(tau, dims)
-    for side, (_, _, _, support, _) in spectra.items():
-        if not support.all():
+    for side, spectrum in spectra.items():
+        if spectrum.rank < len(spectrum.p):
             raise ValueError(f"marginal on side {side} is not faithful")
     # Each marginal is solved once, by _validated.  E(rho_a) = rho_b, as E * rho_a = tau.
     e, f = (_choi_from_eigenbasis(*_eigenbasis_array(*_oriented(t, dims, s), spectra[s])) for s in "ab")
     deph_a, deph_b = _dephasing(spectra["a"]), _dephasing(spectra["b"])
-    petz_e = _petz(e, spectra["a"][1:3], spectra["b"][1:3])
+    petz_e = _petz(e, spectra["a"], spectra["b"])
     return max_abs(compose(deph_a, f).choi - compose(petz_e, deph_b).choi)
 
 
 def petz_selfinverse_dephasing_check(rho: np.ndarray) -> float:
     """Residual of the generalized dephasing channel being its own Petz recovery."""
-    r, _, _, support, _ = _density_spectrum(rho)
-    if not support.all():
+    s = _density_spectrum(rho)
+    if s.rank < len(s.p):
         raise ValueError("state is not faithful")
-    deph = dephasing_channel(r)
-    return max_abs(petz_recovery(deph, r).choi - deph.choi)
+    # D(rho) = rho, so the Petz recovery of D reads both of its roots off the one spectrum of rho.
+    deph = _dephasing(s)
+    return max_abs(_petz(deph, s, s).choi - deph.choi)

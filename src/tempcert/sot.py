@@ -188,13 +188,17 @@ class CorrelationTable:
         return float(self.table[pauli_index(alpha), pauli_index(beta)])
 
 
-@functools.lru_cache(maxsize=4)
 def _pauli_basis(qubits: int) -> tuple[np.ndarray, np.ndarray]:
     """All ``4^m`` Pauli strings as a ``(4^m, 2^m, 2^m)`` stack in :func:`pauli_index` order,
     and the readout matrix whose column ``b`` is ``conj(s_b)`` flattened.
 
-    Built once per qubit count; both arrays are read-only, as every caller shares them.
+    Both arrays are read-only.  They are built once per qubit count up to 4 qubits (1 MB each at
+    4) and kept; larger bases (16 MB each at 5 qubits, 256 MB at 6) are built per call and not kept.
     """
+    return _cached_pauli_basis(qubits) if qubits <= 4 else _build_pauli_basis(qubits)
+
+
+def _build_pauli_basis(qubits: int) -> tuple[np.ndarray, np.ndarray]:
     paulis = np.stack(PAULIS)
     basis = np.ones((1, 1, 1), dtype=np.complex128)
     for _ in range(qubits):
@@ -205,6 +209,9 @@ def _pauli_basis(qubits: int) -> tuple[np.ndarray, np.ndarray]:
     basis.flags.writeable = False
     readout.flags.writeable = False
     return basis, readout
+
+
+_cached_pauli_basis = functools.lru_cache(maxsize=4)(_build_pauli_basis)
 
 
 def correlations_from_process(process: Process, qubits: int) -> CorrelationTable:

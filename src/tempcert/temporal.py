@@ -38,9 +38,9 @@ from .channels import (
 )
 from .operators import (
     DEFAULT_TOLS,
+    Spectrum,
     _density_spectrum,
     _psd_floor,
-    _pseudo_sqrt,
     _require_trace_one,
     is_psd,
     max_abs,
@@ -87,12 +87,19 @@ def _oriented(tau: np.ndarray, dims: tuple[int, int], side: str) -> tuple[np.nda
     raise ValueError(f"side must be 'a' or 'b', got {side!r}")
 
 
-def _validated_marginal(tau: np.ndarray, dims: tuple[int, int], side: str) -> tuple[np.ndarray, ...]:
+def _validated_marginal(tau: np.ndarray, dims: tuple[int, int], side: str) -> Spectrum:
     """:func:`_density_spectrum` of the marginal on ``side``; its errors name the side."""
     try:
         return _density_spectrum(partial_trace(tau, dims, "b" if side == "a" else "a"))
     except ValueError as exc:
         raise ValueError(f"marginal on side {side}: {exc}") from exc
+
+
+def _measured(tau: np.ndarray, dims: tuple[int, int], side: str) -> tuple[np.ndarray, tuple[int, int], Spectrum]:
+    """``tau`` validated and oriented by :func:`_oriented`, and :func:`_validated_marginal` on ``side``."""
+    t = _require_trace_one(tau)
+    wt, wdims = _oriented(t, dims, side)
+    return wt, wdims, _validated_marginal(t, dims, side)
 
 
 def _conjugate_first(x4: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -103,15 +110,14 @@ def _conjugate_first(x4: np.ndarray, v: np.ndarray) -> np.ndarray:
     return right.reshape(k, n, n, k).transpose(0, 1, 3, 2)
 
 
-def _eigenbasis_array(t: np.ndarray, dims: tuple[int, int], spectrum: tuple) -> tuple[np.ndarray, ...]:
-    """Eigenvectors and support of ``rho_a``, and the ``(m, n, m, n)`` test matrix in that eigenbasis.
+def _eigenbasis_array(t: np.ndarray, dims: tuple[int, int], s: Spectrum) -> tuple[np.ndarray, ...]:
+    """Eigenvectors and support mask of ``rho_a``, and the ``(m, n, m, n)`` test matrix in that eigenbasis.
 
-    ``t`` is oriented by :func:`_oriented`; ``spectrum`` is :func:`_validated_marginal` of its first factor.
+    ``t`` is oriented by :func:`_oriented`; ``s`` is :func:`_validated_marginal` of its first factor.
     ``X[i, x, j, y] = 2 / (p_i + p_j) <u_j, x| tau |u_i, y>``, zero on blocks touching the kernel.
     """
-    _, _, u, support, cauchy = spectrum
-    rotated = _conjugate_first(t.reshape(*dims, *dims), u)
-    return u, support, cauchy[:, None, :, None] * rotated.transpose(2, 1, 0, 3)
+    rotated = _conjugate_first(t.reshape(*dims, *dims), s.u)
+    return s.u, s.mask, s.cauchy[:, None, :, None] * rotated.transpose(2, 1, 0, 3)
 
 
 def _choi_from_eigenbasis(u: np.ndarray, support: np.ndarray, x4: np.ndarray) -> SuperOp:
@@ -139,9 +145,7 @@ def temporal_channel(tau: np.ndarray, dims: tuple[int, int], side: str = "a") ->
     output and kernel-touching off-diagonal units map to zero; the map is then
     one solution among many.
     """
-    t = _require_trace_one(tau)
-    wt, wdims = _oriented(t, dims, side)
-    return _choi_from_eigenbasis(*_eigenbasis_array(wt, wdims, _validated_marginal(t, dims, side)))
+    return _choi_from_eigenbasis(*_eigenbasis_array(*_measured(tau, dims, side)))
 
 
 def sylvester_oracle(tau: np.ndarray, dims: tuple[int, int], side: str = "a") -> np.ndarray:
@@ -155,13 +159,11 @@ def sylvester_oracle(tau: np.ndarray, dims: tuple[int, int], side: str = "a") ->
     m, n = dims
     if m * n > _SYLVESTER_MAX_DIM:
         raise ValueError(f"sylvester_oracle is limited to m*n <= {_SYLVESTER_MAX_DIM}, got {m}*{n}")
-    t = _require_trace_one(tau)
-    wt, (m, n) = _oriented(t, dims, side)
-    rho, _, _, support, _ = _validated_marginal(t, dims, side)
-    if not support.all():
+    wt, (m, n), s = _measured(tau, dims, side)
+    if s.rank < m:
         raise ValueError("non-faithful marginal: the anticommutator equation has no unique solution")
     d = m * n
-    r = tensor(rho, np.eye(n))
+    r = tensor(s.matrix, np.eye(n))
     big = 0.5 * (np.kron(r, np.eye(d)) + np.kron(np.eye(d), r.T))
     return np.linalg.solve(big, wt.ravel()).reshape(d, d)
 
@@ -178,16 +180,14 @@ def dephasing_channel(rho: np.ndarray) -> SuperOp:
     return _dephasing(_density_spectrum(rho))
 
 
-def _dephasing(spectrum: tuple) -> SuperOp:
+def _dephasing(s: Spectrum) -> SuperOp:
     """:func:`dephasing_channel` of a density matrix already solved by :func:`_density_spectrum`."""
-    r, p, u, support, cauchy = spectrum
-    m = r.shape[0]
-    harmonic = cauchy * np.sqrt(np.abs(np.outer(p, p)))
+    m = len(s.p)
+    harmonic = s.cauchy * np.sqrt(np.abs(np.outer(s.p, s.p)))
     # Column i of v is the vectorized |conj(u_i)> (x) |u_i>, so v h v^dag is
     # the Choi matrix of the Schur multiplier h in the eigenbasis.
-    v = (u.conj()[:, None, :] * u[None, :, :]).reshape(m * m, m)
-    complement = u[:, ~support] @ u[:, ~support].conj().T
-    return SuperOp(m, m, v @ harmonic @ v.conj().T + tensor(complement.T, np.eye(m) / m))
+    v = (s.u.conj()[:, None, :] * s.u[None, :, :]).reshape(m * m, m)
+    return SuperOp(m, m, v @ harmonic @ v.conj().T + tensor(s.complement.T, np.eye(m) / m))
 
 
 def correlation_matrix_check(c: np.ndarray, tol: float = DEFAULT_TOLS.psd) -> tuple[bool, bool]:
@@ -208,15 +208,16 @@ def pgm_map(tau: np.ndarray, dims: tuple[int, int], side: str = "a") -> SuperOp:
     when ``tau`` is separable, and positive (though not necessarily completely
     positive) for every density ``tau``.
     """
-    t = require_hermitian(tau)
-    wt, (m, n) = _oriented(t, dims, side)
-    ps = _pseudo_sqrt(*_validated_marginal(t, dims, side)[1:3])
-    # (s^T (x) 1) tau^{T_a} (s^T (x) 1) with s = rho^{-1/2}; s^T = conj(s) as s is Hermitian.
-    pt4 = partial_transpose(wt, (m, n), "a").reshape(m, n, m, n)
-    choi = _conjugate_first(pt4, ps.inv_sqrt.conj()).reshape(m * n, m * n)
-    if ps.rank < m:
-        choi = choi + tensor(ps.complement.T, np.eye(n) / n)
-    return SuperOp(m, n, choi)
+    return _pgm(*_measured(tau, dims, side))
+
+
+def _pgm(wt: np.ndarray, dims: tuple[int, int], s: Spectrum) -> SuperOp:
+    """:func:`pgm_map` of an oriented ``tau`` whose first marginal is already solved."""
+    m, n = dims
+    # (r^T (x) 1) tau^{T_a} (r^T (x) 1) with r = rho^{-1/2}; r^T = conj(r) as r is Hermitian.
+    pt4 = partial_transpose(wt, dims, "a").reshape(m, n, m, n)
+    choi = _conjugate_first(pt4, s.inv_sqrt.conj()).reshape(m * n, m * n)
+    return SuperOp(m, n, choi + tensor(s.complement.T, np.eye(n) / n))
 
 
 def verify_decomposition(tau: np.ndarray, dims: tuple[int, int], side: str = "a") -> float:
@@ -228,11 +229,9 @@ def verify_decomposition(tau: np.ndarray, dims: tuple[int, int], side: str = "a"
     kernel conventions of the two stages differ from the channel's and the
     returned residual is meaningful only as a diagnostic.
     """
-    e = temporal_channel(tau, dims, side)
-    g = pgm_map(tau, dims, side)
-    t, dims = _oriented(require_hermitian(tau), dims, side)
-    d = dephasing_channel(partial_trace(t, dims, "b"))
-    return max_abs(e.choi - compose(g, d).choi)
+    wt, wdims, s = _measured(tau, dims, side)
+    e = _choi_from_eigenbasis(*_eigenbasis_array(wt, wdims, s))
+    return max_abs(e.choi - compose(_pgm(wt, wdims, s), _dephasing(s)).choi)
 
 
 @dataclass(frozen=True)
@@ -266,7 +265,7 @@ def is_ppt(tau: np.ndarray, dims: tuple[int, int], tol: float = DEFAULT_TOLS.psd
     return is_psd(pt, tol)
 
 
-def _validated(tau: np.ndarray, dims: tuple[int, int]) -> tuple[np.ndarray, dict[str, tuple]]:
+def _validated(tau: np.ndarray, dims: tuple[int, int]) -> tuple[np.ndarray, dict[str, Spectrum]]:
     """Validate ``tau`` and both marginals: its Hermitian part and the marginal spectra by side."""
     t = _require_trace_one(tau)
     return t, {side: _validated_marginal(t, dims, side) for side in "ab"}
@@ -287,8 +286,9 @@ def _side_report(validated: tuple, dims: tuple[int, int], side: str, tol: float)
     """Both verdict paths in one direction for a ``tau`` validated by :func:`_validated`."""
     t, spectra = validated
     wt, wdims = _oriented(t, dims, side)
-    u, support, x4 = _eigenbasis_array(wt, wdims, spectra[side])
-    n, r = wdims[1], int(support.sum())
+    s = spectra[side]
+    u, support, x4 = _eigenbasis_array(wt, wdims, s)
+    n, r = wdims[1], s.rank
     faithful = r == wdims[0]
 
     # Path 1: the dephased distorted partial transpose, read in the eigenbasis.  Its kernel
@@ -308,7 +308,7 @@ def _side_report(validated: tuple, dims: tuple[int, int], side: str, tol: float)
     cptp = CptpReport(
         cp=cp, tp=tp, choi_min_eigenvalue=choi_min, trace_residual=trace_residual, hermiticity_defect=herm
     )
-    reconstruction = max_abs(_star(channel, spectra[side][0]) - wt)
+    reconstruction = max_abs(_star(channel, s.matrix) - wt)
 
     # On a rank-deficient marginal test_min is 0 or choi_min, so it alone sets the zone.  Its
     # rounding floor keeps an exact zero eigenvalue inside the zone at tol=0.

@@ -7,7 +7,7 @@ import re
 
 import numpy as np
 import pytest
-from conftest import bell_state, octahedral_ensemble, random_faithful_separable
+from conftest import bell_state, count_factorizations, octahedral_ensemble, random_faithful_separable
 
 import tempcert as tc
 from tempcert import cli, documents
@@ -434,6 +434,12 @@ class TestBlochCommand:
             expected.append([np.trace(out @ s).real for s in tc.PAULIS[1:]])
         points = _bloch_points(tau, (2, 2), stage, 32, 4)
         np.testing.assert_allclose(points, expected, rtol=0, atol=1e-15)
+
+    def test_dephased_stage_solves_the_marginal_once(self, monkeypatch):
+        tau = tc.assemble_state(octahedral_ensemble())
+        sizes = count_factorizations(monkeypatch)
+        _bloch_points(tau, (2, 2), "dephased", 8, 0)
+        assert sizes == {"eigh": [2], "eigvalsh": [], "cholesky": []}
 
     def test_zero_samples_empty_file(self, tmp_path):
         path = write(tmp_path, "bell.json", documents.state_document(bell_state(), (2, 2)))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import weakref
 
 import numpy as np
 import pytest
@@ -53,6 +54,16 @@ class TestPauliStrings:
             s = tc.pauli_string(a).matrix
             np.testing.assert_array_equal(basis[tc.pauli_index(a)], s)
             np.testing.assert_array_equal(readout[:, tc.pauli_index(a)], s.conj().ravel())
+
+    def test_bases_above_four_qubits_are_not_kept(self):
+        # A 5-qubit basis takes 16 MB per array; it is built per call and freed with its last user.
+        basis, readout = _pauli_basis(5)
+        assert basis.shape == (4**5, 2**5, 2**5)
+        assert not basis.flags.writeable and not readout.flags.writeable
+        kept = weakref.ref(basis)
+        del basis, readout
+        assert kept() is None
+        assert _pauli_basis(2)[0] is _pauli_basis(2)[0]
 
     def test_cached_basis_is_read_only(self):
         for array in _pauli_basis(2):

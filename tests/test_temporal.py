@@ -545,16 +545,29 @@ class TestEigenbasisKernel:
 
     def test_one_sided_eigensolve_count(self, monkeypatch):
         # A one-sided call validates both marginals by eigh and solves only its own test matrix;
-        # the partial transpose is solved by certify alone.
+        # the partial transpose is solved by certify alone.  A map built from one marginal
+        # solves it once, and the Petz maps solve each state they are built from once.
         process = tc.Process(tc.random_cptp(3, 4, 2, seed=5), tc.random_density(3, seed=6))
         tau = tc.star_product(process.channel, process.input_state)
+        rho = process.input_state
         sizes = count_factorizations(monkeypatch)
         one_sided = {"eigh": [3, 4], "eigvalsh": [12], "cholesky": [12]}
+
+        def eigh_only(*eigh):
+            return {"eigh": list(eigh), "eigvalsh": [], "cholesky": []}
+
         cases = [
             (lambda: tc.compatibility_test(tau, (3, 4), "a"), one_sided),
             (lambda: tc.compatibility_test(tau, (3, 4), "b"), one_sided),
             (lambda: tc.bayesian_inverse(process), one_sided),
             (lambda: tc.certify(tau, (3, 4)), {"eigh": [3, 4], "eigvalsh": [12] * 3, "cholesky": [12] * 2}),
+            (lambda: tc.verify_decomposition(tau, (3, 4), "a"), eigh_only(3)),
+            (lambda: tc.verify_decomposition(tau, (3, 4), "b"), eigh_only(4)),
+            (lambda: tc.petz_selfinverse_dephasing_check(rho), eigh_only(3)),
+            (lambda: tc.petz_recovery(process.channel, rho), eigh_only(3, 4)),
+            (lambda: tc.pgm_map(tau, (3, 4), "a"), eigh_only(3)),
+            (lambda: tc.dephasing_channel(rho), eigh_only(3)),
+            (lambda: tc.sylvester_oracle(tau, (3, 4), "a"), eigh_only(3)),
         ]
         for call, expected in cases:
             for solves in sizes.values():
@@ -614,6 +627,55 @@ class TestEigenbasisKernel:
         report = tc.compatibility_test(tau, (2, 3), "a", tol=1e-5)
         assert report.cptp.hermiticity_defect == pytest.approx(1e-6)
         assert report.cptp.cp and report.compatible
+
+
+INVARIANCE_DIMS = [(m, n) for m in range(2, 6) for n in range(2, 6)]
+
+
+def _invariance_case(kind: str, dims: tuple[int, int], rng: np.random.Generator) -> np.ndarray:
+    m, n = dims
+    if kind == "noisy":
+        f = rng.uniform()
+        return f * tc.random_density(m * n, rank=1, seed=rng) + (1 - f) * np.eye(m * n) / (m * n)
+    if kind == "separable_rank_deficient":
+        return tc.assemble_state(rank_deficient_separable(dims, m - 1, m + n, rng))
+    return random_trace_one_hermitian(dims, rng)
+
+
+class TestInvariances:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        kind=st.sampled_from(["noisy", "separable_rank_deficient", "non_positive"]),
+        dims=st.sampled_from(INVARIANCE_DIMS),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_factor_swap_exchanges_the_sides(self, kind, dims, seed):
+        # Side a of the swapped operator is side b of the original, to the last bit.
+        tau = _invariance_case(kind, dims, np.random.default_rng(seed))
+        original = tc.certify(tau, dims)
+        swapped = tc.certify(tc.swap_factors(tau, dims), dims[::-1])
+        for mine, theirs in ((swapped.side_a, original.side_b), (swapped.side_b, original.side_a)):
+            assert (mine.compatible, mine.boundary) == (theirs.compatible, theirs.boundary)
+            assert mine.test_min_eigenvalue == theirs.test_min_eigenvalue
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        kind=st.sampled_from(["noisy", "separable_rank_deficient", "non_positive"]),
+        dims=st.sampled_from(INVARIANCE_DIMS),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_local_unitaries_keep_the_verdicts(self, kind, dims, seed):
+        rng = np.random.default_rng(seed)
+        tau = _invariance_case(kind, dims, rng)
+        local = tc.tensor(tc.random_unitary(dims[0], seed=rng), tc.random_unitary(dims[1], seed=rng))
+        original = tc.certify(tau, dims)
+        rotated = tc.certify(local @ tau @ local.conj().T, dims)
+        for mine, theirs in ((rotated.side_a, original.side_a), (rotated.side_b, original.side_b)):
+            # The test matrix's spectrum is the Choi matrix's, up to 1/n <= 1 on a kernel.
+            scale = max(1.0, float(np.linalg.eigvalsh(theirs.channel.choi)[-1]))
+            assert abs(mine.test_min_eigenvalue - theirs.test_min_eigenvalue) <= 1e-12 * scale
+            if not (mine.boundary or theirs.boundary):
+                assert mine.compatible == theirs.compatible
 
 
 class TestIsPpt:
