@@ -40,11 +40,9 @@ from .ensembles import (
 )
 from .operators import (
     DEFAULT_TOLS,
-    SpectralDecomposition,
     Spectrum,
     Tolerances,
     cauchy_matrix,
-    eig_hermitian,
     hadamard_product,
     harmonic_mean_matrix,
     is_psd,
@@ -65,7 +63,6 @@ from .retrodiction import (
 from .sot import (
     PAULIS,
     CorrelationTable,
-    Observable,
     correlations_from_process,
     is_light_touch,
     observable,

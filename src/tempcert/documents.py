@@ -260,8 +260,11 @@ def _table_error(table: Any, size: int) -> str:
 def parse_correlations_document(doc: dict[str, Any]) -> CorrelationTable:
     _check_header(doc, "correlations")
     qubits = _positive_dim(doc, "qubits")
-    size = 4**qubits
     table = doc["table"]
+    rows = len(table) if isinstance(table, list) else 0
+    if 2 * qubits >= rows.bit_length():  # 4**qubits > rows, told without building 4**qubits
+        raise ValueError(f"incomplete table: {qubits} qubits need 4^{qubits} rows, got {rows}")
+    size = 4**qubits
     values = _nested_floats(table, (size, size))
     if values is None:
         raise ValueError(_table_error(table, size))
@@ -295,7 +298,7 @@ def load_document(path: str | Path, kind: str | None = None) -> dict[str, Any]:
     """Read and header-validate a JSON document from disk."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # json.loads recurses once per nesting level
         raise ValueError(f"{path}: not valid JSON ({exc})") from exc
     _check_header(doc, kind)
     return doc

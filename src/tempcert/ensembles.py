@@ -11,8 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import SuperOp, from_kraus
-from .operators import DEFAULT_TOLS, _check_tol, max_abs, sqrt_pinv, validate_density
-from .sot import Observable, observable
+from .operators import DEFAULT_TOLS, Spectrum, _check_tol, max_abs, sqrt_pinv, validate_density
+from .sot import observable
 
 __all__ = [
     "ProductEnsemble",
@@ -123,7 +123,7 @@ def random_separable(dim_a: int, dim_b: int, n_terms: int, seed: Seed = None) ->
     return ProductEnsemble(weights=weights, states_a=states_a, states_b=states_b)
 
 
-def random_light_touch(dim: int, seed: Seed = None) -> Observable:
+def random_light_touch(dim: int, seed: Seed = None) -> Spectrum:
     """Random observable with spectrum ``{lam}`` or ``{+lam, -lam}``.
 
     Samples a Haar-random projector of rank 1..dim and a scale in (0, 1],

@@ -16,13 +16,11 @@ import numpy as np
 __all__ = [
     "Tolerances",
     "DEFAULT_TOLS",
-    "SpectralDecomposition",
     "Spectrum",
     "as_complex_matrix",
     "max_abs",
     "hermiticity_defect",
     "require_hermitian",
-    "eig_hermitian",
     "is_psd",
     "validate_density",
     "tensor",
@@ -128,60 +126,6 @@ def _psd_floor(w: np.ndarray, tol: float) -> tuple[bool, float, float]:
     return lam_min >= -tol * scale, lam_min, scale
 
 
-@dataclass(frozen=True)
-class SpectralDecomposition:
-    """Clustered spectral decomposition ``M = sum_i lambda_i P_i``.
-
-    Eigenvalues whose gap falls below the clustering tolerance share one
-    projector, so the projectors stay well defined under degeneracy.
-    Eigenvalues are sorted in descending order, one entry per cluster.
-    """
-
-    eigenvalues: np.ndarray
-    projectors: tuple[np.ndarray, ...]
-    multiplicities: tuple[int, ...]
-
-    @property
-    def dim(self) -> int:
-        return self.projectors[0].shape[0]
-
-    def reconstruct(self) -> np.ndarray:
-        out = np.zeros((self.dim, self.dim), dtype=np.complex128)
-        for lam, proj in zip(self.eigenvalues, self.projectors):
-            out += lam * proj
-        return out
-
-
-def eig_hermitian(m: np.ndarray) -> SpectralDecomposition:
-    """Clustered eigendecomposition of a Hermitian matrix.
-
-    Consecutive eigenvalues closer than ``DEFAULT_TOLS.cluster`` times
-    ``max(1, spectral radius)`` share one eigenspace projector.
-    """
-    a = require_hermitian(m)
-    w, v = np.linalg.eigh(a)
-    w, v = w[::-1], v[:, ::-1]
-    gap = DEFAULT_TOLS.cluster * max(1.0, float(np.max(np.abs(w))) if w.size else 0.0)
-
-    eigenvalues: list[float] = []
-    projectors: list[np.ndarray] = []
-    multiplicities: list[int] = []
-    start = 0
-    for stop in range(1, len(w) + 1):
-        if stop < len(w) and (w[stop - 1] - w[stop]) <= gap:
-            continue
-        cols = v[:, start:stop]
-        eigenvalues.append(float(np.mean(w[start:stop])))
-        projectors.append(cols @ cols.conj().T)
-        multiplicities.append(stop - start)
-        start = stop
-    return SpectralDecomposition(
-        eigenvalues=np.array(eigenvalues),
-        projectors=tuple(projectors),
-        multiplicities=tuple(multiplicities),
-    )
-
-
 def is_psd(m: np.ndarray, tol: float = DEFAULT_TOLS.psd) -> tuple[bool, float]:
     """Positive-semidefiniteness check.
 
@@ -212,12 +156,14 @@ def _require_psd_spectrum(w: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """One ``eigh`` of a Hermitian matrix, and the functions of it that the maps are built from.
+    """One ``eigh`` of a Hermitian matrix, a state or an observable, and the functions of it that maps read.
 
     ``matrix`` is the Hermitian part that was solved, ``p`` its eigenvalues in
     ascending order, ``u`` the eigenvectors as columns, and ``mask`` the support
     cut: eigenvalues ``p <= DEFAULT_TOLS.rank * max(p_max, 0)`` count as zero.
-    The other attributes are computed on access; all but ``complement`` vanish on the kernel.
+    The other attributes are computed on access.  ``cauchy``, ``sqrt``, ``inv_sqrt`` and
+    ``support`` vanish on the kernel, ``complement`` projects onto it, and ``eigenspaces``
+    covers the whole space.
     """
 
     matrix: np.ndarray
@@ -257,6 +203,18 @@ class Spectrum:
         """The projector onto the kernel."""
         vk = self.u[:, ~self.mask]
         return vk @ vk.conj().T
+
+    @property
+    def eigenspaces(self) -> tuple[tuple[float, np.ndarray], ...]:
+        """The pairs ``(lambda, P)`` of ``matrix = sum lambda P``, in ascending order of ``lambda``.
+
+        Consecutive eigenvalues closer than ``DEFAULT_TOLS.cluster * max(1, spectral radius)``
+        share one projector ``P`` and take their mean as ``lambda``.
+        """
+        gap = DEFAULT_TOLS.cluster * max(1.0, float(np.max(np.abs(self.p))) if self.p.size else 0.0)
+        cuts = np.flatnonzero(np.diff(self.p) > gap) + 1
+        groups = zip(np.split(self.p, cuts), np.split(self.u, cuts, axis=1))
+        return tuple((float(np.mean(w)), v @ v.conj().T) for w, v in groups)
 
 
 def _spectrum(a: np.ndarray) -> Spectrum:

@@ -20,9 +20,9 @@ import numpy as np
 from .channels import Process, SuperOp, apply
 from .operators import (
     DEFAULT_TOLS,
-    SpectralDecomposition,
+    Spectrum,
     _check_tol,
-    eig_hermitian,
+    _spectrum,
     require_hermitian,
     swap_factors,
     tensor,
@@ -30,7 +30,6 @@ from .operators import (
 
 __all__ = [
     "PAULIS",
-    "Observable",
     "observable",
     "pauli_string",
     "pauli_index",
@@ -52,20 +51,12 @@ PAULIS: tuple[np.ndarray, ...] = (
 )
 
 
-@dataclass(frozen=True)
-class Observable:
-    """A Hermitian observable with its clustered spectral decomposition cached."""
-
-    matrix: np.ndarray
-    spectral: SpectralDecomposition
+def observable(m: np.ndarray) -> Spectrum:
+    """A Hermitian observable as its :class:`Spectrum`; its ``eigenspaces`` are the measurement's outcomes."""
+    return _spectrum(require_hermitian(m))
 
 
-def observable(m: np.ndarray) -> Observable:
-    a = require_hermitian(m)
-    return Observable(matrix=a, spectral=eig_hermitian(a))
-
-
-def pauli_string(alpha: tuple[int, ...]) -> Observable:
+def pauli_string(alpha: tuple[int, ...]) -> Spectrum:
     """The multi-qubit Pauli observable ``sigma_a1 (x) ... (x) sigma_am``."""
     if not alpha or any(a not in (0, 1, 2, 3) for a in alpha):
         raise ValueError(f"Pauli indices must be in 0..3, got {alpha!r}")
@@ -113,10 +104,10 @@ def reverse_star(f: SuperOp, rho_b: np.ndarray) -> np.ndarray:
     return swap_factors(star_product(f, rho_b), (f.dim_in, f.dim_out))
 
 
-def is_light_touch(obs: Observable) -> bool:
+def is_light_touch(obs: Spectrum) -> bool:
     """True iff the clustered spectrum is ``{lam}`` or ``{lam, -lam}`` with ``lam >= 0``."""
-    vals = obs.spectral.eigenvalues
-    scale = DEFAULT_TOLS.cluster * max(1.0, float(np.max(np.abs(vals))))
+    vals = [lam for lam, _ in obs.eigenspaces]
+    scale = DEFAULT_TOLS.cluster * max(1.0, *map(abs, vals))
     if len(vals) == 1:
         return vals[0] >= -scale
     if len(vals) == 2:
@@ -124,7 +115,7 @@ def is_light_touch(obs: Observable) -> bool:
     return False
 
 
-def two_time_expectation(m_obs: Observable, n_obs: Observable, process: Process) -> float:
+def two_time_expectation(m_obs: Spectrum, n_obs: Spectrum, process: Process) -> float:
     """Expectation of measuring ``M`` first, evolving, then measuring ``N``.
 
     Computed as ``sum_i lambda_i Tr[E(P_i rho P_i) N]`` over the eigenspace
@@ -137,7 +128,7 @@ def two_time_expectation(m_obs: Observable, n_obs: Observable, process: Process)
     if n_obs.matrix.shape[0] != e.dim_out:
         raise ValueError("second observable does not match the channel output dimension")
     value = 0.0 + 0.0j
-    for lam, proj in zip(m_obs.spectral.eigenvalues, m_obs.spectral.projectors):
+    for lam, proj in m_obs.eigenspaces:
         value += lam * np.trace(apply(e, proj @ rho @ proj) @ n_obs.matrix)
     if abs(value.imag) > DEFAULT_TOLS.imag:
         raise ValueError(f"two-time expectation has imaginary residue {value.imag:.3e}")
@@ -146,8 +137,8 @@ def two_time_expectation(m_obs: Observable, n_obs: Observable, process: Process)
 
 def representability_check(
     r: np.ndarray,
-    m_obs: Observable,
-    n_obs: Observable,
+    m_obs: Spectrum,
+    n_obs: Spectrum,
     process: Process,
     tol: float = DEFAULT_TOLS.psd,
 ) -> tuple[bool, float]:

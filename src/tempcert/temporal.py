@@ -110,25 +110,25 @@ def _conjugate_first(x4: np.ndarray, v: np.ndarray) -> np.ndarray:
     return right.reshape(k, n, n, k).transpose(0, 1, 3, 2)
 
 
-def _eigenbasis_array(t: np.ndarray, dims: tuple[int, int], s: Spectrum) -> tuple[np.ndarray, ...]:
-    """Eigenvectors and support mask of ``rho_a``, and the ``(m, n, m, n)`` test matrix in that eigenbasis.
+def _eigenbasis_array(t: np.ndarray, dims: tuple[int, int], s: Spectrum) -> np.ndarray:
+    """The ``(m, n, m, n)`` test matrix in the eigenbasis ``s.u`` of ``rho_a``.
 
     ``t`` is oriented by :func:`_oriented`; ``s`` is :func:`_validated_marginal` of its first factor.
     ``X[i, x, j, y] = 2 / (p_i + p_j) <u_j, x| tau |u_i, y>``, zero on blocks touching the kernel.
     """
     rotated = _conjugate_first(t.reshape(*dims, *dims), s.u)
-    return s.u, s.mask, s.cauchy[:, None, :, None] * rotated.transpose(2, 1, 0, 3)
+    return s.cauchy[:, None, :, None] * rotated.transpose(2, 1, 0, 3)
 
 
-def _choi_from_eigenbasis(u: np.ndarray, support: np.ndarray, x4: np.ndarray) -> SuperOp:
-    """The temporal channel from :func:`_eigenbasis_array`; overwrites kernel blocks of ``x4``.
+def _choi_from_eigenbasis(s: Spectrum, x4: np.ndarray) -> SuperOp:
+    """The temporal channel from ``x4 = _eigenbasis_array(t, dims, s)``; overwrites kernel blocks of ``x4``.
 
     The rotated Choi matrix is Hermitian only up to rounding, which the Cauchy
     weights amplify; it is returned exactly Hermitian, ``(c + c^dag) / 2``.
     """
     m, n = x4.shape[:2]
-    x4[~support, :, ~support, :] = np.eye(n) / n
-    c = _conjugate_first(x4, u.T).reshape(m * n, m * n)
+    x4[~s.mask, :, ~s.mask, :] = np.eye(n) / n
+    c = _conjugate_first(x4, s.u.T).reshape(m * n, m * n)
     return SuperOp(m, n, (c + c.conj().T) / 2)
 
 
@@ -145,7 +145,10 @@ def temporal_channel(tau: np.ndarray, dims: tuple[int, int], side: str = "a") ->
     output and kernel-touching off-diagonal units map to zero; the map is then
     one solution among many.
     """
-    return _choi_from_eigenbasis(*_eigenbasis_array(*_measured(tau, dims, side)))
+    wt, wdims, s = _measured(tau, dims, side)
+    x4 = _eigenbasis_array(wt, wdims, s)
+    del wt  # one (m n)^2 array fewer held while the Choi matrix is built
+    return _choi_from_eigenbasis(s, x4)
 
 
 def sylvester_oracle(tau: np.ndarray, dims: tuple[int, int], side: str = "a") -> np.ndarray:
@@ -230,7 +233,7 @@ def verify_decomposition(tau: np.ndarray, dims: tuple[int, int], side: str = "a"
     returned residual is meaningful only as a diagnostic.
     """
     wt, wdims, s = _measured(tau, dims, side)
-    e = _choi_from_eigenbasis(*_eigenbasis_array(wt, wdims, s))
+    e = _choi_from_eigenbasis(s, _eigenbasis_array(wt, wdims, s))
     return max_abs(e.choi - compose(_pgm(wt, wdims, s), _dephasing(s)).choi)
 
 
@@ -287,7 +290,7 @@ def _side_report(validated: tuple, dims: tuple[int, int], side: str, tol: float)
     t, spectra = validated
     wt, wdims = _oriented(t, dims, side)
     s = spectra[side]
-    u, support, x4 = _eigenbasis_array(wt, wdims, s)
+    x4 = _eigenbasis_array(wt, wdims, s)
     n, r = wdims[1], s.rank
     faithful = r == wdims[0]
 
@@ -295,14 +298,14 @@ def _side_report(validated: tuple, dims: tuple[int, int], side: str, tol: float)
     # rows and columns are zero, so one eigensolve of the support block gives its spectrum
     # plus 0 on the kernel.  The Choi matrix is the same block plus 1/n on the kernel; the
     # block's partial trace is the identity, so 1/n is its mean eigenvalue and w[0] <= 1/n.
-    w = np.linalg.eigvalsh((x4 if faithful else x4[support][:, :, support]).reshape(r * n, r * n))
+    w = np.linalg.eigvalsh((x4 if faithful else x4[s.mask][:, :, s.mask]).reshape(r * n, r * n))
     choi_min = float(w[0])
     test_ok, test_min, scale = _psd_floor(w if faithful else np.insert(w, 0, min(choi_min, 0.0)), tol)
 
     # Path 2: a Cholesky factorization of the returned Choi matrix, shifted to the middle of
     # the (tol, 10 tol) * scale band, so it succeeds iff the channel is CP outside the boundary zone.
     # The factorization reads only the lower triangle, so Hermiticity is gated separately, as in is_cptp.
-    channel = _choi_from_eigenbasis(u, support, x4)
+    channel = _choi_from_eigenbasis(s, x4)
     herm_ok, herm, tp, trace_residual = _hptp_gates(channel, tol)
     cp = herm_ok and _cholesky_cp(channel.choi, 5 * tol * scale)
     cptp = CptpReport(

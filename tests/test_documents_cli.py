@@ -105,6 +105,19 @@ class TestDocuments:
         with pytest.raises(ValueError, match="re, im"):
             documents.parse_state_document(doc)
 
+    @pytest.mark.parametrize(
+        "text",
+        ["[" * 200_000, '{"schema_version": "1", "kind": "state", "dim_a": 1, "dim_b": 1, "matrix": ' + "[" * 5000],
+        ids=["arrays", "matrix-field"],
+    )
+    def test_deeply_nested_json_exits_1(self, tmp_path, capsys, text):
+        path = tmp_path / "nested.json"
+        path.write_text(text)
+        assert main(["certify", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: not valid JSON (")
+        assert err.count("\n") == 1
+
     def test_non_json_file(self, tmp_path):
         path = tmp_path / "junk.json"
         path.write_text("not json")
@@ -370,6 +383,14 @@ class TestPdmCommand:
         assert main(["pdm", path]) == 0
         state, _ = documents.parse_state_document(json.loads(capsys.readouterr().out))
         np.testing.assert_allclose(state, SWAP / 2, atol=1e-12)
+
+    def test_huge_qubit_count_exits_1_with_a_short_error(self, tmp_path, capsys):
+        # 4**20000 has 12,042 digits, past the limit of int-to-str conversion; no count that size is built.
+        doc = {"schema_version": "1", "kind": "correlations", "qubits": 20000, "table": [[1.0]]}
+        assert main(["pdm", write(tmp_path, "huge.json", doc)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: incomplete table: 20000 qubits need 4^20000 rows, got 1\n"
+        assert len(err) < 200
 
     def test_incomplete_table_exits_1(self, tmp_path, capsys):
         doc = {

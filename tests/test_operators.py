@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from conftest import SIGMA_X, SIGMA_Z, bell_state, proj, random_hermitian
@@ -15,48 +17,59 @@ SWAP = np.array(
 
 
 class TestEigHermitian:
+    """The clustered eigendecomposition of an observable: ``tc.observable(m).eigenspaces``."""
+
     def test_sigma_z(self):
-        dec = tc.eig_hermitian(SIGMA_Z)
-        np.testing.assert_allclose(dec.eigenvalues, [1, -1])
-        np.testing.assert_allclose(dec.projectors[0], np.diag([1.0, 0.0]))
-        np.testing.assert_allclose(dec.projectors[1], np.diag([0.0, 1.0]))
+        (lo, p_lo), (hi, p_hi) = tc.observable(SIGMA_Z).eigenspaces
+        assert (lo, hi) == pytest.approx((-1, 1))
+        np.testing.assert_allclose(p_lo, np.diag([0.0, 1.0]))
+        np.testing.assert_allclose(p_hi, np.diag([1.0, 0.0]))
 
     def test_identity_single_cluster(self):
-        dec = tc.eig_hermitian(np.eye(2))
-        assert len(dec.eigenvalues) == 1
-        assert dec.multiplicities == (2,)
-        np.testing.assert_allclose(dec.projectors[0], np.eye(2))
+        ((lam, p),) = tc.observable(np.eye(2)).eigenspaces
+        assert lam == pytest.approx(1)
+        np.testing.assert_allclose(p, np.eye(2))
 
     def test_sigma_x(self):
         # 2x2 closed form: eigenvectors (1, +-1)/sqrt(2)
-        dec = tc.eig_hermitian(SIGMA_X)
-        np.testing.assert_allclose(dec.eigenvalues, [1, -1])
+        (lo, p_lo), (hi, p_hi) = tc.observable(SIGMA_X).eigenspaces
+        assert (lo, hi) == pytest.approx((-1, 1))
         plus = np.full((2, 2), 0.5)
         minus = np.array([[0.5, -0.5], [-0.5, 0.5]])
-        np.testing.assert_allclose(dec.projectors[0], plus, atol=1e-12)
-        np.testing.assert_allclose(dec.projectors[1], minus, atol=1e-12)
+        np.testing.assert_allclose(p_lo, minus, atol=1e-12)
+        np.testing.assert_allclose(p_hi, plus, atol=1e-12)
 
     @pytest.mark.parametrize("dim", [2, 3, 5, 8])
     def test_reconstruction_and_orthogonality(self, dim):
         rng = np.random.default_rng(dim)
         for _ in range(10):
             m = random_hermitian(dim, rng)
-            dec = tc.eig_hermitian(m)
-            assert sum(dec.multiplicities) == dim
-            np.testing.assert_allclose(dec.reconstruct(), m, atol=1e-9)
-            for i, p in enumerate(dec.projectors):
+            spaces = tc.observable(m).eigenspaces
+            lams = [lam for lam, _ in spaces]
+            assert lams == sorted(lams)
+            assert sum(np.trace(p).real for _, p in spaces) == pytest.approx(dim)
+            np.testing.assert_allclose(sum(lam * p for lam, p in spaces), m, atol=1e-9)
+            for i, (_, p) in enumerate(spaces):
                 np.testing.assert_allclose(p @ p, p, atol=1e-9)
-                for q in dec.projectors[i + 1 :]:
+                for _, q in spaces[i + 1 :]:
                     assert tc.max_abs(p @ q) < 1e-9
 
     def test_degenerate_spectrum_clusters(self):
         rho = np.diag([0.4, 0.4 + 1e-12, 0.2]).astype(complex)
-        dec = tc.eig_hermitian(rho)
-        assert dec.multiplicities == (2, 1)
+        spaces = tc.observable(rho).eigenspaces
+        assert [round(np.trace(p).real) for _, p in spaces] == [1, 2]
+        assert [lam for lam, _ in spaces] == pytest.approx([0.2, 0.4 + 5e-13])
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="hermiticity"):
-            tc.eig_hermitian(np.array([[0, 1], [0, 0]], dtype=complex))
+            tc.observable(np.array([[0, 1], [0, 0]], dtype=complex))
+
+
+def test_package_makes_one_eigh_call():
+    # Every eigendecomposition, of a state or an observable, is the one Spectrum record built by _spectrum.
+    sources = {path.name: path.read_text(encoding="utf-8") for path in Path(tc.__file__).parent.glob("*.py")}
+    calls = {name: text.count("np.linalg.eigh(") for name, text in sources.items()}
+    assert {name: k for name, k in calls.items() if k} == {"operators.py": 1}
 
 
 class TestIsPsd:

@@ -207,10 +207,11 @@ class TestDephasingChannel:
         rng = np.random.default_rng(m)
         u = tc.random_unitary(m, seed=rng)
         rho = u @ np.diag(p) @ u.conj().T
-        dec = tc.eig_hermitian(rho)
-        lam = dec.eigenvalues
-        support = [k for k in range(lam.size) if lam[k] > tc.DEFAULT_TOLS.rank * lam[0]]
-        complement = np.eye(m) - sum(dec.projectors[k] for k in support)
+        spaces = tc.observable(rho).eigenspaces
+        lam = np.array([v for v, _ in spaces])
+        projectors = [p for _, p in spaces]
+        support = [k for k in range(lam.size) if lam[k] > tc.DEFAULT_TOLS.rank * lam[-1]]
+        complement = np.eye(m) - sum(projectors[k] for k in support)
         d = tc.dephasing_channel(rho)
         for _ in range(3):
             a = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
@@ -218,7 +219,7 @@ class TestDephasingChannel:
             for k in support:
                 for l in support:
                     h = 2 * np.sqrt(lam[k] * lam[l]) / (lam[k] + lam[l])
-                    expected = expected + h * dec.projectors[k] @ a @ dec.projectors[l]
+                    expected = expected + h * projectors[k] @ a @ projectors[l]
             assert tc.max_abs(tc.apply(d, a) - expected) < 1e-12
 
     def test_rank_deficient_still_cptp(self):
@@ -596,10 +597,10 @@ class TestEigenbasisKernel:
         # untouched but makes the returned Choi matrix negative on that block.
         original = tc.temporal._choi_from_eigenbasis
 
-        def negated(u, support, x4):
-            i = int(np.flatnonzero(support)[0])
+        def negated(s, x4):
+            i = int(np.flatnonzero(s.mask)[0])
             x4[i, :, i, :] *= -1
-            return original(u, support, x4)
+            return original(s, x4)
 
         tau = tc.tensor(np.diag([0.6, 0.4]).astype(complex), np.eye(3) / 3)
         assert tc.certify(tau, (2, 3)).compatible_both
@@ -614,8 +615,8 @@ class TestEigenbasisKernel:
         # upper triangle is seen only by the Hermiticity gate.
         original = tc.temporal._choi_from_eigenbasis
 
-        def skewed(u, support, x4):
-            e = original(u, support, x4)
+        def skewed(s, x4):
+            e = original(s, x4)
             c = e.choi.copy()
             c[0, -1] += 1e-6
             return tc.SuperOp(e.dim_in, e.dim_out, c)
