@@ -25,6 +25,7 @@ from .operators import (
     DEFAULT_TOLS,
     _check_tol,
     _psd_floor,
+    _split,
     as_complex_matrix,
     partial_trace,
     partial_transpose,
@@ -145,7 +146,7 @@ def apply_to_factor(e: SuperOp, t: np.ndarray, dims: tuple[int, int], side: str 
         if e.dim_in != da:
             raise ValueError(f"channel input dim {e.dim_in} does not match factor dim {da}")
         # The blocks t[i x, j y] at fixed (x, y) form a stack of da x da operators.
-        blocks = apply(e, as_complex_matrix(t).reshape(da, db, da, db).transpose(1, 3, 0, 2))
+        blocks = apply(e, _split(t, dims).transpose(1, 3, 0, 2))
         return blocks.transpose(2, 0, 3, 1).reshape(e.dim_out * db, e.dim_out * db)
     if side == "b":
         swapped = apply_to_factor(e, swap_factors(t, dims), (db, da), "a")

@@ -71,10 +71,16 @@ DEFAULT_TOLS = Tolerances()
 
 
 def as_complex_matrix(m: np.ndarray) -> np.ndarray:
-    """Coerce to a square complex matrix, raising on any other shape."""
+    """Coerce to a square complex matrix of finite entries, raising on any other input.
+
+    The entries are checked before any arithmetic: a NaN passes every comparison-based
+    gate, and a Cholesky factorization of a NaN matrix does not fail.
+    """
     a = np.asarray(m, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if np.count_nonzero(np.isfinite(a)) != a.size:  # half the cost of .all() on small matrices
+        raise ValueError("matrix contains non-finite entries")
     return a
 
 
@@ -92,7 +98,7 @@ def hermiticity_defect(m: np.ndarray) -> float:
 def require_hermitian(m: np.ndarray) -> np.ndarray:
     """Validate Hermiticity (max norm) and return the Hermitian part."""
     a = as_complex_matrix(m)
-    defect = hermiticity_defect(a)
+    defect = max_abs(a - a.conj().T)
     if defect > DEFAULT_TOLS.hermiticity:
         raise ValueError(
             f"hermiticity violated: max|M - M^dag| = {defect:.3e} > {DEFAULT_TOLS.hermiticity:.1e}"
@@ -236,10 +242,17 @@ def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _split(t: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
-    da, db = dims
-    a = as_complex_matrix(t)
-    if a.shape[0] != da * db:
-        raise ValueError(f"matrix of dim {a.shape[0]} does not factor as {da}x{db}")
+    """``t`` as an ``(da, db, da, db)`` array, for dims of two positive ints whose product is its size.
+
+    The entries are not checked: the index reshuffles built on this are linear, and run
+    mostly on matrices that a gate such as :func:`require_hermitian` has already checked.
+    """
+    da, db = dims if len(dims) == 2 else (0, 0)
+    if not (isinstance(da, (int, np.integer)) and isinstance(db, (int, np.integer)) and da > 0 and db > 0):
+        raise ValueError(f"dims must be two positive ints, got {dims!r}")
+    a = np.asarray(t, dtype=np.complex128)
+    if a.shape != (da * db, da * db):
+        raise ValueError(f"matrix of shape {a.shape} does not factor as {da}x{db}")
     return a.reshape(da, db, da, db)
 
 
@@ -259,8 +272,8 @@ def partial_trace(t: np.ndarray, dims: tuple[int, int], side: str = "b") -> np.n
 
 def partial_transpose(t: np.ndarray, dims: tuple[int, int], side: str = "a") -> np.ndarray:
     """Transpose one factor of a bipartite operator in the computational basis."""
-    da, db = dims
     r = _split(t, dims)
+    da, db = dims
     if side == "a":
         return r.transpose(2, 1, 0, 3).reshape(da * db, da * db)
     if side == "b":
@@ -288,8 +301,9 @@ def sqrt_pinv(rho: np.ndarray) -> Spectrum:
 
 def swap_factors(t: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
     """Exchange the two tensor factors: the linear extension of B (x) A -> A (x) B."""
+    r = _split(t, dims)
     da, db = dims
-    return _split(t, dims).transpose(1, 0, 3, 2).reshape(da * db, da * db)
+    return r.transpose(1, 0, 3, 2).reshape(da * db, da * db)
 
 
 def _positive_probabilities(p: np.ndarray) -> np.ndarray:

@@ -21,11 +21,17 @@ matrix by a different algorithm, a Cholesky factorization shifted by ``5 tol``
 times the spectral scale, which succeeds iff ``E`` is completely positive
 outside the boundary zone, gated on the matrix's Hermiticity defect, and by the
 reconstruction residual ``max|E * rho_a - tau|``.
+
+:func:`certify` runs both directions and adds the plain PPT flag.  That flag is
+decided by one or two shifted Cholesky factorizations of the partial transpose,
+so a certification makes two full-size eigensolves, one per test matrix; the
+partial transpose's least eigenvalue is solved only when it is read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -39,15 +45,16 @@ from .channels import (
 from .operators import (
     DEFAULT_TOLS,
     Spectrum,
+    _check_tol,
     _density_spectrum,
     _psd_floor,
     _require_trace_one,
+    _split,
     is_psd,
     max_abs,
     partial_trace,
     partial_transpose,
     require_hermitian,
-    swap_factors,
     tensor,
 )
 from .sot import _star
@@ -78,28 +85,29 @@ class VerdictMismatchError(RuntimeError):
     """The two verdict paths disagreed beyond the boundary zone."""
 
 
-def _oriented(tau: np.ndarray, dims: tuple[int, int], side: str) -> tuple[np.ndarray, tuple[int, int]]:
-    """``tau`` and ``dims`` with the measured factor first: unchanged for side a, swapped for side b."""
+def _oriented(tau: np.ndarray, dims: tuple[int, int], side: str) -> np.ndarray:
+    """``tau`` as an ``(m, n, m, n)`` view with the measured factor first; side b is transposed, not copied."""
+    t4 = _split(tau, dims)
     if side == "a":
-        return tau, dims
+        return t4
     if side == "b":
-        return swap_factors(tau, dims), (dims[1], dims[0])
+        return t4.transpose(1, 0, 3, 2)
     raise ValueError(f"side must be 'a' or 'b', got {side!r}")
 
 
 def _validated_marginal(tau: np.ndarray, dims: tuple[int, int], side: str) -> Spectrum:
     """:func:`_density_spectrum` of the marginal on ``side``; its errors name the side."""
+    rho = partial_trace(tau, dims, "b" if side == "a" else "a")  # bad dims are not the marginal's fault
     try:
-        return _density_spectrum(partial_trace(tau, dims, "b" if side == "a" else "a"))
+        return _density_spectrum(rho)
     except ValueError as exc:
         raise ValueError(f"marginal on side {side}: {exc}") from exc
 
 
-def _measured(tau: np.ndarray, dims: tuple[int, int], side: str) -> tuple[np.ndarray, tuple[int, int], Spectrum]:
+def _measured(tau: np.ndarray, dims: tuple[int, int], side: str) -> tuple[np.ndarray, Spectrum]:
     """``tau`` validated and oriented by :func:`_oriented`, and :func:`_validated_marginal` on ``side``."""
     t = _require_trace_one(tau)
-    wt, wdims = _oriented(t, dims, side)
-    return wt, wdims, _validated_marginal(t, dims, side)
+    return _oriented(t, dims, side), _validated_marginal(t, dims, side)
 
 
 def _conjugate_first(x4: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -110,18 +118,18 @@ def _conjugate_first(x4: np.ndarray, v: np.ndarray) -> np.ndarray:
     return right.reshape(k, n, n, k).transpose(0, 1, 3, 2)
 
 
-def _eigenbasis_array(t: np.ndarray, dims: tuple[int, int], s: Spectrum) -> np.ndarray:
+def _eigenbasis_array(t4: np.ndarray, s: Spectrum) -> np.ndarray:
     """The ``(m, n, m, n)`` test matrix in the eigenbasis ``s.u`` of ``rho_a``.
 
-    ``t`` is oriented by :func:`_oriented`; ``s`` is :func:`_validated_marginal` of its first factor.
+    ``t4`` is oriented by :func:`_oriented`; ``s`` is :func:`_validated_marginal` of its first factor.
     ``X[i, x, j, y] = 2 / (p_i + p_j) <u_j, x| tau |u_i, y>``, zero on blocks touching the kernel.
     """
-    rotated = _conjugate_first(t.reshape(*dims, *dims), s.u)
+    rotated = _conjugate_first(t4, s.u)
     return s.cauchy[:, None, :, None] * rotated.transpose(2, 1, 0, 3)
 
 
 def _choi_from_eigenbasis(s: Spectrum, x4: np.ndarray) -> SuperOp:
-    """The temporal channel from ``x4 = _eigenbasis_array(t, dims, s)``; overwrites kernel blocks of ``x4``.
+    """The temporal channel from ``x4 = _eigenbasis_array(t4, s)``; overwrites kernel blocks of ``x4``.
 
     The rotated Choi matrix is Hermitian only up to rounding, which the Cauchy
     weights amplify; it is returned exactly Hermitian, ``(c + c^dag) / 2``.
@@ -145,9 +153,9 @@ def temporal_channel(tau: np.ndarray, dims: tuple[int, int], side: str = "a") ->
     output and kernel-touching off-diagonal units map to zero; the map is then
     one solution among many.
     """
-    wt, wdims, s = _measured(tau, dims, side)
-    x4 = _eigenbasis_array(wt, wdims, s)
-    del wt  # one (m n)^2 array fewer held while the Choi matrix is built
+    t4, s = _measured(tau, dims, side)
+    x4 = _eigenbasis_array(t4, s)
+    del t4  # the Hermitian part of tau: one (m n)^2 array fewer held while the Choi matrix is built
     return _choi_from_eigenbasis(s, x4)
 
 
@@ -162,13 +170,14 @@ def sylvester_oracle(tau: np.ndarray, dims: tuple[int, int], side: str = "a") ->
     m, n = dims
     if m * n > _SYLVESTER_MAX_DIM:
         raise ValueError(f"sylvester_oracle is limited to m*n <= {_SYLVESTER_MAX_DIM}, got {m}*{n}")
-    wt, (m, n), s = _measured(tau, dims, side)
+    t4, s = _measured(tau, dims, side)
+    m, n = t4.shape[:2]
     if s.rank < m:
         raise ValueError("non-faithful marginal: the anticommutator equation has no unique solution")
     d = m * n
     r = tensor(s.matrix, np.eye(n))
     big = 0.5 * (np.kron(r, np.eye(d)) + np.kron(np.eye(d), r.T))
-    return np.linalg.solve(big, wt.ravel()).reshape(d, d)
+    return np.linalg.solve(big, t4.ravel()).reshape(d, d)
 
 
 def dephasing_channel(rho: np.ndarray) -> SuperOp:
@@ -214,12 +223,11 @@ def pgm_map(tau: np.ndarray, dims: tuple[int, int], side: str = "a") -> SuperOp:
     return _pgm(*_measured(tau, dims, side))
 
 
-def _pgm(wt: np.ndarray, dims: tuple[int, int], s: Spectrum) -> SuperOp:
+def _pgm(t4: np.ndarray, s: Spectrum) -> SuperOp:
     """:func:`pgm_map` of an oriented ``tau`` whose first marginal is already solved."""
-    m, n = dims
+    m, n = t4.shape[:2]
     # (r^T (x) 1) tau^{T_a} (r^T (x) 1) with r = rho^{-1/2}; r^T = conj(r) as r is Hermitian.
-    pt4 = partial_transpose(wt, dims, "a").reshape(m, n, m, n)
-    choi = _conjugate_first(pt4, s.inv_sqrt.conj()).reshape(m * n, m * n)
+    choi = _conjugate_first(t4.transpose(2, 1, 0, 3), s.inv_sqrt.conj()).reshape(m * n, m * n)
     return SuperOp(m, n, choi + tensor(s.complement.T, np.eye(n) / n))
 
 
@@ -232,9 +240,9 @@ def verify_decomposition(tau: np.ndarray, dims: tuple[int, int], side: str = "a"
     kernel conventions of the two stages differ from the channel's and the
     returned residual is meaningful only as a diagnostic.
     """
-    wt, wdims, s = _measured(tau, dims, side)
-    e = _choi_from_eigenbasis(s, _eigenbasis_array(wt, wdims, s))
-    return max_abs(e.choi - compose(_pgm(wt, wdims, s), _dephasing(s)).choi)
+    t4, s = _measured(tau, dims, side)
+    e = _choi_from_eigenbasis(s, _eigenbasis_array(t4, s))
+    return max_abs(e.choi - compose(_pgm(t4, s), _dephasing(s)).choi)
 
 
 @dataclass(frozen=True)
@@ -288,11 +296,11 @@ def _cholesky_cp(c: np.ndarray, shift: float) -> bool:
 def _side_report(validated: tuple, dims: tuple[int, int], side: str, tol: float) -> CompatibilityReport:
     """Both verdict paths in one direction for a ``tau`` validated by :func:`_validated`."""
     t, spectra = validated
-    wt, wdims = _oriented(t, dims, side)
+    t4 = _oriented(t, dims, side)
     s = spectra[side]
-    x4 = _eigenbasis_array(wt, wdims, s)
-    n, r = wdims[1], s.rank
-    faithful = r == wdims[0]
+    x4 = _eigenbasis_array(t4, s)
+    n, r = t4.shape[1], s.rank
+    faithful = r == t4.shape[0]
 
     # Path 1: the dephased distorted partial transpose, read in the eigenbasis.  Its kernel
     # rows and columns are zero, so one eigensolve of the support block gives its spectrum
@@ -306,12 +314,13 @@ def _side_report(validated: tuple, dims: tuple[int, int], side: str, tol: float)
     # the (tol, 10 tol) * scale band, so it succeeds iff the channel is CP outside the boundary zone.
     # The factorization reads only the lower triangle, so Hermiticity is gated separately, as in is_cptp.
     channel = _choi_from_eigenbasis(s, x4)
+    del x4  # one full-size array fewer held through the checks below, where a certify peaks
     herm_ok, herm, tp, trace_residual = _hptp_gates(channel, tol)
     cp = herm_ok and _cholesky_cp(channel.choi, 5 * tol * scale)
     cptp = CptpReport(
         cp=cp, tp=tp, choi_min_eigenvalue=choi_min, trace_residual=trace_residual, hermiticity_defect=herm
     )
-    reconstruction = max_abs(_star(channel, s.matrix) - wt)
+    reconstruction = max_abs(_star(channel, s.matrix).reshape(t4.shape) - t4)
 
     # On a rank-deficient marginal test_min is 0 or choi_min, so it alone sets the zone.  Its
     # rounding floor keeps an exact zero eigenvalue inside the zone at tol=0.
@@ -358,34 +367,61 @@ def compatibility_test(
 
 @dataclass(frozen=True)
 class CertificationResult:
-    """Per-direction compatibility reports together with the PPT flag."""
+    """Per-direction compatibility reports together with the PPT flag.
+
+    ``ppt`` is decided by shifted Cholesky factorizations of the partial transpose:
+    ``lambda_min > -tol * max(1, ||tau||_F)``, the PSD floor of :func:`is_ppt` for any
+    density ``tau``.  ``ppt_min_eigenvalue`` is computed on first access, by one
+    eigensolve of the partial transpose of ``tau``'s Hermitian part, which the result holds.
+    """
 
     side_a: CompatibilityReport
     side_b: CompatibilityReport
     ppt: bool
-    ppt_min_eigenvalue: float
+    _t: np.ndarray = field(repr=False, compare=False)
 
     @property
     def compatible_both(self) -> bool:
         return self.side_a.compatible and self.side_b.compatible
+
+    @cached_property
+    def ppt_min_eigenvalue(self) -> float:
+        """The smallest eigenvalue of the partial transpose on side a."""
+        dims = (self.side_a.channel.dim_in, self.side_a.channel.dim_out)
+        return float(np.linalg.eigvalsh(partial_transpose(self._t, dims, "a"))[0])
+
+
+def _ppt_flags(t: np.ndarray, dims: tuple[int, int], tol: float) -> tuple[bool, bool]:
+    """The PPT flag of a Hermitian ``t``, and whether its partial transpose clears ``10 tol``.
+
+    The partial transpose keeps the Frobenius norm, so its eigenvalues lie in ``+-||t||_F``
+    and ``tol * max(1, ||t||_F)`` bounds the PSD floor's ``tol * max(1, lambda_max)``; for
+    a density ``t``, ``||t||_F <= 1`` and the two are equal.
+    """
+    pt = partial_transpose(t, dims, "a")
+    clear = _cholesky_cp(pt, -10 * tol)
+    return clear or _cholesky_cp(pt, tol * max(1.0, float(np.linalg.norm(t)))), clear
 
 
 def certify(tau: np.ndarray, dims: tuple[int, int], tol: float = DEFAULT_TOLS.psd) -> CertificationResult:
     """Run the compatibility test in both directions plus the PPT check.
 
     A PPT state is temporally compatible in both directions; that implication
-    is enforced as a consistency assertion outside the boundary zone.
+    is enforced as a consistency assertion when the partial transpose clears
+    ``10 * tol``, outside the boundary zone of each side.  The PPT flag costs one
+    or two Cholesky factorizations; the eigensolves are the two test matrices'.
     """
     validated = _validated(tau, dims)
-    ppt_ok, ppt_min, _ = _psd_floor(np.linalg.eigvalsh(partial_transpose(validated[0], dims, "a")), tol)
+    _check_tol(tol)
+    ppt, clear = _ppt_flags(validated[0], dims, tol)
     side_a = _side_report(validated, dims, "a", tol)
     side_b = _side_report(validated, dims, "b", tol)
-    if ppt_ok and ppt_min >= 10 * tol:
+    if clear:
         for report in (side_a, side_b):
             if not report.compatible and not report.boundary:
                 raise VerdictMismatchError(
-                    f"PPT state (min PT eigenvalue {ppt_min:.3e}) reported temporally "
+                    f"PPT state (partial transpose > {10 * tol:.1e}) reported temporally "
                     f"incompatible on side {report.side} (test min eig "
                     f"{report.test_min_eigenvalue:.3e})"
                 )
-    return CertificationResult(side_a=side_a, side_b=side_b, ppt=ppt_ok, ppt_min_eigenvalue=ppt_min)
+    return CertificationResult(side_a=side_a, side_b=side_b, ppt=ppt, _t=validated[0])

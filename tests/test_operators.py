@@ -72,6 +72,15 @@ def test_package_makes_one_eigh_call():
     assert {name: k for name, k in calls.items() if k} == {"operators.py": 1}
 
 
+def test_package_makes_one_cholesky_call():
+    # The PPT flag and the Choi cross-check share _cholesky_cp, so a failed factorization means one thing.
+    sources = {path.name: path.read_text(encoding="utf-8") for path in Path(tc.__file__).parent.glob("*.py")}
+    calls = {name: text.count("np.linalg.cholesky(") for name, text in sources.items()}
+    assert {name: k for name, k in calls.items() if k} == {"temporal.py": 1}
+    body = sources["temporal.py"].split("def _cholesky_cp(")[1].split("\ndef ")[0]
+    assert "np.linalg.cholesky(" in body
+
+
 class TestIsPsd:
     def test_diagonal(self):
         ok, lam = tc.is_psd(np.diag([1.0, 0.0]))
@@ -255,3 +264,41 @@ class TestValidation:
         m = np.array([[1.0, 1e-12j], [0, 1.0]], dtype=complex)
         out = require_hermitian(m)
         assert tc.max_abs(out - out.conj().T) == 0.0
+
+
+def _tau6_with(value: complex, at: tuple[int, int]) -> np.ndarray:
+    tau = tc.random_density(6, seed=7)
+    tau[at] = value
+    return tau
+
+
+NON_FINITE_CHECKS = {
+    "certify": lambda m: tc.certify(m, (2, 3)),
+    "compatibility_test": lambda m: tc.compatibility_test(m, (2, 3), "a"),
+    "temporal_channel": lambda m: tc.temporal_channel(m, (2, 3)),
+    "is_ppt": lambda m: tc.is_ppt(m, (2, 3)),
+    "is_psd": tc.is_psd,
+    "validate_density": tc.validate_density,
+}
+
+
+@pytest.mark.parametrize("check", list(NON_FINITE_CHECKS), ids=str)
+@pytest.mark.parametrize("value", [np.nan, np.inf, complex(0.1, -np.inf)], ids=["nan", "inf", "imag-inf"])
+@pytest.mark.parametrize("at", [(2, 2), (1, 4)], ids=["diagonal", "off-diagonal"])
+def test_non_finite_entries_are_rejected_before_arithmetic(check, value, at):
+    # A NaN passes every comparison-based gate; warnings are errors, so no arithmetic runs on it.
+    with pytest.raises(ValueError, match="^matrix contains non-finite entries$"):
+        NON_FINITE_CHECKS[check](_tau6_with(value, at))
+
+
+@pytest.mark.parametrize("dims", [(-2, -3), (2.0, 3.0), (6,), (0, 6), (2, 3, 1)], ids=str)
+def test_bad_dims_are_named(dims):
+    tau6 = tc.random_density(6, seed=7)
+    with pytest.raises(ValueError, match=r"^dims must be two positive ints, got \("):
+        tc.certify(tau6, dims)
+    for call in (tc.partial_trace, tc.partial_transpose, tc.swap_factors):
+        with pytest.raises(ValueError, match="dims must be two positive ints"):
+            call(tau6, dims)
+    if len(dims) == 2 and dims[0] == 2:  # past the factor-dimension check against the channel
+        with pytest.raises(ValueError, match="dims must be two positive ints"):
+            tc.apply_to_factor(tc.identity_channel(2), tau6, dims, "a")

@@ -529,25 +529,40 @@ class TestEigenbasisKernel:
     def test_certify_eigensolve_count(self, monkeypatch):
         sizes = count_factorizations(monkeypatch)
         rank_deficient = rank_deficient_separable((4, 3), 3, 7, np.random.default_rng(2))
+        product = tc.tensor(tc.random_density(3, seed=4), tc.random_density(4, seed=5))
         cases = [
             # faithful marginals: one eigh per side validates the marginal and gives its
-            # eigenbasis, one PPT solve, one test-matrix solve per side
-            (tc.random_density(12, seed=17), (3, 4), [3, 4] + [12] * 3),
+            # eigenbasis, one test-matrix solve per side; the partial transpose is not
+            # solved but factored, twice as it does not clear 10 tol
+            (tc.random_density(12, seed=17), (3, 4), [3, 4, 12, 12], 2),
             # a rank-3 side-a marginal: that side's test matrix is solved on its 9 x 9 support block
-            (tc.assemble_state(rank_deficient), (4, 3), [3, 4, 9, 12, 12]),
+            (tc.assemble_state(rank_deficient), (4, 3), [3, 4, 9, 12], 2),
+            # a faithful product state: its partial transpose clears 10 tol at the first factorization
+            (product, (3, 4), [3, 4, 12, 12], 1),
         ]
-        for tau, dims, eigensolves in cases:
+        for tau, dims, eigensolves, pt_factorizations in cases:
             for calls in sizes.values():
                 calls.clear()
             tc.certify(tau, dims)
             assert sorted(sizes["eigh"] + sizes["eigvalsh"]) == eigensolves
-            # path 2: one Cholesky factorization of each returned Choi matrix
-            assert sizes["cholesky"] == [dims[0] * dims[1]] * 2
+            # one Cholesky factorization of each returned Choi matrix (path 2), then the PPT flag's
+            assert sizes["cholesky"] == [dims[0] * dims[1]] * (2 + pt_factorizations)
+
+    def test_ppt_min_eigenvalue_is_solved_once_on_first_read(self, monkeypatch):
+        tau = tc.random_density(12, seed=17)
+        sizes = count_factorizations(monkeypatch)
+        result = tc.certify(tau, (3, 4))
+        sizes["eigvalsh"].clear()
+        first = result.ppt_min_eigenvalue
+        assert sizes["eigvalsh"] == [12]
+        assert result.ppt_min_eigenvalue == first
+        assert sizes["eigvalsh"] == [12]
 
     def test_one_sided_eigensolve_count(self, monkeypatch):
         # A one-sided call validates both marginals by eigh and solves only its own test matrix;
-        # the partial transpose is solved by certify alone.  A map built from one marginal
-        # solves it once, and the Petz maps solve each state they are built from once.
+        # the partial transpose is factored by certify alone, here twice, as it is not PPT.  A map
+        # built from one marginal solves it once, and the Petz maps solve each state they are built
+        # from once.
         process = tc.Process(tc.random_cptp(3, 4, 2, seed=5), tc.random_density(3, seed=6))
         tau = tc.star_product(process.channel, process.input_state)
         rho = process.input_state
@@ -561,7 +576,7 @@ class TestEigenbasisKernel:
             (lambda: tc.compatibility_test(tau, (3, 4), "a"), one_sided),
             (lambda: tc.compatibility_test(tau, (3, 4), "b"), one_sided),
             (lambda: tc.bayesian_inverse(process), one_sided),
-            (lambda: tc.certify(tau, (3, 4)), {"eigh": [3, 4], "eigvalsh": [12] * 3, "cholesky": [12] * 2}),
+            (lambda: tc.certify(tau, (3, 4)), {"eigh": [3, 4], "eigvalsh": [12] * 2, "cholesky": [12] * 4}),
             (lambda: tc.verify_decomposition(tau, (3, 4), "a"), eigh_only(3)),
             (lambda: tc.verify_decomposition(tau, (3, 4), "b"), eigh_only(4)),
             (lambda: tc.petz_selfinverse_dephasing_check(rho), eigh_only(3)),
@@ -631,6 +646,9 @@ class TestEigenbasisKernel:
 
 
 INVARIANCE_DIMS = [(m, n) for m in range(2, 6) for n in range(2, 6)]
+DEFAULT_TOL = tc.DEFAULT_TOLS.psd
+# Rounding allowance of a threshold comparison, in units of dim * eps * scale, as in the boundary zone.
+ROUNDING = tc.temporal._ZONE_ROUNDING * float(np.finfo(float).eps)
 
 
 def _invariance_case(kind: str, dims: tuple[int, int], rng: np.random.Generator) -> np.ndarray:
@@ -677,6 +695,75 @@ class TestInvariances:
             assert abs(mine.test_min_eigenvalue - theirs.test_min_eigenvalue) <= 1e-12 * scale
             if not (mine.boundary or theirs.boundary):
                 assert mine.compatible == theirs.compatible
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        kind=st.sampled_from(["noisy", "separable_rank_deficient", "non_positive"]),
+        dims=st.sampled_from(INVARIANCE_DIMS),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_complex_conjugation_keeps_the_verdicts(self, kind, dims, seed):
+        # conj(tau) = tau^T has the conjugated marginals and channels, so every spectrum is kept.
+        tau = _invariance_case(kind, dims, np.random.default_rng(seed))
+        original = tc.certify(tau, dims)
+        conjugated = tc.certify(tau.conj(), dims)
+        for mine, theirs in ((conjugated.side_a, original.side_a), (conjugated.side_b, original.side_b)):
+            scale = max(1.0, float(np.linalg.eigvalsh(theirs.channel.choi)[-1]))
+            assert abs(mine.test_min_eigenvalue - theirs.test_min_eigenvalue) <= 1e-12 * scale
+            if not (mine.boundary or theirs.boundary):
+                assert mine.compatible == theirs.compatible
+        lam, scale = original.ppt_min_eigenvalue, max(1.0, float(np.linalg.norm(tau)))
+        assert abs(conjugated.ppt_min_eigenvalue - lam) <= 1e-12 * scale
+        # Both flags compare the same spectrum with the same threshold, -tol * scale.
+        if abs(lam + DEFAULT_TOL * scale) > ROUNDING * tau.shape[0] * scale:
+            assert conjugated.ppt == original.ppt
+
+
+def _ppt_case(kind: str, dims: tuple[int, int], rng: np.random.Generator) -> tuple[np.ndarray, tuple[int, int]]:
+    m, n = dims
+    if kind == "density":
+        return tc.random_density(m * n, seed=rng), dims
+    if kind == "separable":
+        return tc.assemble_state(tc.random_separable(m, n, m + n, seed=rng)), dims
+    if kind == "isotropic":
+        return _kernel_case(kind, dims, rng), dims
+    if kind == "non_positive":
+        # ||tau||_F up to about 4, mixed toward white noise so that the partial transpose's
+        # least eigenvalue sweeps through 0.
+        f = rng.uniform()
+        wide = random_trace_one_hermitian(dims, rng, strength=rng.uniform(0.5, 8.0))
+        return f * wide + (1 - f) * np.eye(m * n) / (m * n), dims
+    # The partial transpose of c |Phi><Phi| + (1 - c) 1/d with c > 1, on m x m levels: its
+    # marginals are 1/m, and its partial transpose has least eigenvalue -(c - 1) / d and
+    # greatest c (d - 1) / d + 1 / d > 1, so the two PSD floors are far apart.
+    d = m * m
+    phi = np.eye(m).ravel() / np.sqrt(m)
+    c = rng.uniform(1.0, 4.0)
+    return tc.partial_transpose(c * proj(phi) + (1 - c) * np.eye(d) / d, (m, m), "a"), (m, m)
+
+
+class TestPptFlag:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        kind=st.sampled_from(["density", "non_positive", "separable", "isotropic", "wide_pt"]),
+        dims=st.sampled_from(INVARIANCE_DIMS),
+        seed=st.integers(0, 2**32 - 1),
+        tol=st.sampled_from([DEFAULT_TOL, 1e-3, 5e-2]),
+    )
+    def test_certify_flag_matches_is_ppt(self, kind, dims, seed, tol):
+        # certify factors the partial transpose at -10 tol, then at tol * max(1, ||tau||_F);
+        # is_ppt solves it and applies -tol * max(1, lambda_max).  The Frobenius norm bounds
+        # lambda_max, so the flags may differ only between the two floors, where a density
+        # tau (||tau||_F <= 1) never is.
+        tau, dims = _ppt_case(kind, dims, np.random.default_rng(seed))
+        ok, lam = tc.is_ppt(tau, dims, tol)
+        result = tc.certify(tau, dims, tol)
+        assert result.ppt_min_eigenvalue == lam
+        lam_max = float(np.linalg.eigvalsh(tc.partial_transpose(tau, dims, "a"))[-1])
+        scale = max(1.0, float(np.linalg.norm(tau)))
+        rounding = ROUNDING * tau.shape[0] * scale
+        if not -tol * scale - rounding <= lam <= -tol * max(1.0, lam_max) + rounding:
+            assert result.ppt == ok
 
 
 class TestIsPpt:
