@@ -24,6 +24,7 @@ import numpy as np
 from .operators import (
     DEFAULT_TOLS,
     _check_tol,
+    _hermitian_part,
     _psd_floor,
     _split,
     as_complex_matrix,
@@ -141,12 +142,13 @@ def apply(e: SuperOp, x: np.ndarray) -> np.ndarray:
 
 def apply_to_factor(e: SuperOp, t: np.ndarray, dims: tuple[int, int], side: str = "a") -> np.ndarray:
     """Evaluate ``(E (x) id)`` or ``(id (x) E)`` on a bipartite operator."""
+    t4 = _split(t, dims)  # validates dims before they are unpacked
     da, db = dims
     if side == "a":
         if e.dim_in != da:
             raise ValueError(f"channel input dim {e.dim_in} does not match factor dim {da}")
         # The blocks t[i x, j y] at fixed (x, y) form a stack of da x da operators.
-        blocks = apply(e, _split(t, dims).transpose(1, 3, 0, 2))
+        blocks = apply(e, t4.transpose(1, 3, 0, 2))
         return blocks.transpose(2, 0, 3, 1).reshape(e.dim_out * db, e.dim_out * db)
     if side == "b":
         swapped = apply_to_factor(e, swap_factors(t, dims), (db, da), "a")
@@ -215,7 +217,7 @@ def _hptp_gates(e: SuperOp, tol: float) -> tuple[bool, float, bool, float]:
 def is_cptp(e: SuperOp, tol: float = DEFAULT_TOLS.psd) -> CptpReport:
     """Check Choi positivity and trace preservation, returning full diagnostics."""
     herm_ok, herm, tp, trace_residual = _hptp_gates(e, tol)
-    w = np.linalg.eigvalsh((e.choi + e.choi.conj().T) / 2)
+    w = np.linalg.eigvalsh(_hermitian_part(e.choi))
     _, lam_min, scale = _psd_floor(w, tol)
     return CptpReport(
         cp=herm_ok and lam_min >= -(tol + _CHOI_ROUNDING * len(w) * _EPS) * scale,

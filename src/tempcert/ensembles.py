@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import SuperOp, from_kraus
-from .operators import DEFAULT_TOLS, Spectrum, _check_tol, max_abs, sqrt_pinv, validate_density
+from .operators import DEFAULT_TOLS, Spectrum, _check_tol, _hermitian_part, max_abs, sqrt_pinv, validate_density
 from .sot import observable
 
 __all__ = [
@@ -187,7 +187,7 @@ class DiscriminationInstance:
         if max_abs(total - np.eye(dim)) > DEFAULT_TOLS.trace:
             raise ValueError("POVM elements do not sum to the identity")
         for e in self.povm:
-            lam_min = float(np.linalg.eigvalsh((e + e.conj().T) / 2)[0])
+            lam_min = float(np.linalg.eigvalsh(_hermitian_part(e))[0])
             if lam_min < -DEFAULT_TOLS.psd:
                 raise ValueError(f"POVM element has negative eigenvalue {lam_min:.3e}")
 

@@ -68,6 +68,7 @@ class Tolerances:
 
 
 DEFAULT_TOLS = Tolerances()
+_HALF = complex(0.5, -0.0)  # x * _HALF is bitwise x / 2 (signed zeros too) unless a part of x is +-5e-324
 
 
 def as_complex_matrix(m: np.ndarray) -> np.ndarray:
@@ -90,6 +91,13 @@ def max_abs(m: np.ndarray) -> float:
     return float(np.max(np.abs(a))) if a.size else 0.0
 
 
+def _hermitian_part(a: np.ndarray) -> np.ndarray:
+    """``(a + a^dag) / 2``, summed and halved in place on a C-ordered copy of ``a^dag``; ``a`` is not written."""
+    h = np.conj(a.T, order="C")
+    h += a
+    return np.multiply(h, _HALF, out=h)
+
+
 def hermiticity_defect(m: np.ndarray) -> float:
     a = as_complex_matrix(m)
     return max_abs(a - a.conj().T)
@@ -103,7 +111,7 @@ def require_hermitian(m: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"hermiticity violated: max|M - M^dag| = {defect:.3e} > {DEFAULT_TOLS.hermiticity:.1e}"
         )
-    return (a + a.conj().T) / 2
+    return _hermitian_part(a)
 
 
 def _require_trace_one(m: np.ndarray) -> np.ndarray:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .channels import Process, SuperOp, apply, compose, from_kraus, hs_adjoint
-from .operators import DEFAULT_TOLS, Spectrum, _density_spectrum, _spectrum, max_abs
+from .operators import DEFAULT_TOLS, Spectrum, _density_spectrum, _hermitian_part, _spectrum, max_abs
 from .sot import star_product
 from .temporal import (
     CompatibilityReport,
@@ -43,7 +43,7 @@ def petz_recovery(e: SuperOp, prior: np.ndarray) -> SuperOp:
     if len(s.p) != e.dim_in:
         raise ValueError(f"prior dim {len(s.p)} does not match channel input dim {e.dim_in}")
     sigma = apply(e, s.matrix)
-    return _petz(e, s, _spectrum((sigma + sigma.conj().T) / 2))
+    return _petz(e, s, _spectrum(_hermitian_part(sigma)))
 
 
 def _petz(e: SuperOp, prior: Spectrum, sigma: Spectrum) -> SuperOp:

@@ -19,6 +19,7 @@ import numpy as np
 
 from .channels import Process, SuperOp, apply
 from .operators import (
+    _HALF,
     DEFAULT_TOLS,
     Spectrum,
     _check_tol,
@@ -89,9 +90,9 @@ def _star(e: SuperOp, r: np.ndarray) -> np.ndarray:
     """:func:`star_product` of a validated ``r``: ``(r (x) 1) J`` and ``J (r (x) 1)`` as one matmul each."""
     m, n = e.dim_in, e.dim_out
     j = e.choi.reshape(m, n, m, n).transpose(2, 1, 0, 3)  # J[E], the Choi matrix transposed on the input
-    left = (r @ j.reshape(m, n * m * n)).reshape(m, n, m, n)
-    right = (j.transpose(0, 1, 3, 2).reshape(m * n * n, m) @ r).reshape(m, n, n, m).transpose(0, 1, 3, 2)
-    return ((left + right) / 2).reshape(m * n, m * n)
+    s = (r @ j.reshape(m, n * m * n)).reshape(m, n, m, n)
+    s += (j.transpose(0, 1, 3, 2).reshape(m * n * n, m) @ r).reshape(m, n, n, m).transpose(0, 1, 3, 2)
+    return np.multiply(s, _HALF, out=s).reshape(m * n, m * n)
 
 
 def reverse_star(f: SuperOp, rho_b: np.ndarray) -> np.ndarray:

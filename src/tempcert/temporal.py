@@ -22,10 +22,10 @@ times the spectral scale, which succeeds iff ``E`` is completely positive
 outside the boundary zone, gated on the matrix's Hermiticity defect, and by the
 reconstruction residual ``max|E * rho_a - tau|``.
 
-:func:`certify` runs both directions and adds the plain PPT flag.  That flag is
-decided by one or two shifted Cholesky factorizations of the partial transpose,
-so a certification makes two full-size eigensolves, one per test matrix; the
-partial transpose's least eigenvalue is solved only when it is read.
+:func:`certify` runs both directions and adds the plain PPT flag, one shifted Cholesky
+factorization of the partial transpose (a second checks its ``10 tol`` clearance only when
+a side of a PPT state reads incompatible), so a certification makes two full-size eigensolves,
+one per test matrix; the partial transpose's least eigenvalue is solved only when it is read.
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ from .operators import (
     Spectrum,
     _check_tol,
     _density_spectrum,
+    _hermitian_part,
     _psd_floor,
     _require_trace_one,
     _split,
@@ -119,13 +120,14 @@ def _conjugate_first(x4: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _eigenbasis_array(t4: np.ndarray, s: Spectrum) -> np.ndarray:
-    """The ``(m, n, m, n)`` test matrix in the eigenbasis ``s.u`` of ``rho_a``.
+    """The ``(m, n, m, n)`` test matrix in the eigenbasis ``s.u`` of ``rho_a``, in C order, so that
+    the eigensolve and the Choi rotation reshape it as views.
 
     ``t4`` is oriented by :func:`_oriented`; ``s`` is :func:`_validated_marginal` of its first factor.
     ``X[i, x, j, y] = 2 / (p_i + p_j) <u_j, x| tau |u_i, y>``, zero on blocks touching the kernel.
     """
     rotated = _conjugate_first(t4, s.u)
-    return s.cauchy[:, None, :, None] * rotated.transpose(2, 1, 0, 3)
+    return np.multiply(s.cauchy[:, None, :, None], rotated.transpose(2, 1, 0, 3), order="C")
 
 
 def _choi_from_eigenbasis(s: Spectrum, x4: np.ndarray) -> SuperOp:
@@ -135,9 +137,10 @@ def _choi_from_eigenbasis(s: Spectrum, x4: np.ndarray) -> SuperOp:
     weights amplify; it is returned exactly Hermitian, ``(c + c^dag) / 2``.
     """
     m, n = x4.shape[:2]
-    x4[~s.mask, :, ~s.mask, :] = np.eye(n) / n
+    if s.rank < m:
+        x4[~s.mask, :, ~s.mask, :] = np.eye(n) / n
     c = _conjugate_first(x4, s.u.T).reshape(m * n, m * n)
-    return SuperOp(m, n, (c + c.conj().T) / 2)
+    return SuperOp(m, n, _hermitian_part(c))
 
 
 def temporal_channel(tau: np.ndarray, dims: tuple[int, int], side: str = "a") -> SuperOp:
@@ -369,7 +372,7 @@ def compatibility_test(
 class CertificationResult:
     """Per-direction compatibility reports together with the PPT flag.
 
-    ``ppt`` is decided by shifted Cholesky factorizations of the partial transpose:
+    ``ppt`` is decided by one shifted Cholesky factorization of the partial transpose:
     ``lambda_min > -tol * max(1, ||tau||_F)``, the PSD floor of :func:`is_ppt` for any
     density ``tau``.  ``ppt_min_eigenvalue`` is computed on first access, by one
     eigensolve of the partial transpose of ``tau``'s Hermitian part, which the result holds.
@@ -391,37 +394,23 @@ class CertificationResult:
         return float(np.linalg.eigvalsh(partial_transpose(self._t, dims, "a"))[0])
 
 
-def _ppt_flags(t: np.ndarray, dims: tuple[int, int], tol: float) -> tuple[bool, bool]:
-    """The PPT flag of a Hermitian ``t``, and whether its partial transpose clears ``10 tol``.
-
-    The partial transpose keeps the Frobenius norm, so its eigenvalues lie in ``+-||t||_F``
-    and ``tol * max(1, ||t||_F)`` bounds the PSD floor's ``tol * max(1, lambda_max)``; for
-    a density ``t``, ``||t||_F <= 1`` and the two are equal.
-    """
-    pt = partial_transpose(t, dims, "a")
-    clear = _cholesky_cp(pt, -10 * tol)
-    return clear or _cholesky_cp(pt, tol * max(1.0, float(np.linalg.norm(t)))), clear
-
-
 def certify(tau: np.ndarray, dims: tuple[int, int], tol: float = DEFAULT_TOLS.psd) -> CertificationResult:
     """Run the compatibility test in both directions plus the PPT check.
 
-    A PPT state is temporally compatible in both directions; that implication
-    is enforced as a consistency assertion when the partial transpose clears
-    ``10 * tol``, outside the boundary zone of each side.  The PPT flag costs one
-    or two Cholesky factorizations; the eigensolves are the two test matrices'.
+    A PPT state is compatible in both directions; this is asserted when the partial transpose clears
+    ``10 * tol``, outside each side's zone.  The PPT flag is one Cholesky factorization of the partial
+    transpose shifted by ``tol * max(1, ||tau||_F)``, the PSD floor for a density ``tau``; the clearance
+    is a second, made only for a PPT state with a side incompatible outside its zone.
     """
     validated = _validated(tau, dims)
     _check_tol(tol)
-    ppt, clear = _ppt_flags(validated[0], dims, tol)
-    side_a = _side_report(validated, dims, "a", tol)
-    side_b = _side_report(validated, dims, "b", tol)
-    if clear:
-        for report in (side_a, side_b):
-            if not report.compatible and not report.boundary:
-                raise VerdictMismatchError(
-                    f"PPT state (partial transpose > {10 * tol:.1e}) reported temporally "
-                    f"incompatible on side {report.side} (test min eig "
-                    f"{report.test_min_eigenvalue:.3e})"
-                )
-    return CertificationResult(side_a=side_a, side_b=side_b, ppt=ppt, _t=validated[0])
+    t = validated[0]
+    ppt = _cholesky_cp(partial_transpose(t, dims, "a"), tol * max(1.0, float(np.linalg.norm(t))))
+    side_a, side_b = (_side_report(validated, dims, side, tol) for side in "ab")
+    suspects = [report for report in (side_a, side_b) if not report.compatible and not report.boundary]
+    if ppt and suspects and _cholesky_cp(partial_transpose(t, dims, "a"), -10 * tol):
+        raise VerdictMismatchError(
+            f"PPT state (partial transpose > {10 * tol:.1e}) reported temporally incompatible on side "
+            f"{suspects[0].side} (test min eig {suspects[0].test_min_eigenvalue:.3e})"
+        )
+    return CertificationResult(side_a=side_a, side_b=side_b, ppt=ppt, _t=t)

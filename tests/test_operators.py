@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 
 import numpy as np
@@ -70,6 +71,17 @@ def test_package_makes_one_eigh_call():
     sources = {path.name: path.read_text(encoding="utf-8") for path in Path(tc.__file__).parent.glob("*.py")}
     calls = {name: text.count("np.linalg.eigh(") for name, text in sources.items()}
     assert {name: k for name, k in calls.items() if k} == {"operators.py": 1}
+
+
+def test_package_forms_the_hermitian_part_in_one_helper():
+    # (a + a^dag) / 2 is operators._hermitian_part, whose sum runs on a C-ordered copy of a^dag,
+    # not on a transposed operand.
+    sources = {path.name: path.read_text(encoding="utf-8") for path in Path(tc.__file__).parent.glob("*.py")}
+    pattern = re.compile(r"\b([\w.]+) \+ \1\.conj\(\)\.T|\b([\w.]+)\.conj\(\)\.T \+ \2\b|np\.conj\(")
+    found = {name: len(pattern.findall(text)) for name, text in sources.items()}
+    assert {name: k for name, k in found.items() if k} == {"operators.py": 1}
+    body = sources["operators.py"].split("def _hermitian_part(")[1].split("\ndef ")[0]
+    assert 'np.conj(a.T, order="C")' in body
 
 
 def test_package_makes_one_cholesky_call():
@@ -265,6 +277,18 @@ class TestValidation:
         out = require_hermitian(m)
         assert tc.max_abs(out - out.conj().T) == 0.0
 
+    @pytest.mark.parametrize("view", ["contiguous", "transposed", "strided", "fortran"])
+    def test_require_hermitian_is_bitwise_the_hermitian_part(self, view):
+        rng = np.random.default_rng(5)
+        noise = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
+        big = random_hermitian(12, rng) + 1e-12 * noise
+        # Negative zeros whose sum keeps its sign: halving by 0.5, not by 0.5 - 0j, would flip them.
+        big[0, 2] = big[2, 0] = -0.0
+        big[4, 6], big[6, 4] = complex(-0.0, -0.0), complex(-0.0, 0.0)
+        views = {"contiguous": big, "transposed": big.T, "strided": big[::2, ::2], "fortran": np.asfortranarray(big)}
+        a = views[view]
+        assert require_hermitian(a).tobytes() == ((a + a.conj().T) / 2).tobytes()
+
 
 def _tau6_with(value: complex, at: tuple[int, int]) -> np.ndarray:
     tau = tc.random_density(6, seed=7)
@@ -291,6 +315,26 @@ def test_non_finite_entries_are_rejected_before_arithmetic(check, value, at):
         NON_FINITE_CHECKS[check](_tau6_with(value, at))
 
 
+UNWRITTEN_INPUT_CALLS = {
+    "certify": lambda m: tc.certify(m, (2, 3)),
+    "compatibility_test": lambda m: tc.compatibility_test(m, (2, 3), "b"),
+    "temporal_channel": lambda m: tc.temporal_channel(m, (2, 3)),
+    "is_cptp": lambda m: tc.is_cptp(tc.SuperOp(2, 3, m)),
+    "require_hermitian": require_hermitian,
+}
+
+
+@pytest.mark.parametrize("call", list(UNWRITTEN_INPUT_CALLS), ids=str)
+def test_complex_input_is_not_written(call):
+    # A complex128 array reaches the checks as the caller's own object (as_complex_matrix does not
+    # copy it), so Hermitizing it in place would write into the caller's tau.
+    rng = np.random.default_rng(9)
+    tau = tc.random_density(6, seed=7) + 1e-13 * (rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
+    before = tau.tobytes()
+    UNWRITTEN_INPUT_CALLS[call](tau)
+    assert tau.tobytes() == before
+
+
 @pytest.mark.parametrize("dims", [(-2, -3), (2.0, 3.0), (6,), (0, 6), (2, 3, 1)], ids=str)
 def test_bad_dims_are_named(dims):
     tau6 = tc.random_density(6, seed=7)
@@ -299,6 +343,6 @@ def test_bad_dims_are_named(dims):
     for call in (tc.partial_trace, tc.partial_transpose, tc.swap_factors):
         with pytest.raises(ValueError, match="dims must be two positive ints"):
             call(tau6, dims)
-    if len(dims) == 2 and dims[0] == 2:  # past the factor-dimension check against the channel
-        with pytest.raises(ValueError, match="dims must be two positive ints"):
-            tc.apply_to_factor(tc.identity_channel(2), tau6, dims, "a")
+    for side in "ab":  # dims are checked before they are unpacked or compared with the channel's
+        with pytest.raises(ValueError, match=r"^dims must be two positive ints, got \("):
+            tc.apply_to_factor(tc.identity_channel(2), tau6, dims, side)

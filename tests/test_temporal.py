@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from conftest import (
@@ -493,6 +495,13 @@ def _composed_test_min(tau: np.ndarray, dims: tuple[int, int], side: str) -> flo
     return float(np.linalg.eigvalsh(tc.partial_transpose(dephased, dims, side))[0])
 
 
+def _pure_product_mixture() -> np.ndarray:
+    """Seven pure product terms on (3, 4): faithful marginals, and a PPT partial transpose of rank 7 < 12."""
+    rng = np.random.default_rng(3)
+    pure = [tc.random_density(k, rank=1, seed=rng) for k in (3, 4) for _ in range(7)]
+    return tc.assemble_state(tc.ProductEnsemble(rng.dirichlet(np.ones(7)), tuple(pure[:7]), tuple(pure[7:])))
+
+
 class TestEigenbasisKernel:
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(
@@ -532,21 +541,66 @@ class TestEigenbasisKernel:
         product = tc.tensor(tc.random_density(3, seed=4), tc.random_density(4, seed=5))
         cases = [
             # faithful marginals: one eigh per side validates the marginal and gives its
-            # eigenbasis, one test-matrix solve per side; the partial transpose is not
-            # solved but factored, twice as it does not clear 10 tol
-            (tc.random_density(12, seed=17), (3, 4), [3, 4, 12, 12], 2),
-            # a rank-3 side-a marginal: that side's test matrix is solved on its 9 x 9 support block
-            (tc.assemble_state(rank_deficient), (4, 3), [3, 4, 9, 12], 2),
-            # a faithful product state: its partial transpose clears 10 tol at the first factorization
-            (product, (3, 4), [3, 4, 12, 12], 1),
+            # eigenbasis, one test-matrix solve per side; the partial transpose is not PPT
+            (tc.random_density(12, seed=17), (3, 4), [3, 4, 12, 12], False),
+            # a rank-3 side-a marginal: that side's test matrix is solved on its 9 x 9 support block;
+            # PPT, with zero partial-transpose eigenvalues
+            (tc.assemble_state(rank_deficient), (4, 3), [3, 4, 9, 12], True),
+            # faithful marginals, PPT, with zero partial-transpose eigenvalues, so not clear of 10 tol
+            (_pure_product_mixture(), (3, 4), [3, 4, 12, 12], True),
+            # a faithful product state: its partial transpose clears 10 tol
+            (product, (3, 4), [3, 4, 12, 12], True),
         ]
-        for tau, dims, eigensolves, pt_factorizations in cases:
+        for tau, dims, eigensolves, ppt in cases:
             for calls in sizes.values():
                 calls.clear()
-            tc.certify(tau, dims)
+            result = tc.certify(tau, dims)
             assert sorted(sizes["eigh"] + sizes["eigvalsh"]) == eigensolves
-            # one Cholesky factorization of each returned Choi matrix (path 2), then the PPT flag's
-            assert sizes["cholesky"] == [dims[0] * dims[1]] * (2 + pt_factorizations)
+            # one Cholesky factorization of each returned Choi matrix (path 2), then one for the PPT
+            # flag; the 10 tol clearance is not factored, as no side reads incompatible
+            assert sizes["cholesky"] == [dims[0] * dims[1]] * (2 + 1)
+            assert result.ppt == ppt
+            assert result.compatible_both == ppt
+        assert abs(tc.certify(_pure_product_mixture(), (3, 4)).ppt_min_eigenvalue) < 1e-15
+
+    @pytest.mark.parametrize(
+        "state, ppt, clearance",
+        [("product", True, True), ("low_rank", True, False), ("entangled", False, False)],
+    )
+    def test_ppt_implies_compatible_is_asserted(self, monkeypatch, state, ppt, clearance):
+        # Side a is made to read incompatible outside its zone.  Only on a PPT state is the
+        # partial transpose factored a second time, at -10 tol; only if it clears does certify raise.
+        tau = {
+            "product": tc.tensor(tc.random_density(3, seed=4), tc.random_density(4, seed=5)),
+            "low_rank": _pure_product_mixture(),
+            "entangled": tc.random_density(12, seed=17),
+        }[state]
+        original = tc.temporal._side_report
+
+        def incompatible_a(validated, dims, side, tol):
+            report = original(validated, dims, side, tol)
+            return replace(report, compatible=False, boundary=False) if side == "a" else report
+
+        monkeypatch.setattr(tc.temporal, "_side_report", incompatible_a)
+        sizes = count_factorizations(monkeypatch)
+        if clearance:
+            with pytest.raises(
+                tc.VerdictMismatchError,
+                match=r"^PPT state \(partial transpose > 1\.0e-08\) reported temporally incompatible on side a ",
+            ):
+                tc.certify(tau, (3, 4))
+        else:
+            assert tc.certify(tau, (3, 4)).ppt == ppt
+        assert sizes["cholesky"] == [12] * (3 + ppt)
+
+    @pytest.mark.parametrize("kind", ["density", "separable_rank_deficient", "non_positive", "isotropic"])
+    def test_certify_returns_exactly_hermitian_choi_matrices(self, kind):
+        rng = np.random.default_rng(12)
+        for dims in KERNEL_DIMS + [(8, 6)]:
+            result = tc.certify(_kernel_case(kind, dims, rng), dims)
+            for report in (result.side_a, result.side_b):
+                c = report.channel.choi
+                assert np.array_equal(c, c.conj().T)
 
     def test_ppt_min_eigenvalue_is_solved_once_on_first_read(self, monkeypatch):
         tau = tc.random_density(12, seed=17)
@@ -560,7 +614,7 @@ class TestEigenbasisKernel:
 
     def test_one_sided_eigensolve_count(self, monkeypatch):
         # A one-sided call validates both marginals by eigh and solves only its own test matrix;
-        # the partial transpose is factored by certify alone, here twice, as it is not PPT.  A map
+        # the partial transpose is factored by certify alone, once.  A map
         # built from one marginal solves it once, and the Petz maps solve each state they are built
         # from once.
         process = tc.Process(tc.random_cptp(3, 4, 2, seed=5), tc.random_density(3, seed=6))
@@ -576,7 +630,7 @@ class TestEigenbasisKernel:
             (lambda: tc.compatibility_test(tau, (3, 4), "a"), one_sided),
             (lambda: tc.compatibility_test(tau, (3, 4), "b"), one_sided),
             (lambda: tc.bayesian_inverse(process), one_sided),
-            (lambda: tc.certify(tau, (3, 4)), {"eigh": [3, 4], "eigvalsh": [12] * 2, "cholesky": [12] * 4}),
+            (lambda: tc.certify(tau, (3, 4)), {"eigh": [3, 4], "eigvalsh": [12] * 2, "cholesky": [12] * 3}),
             (lambda: tc.verify_decomposition(tau, (3, 4), "a"), eigh_only(3)),
             (lambda: tc.verify_decomposition(tau, (3, 4), "b"), eigh_only(4)),
             (lambda: tc.petz_selfinverse_dephasing_check(rho), eigh_only(3)),
