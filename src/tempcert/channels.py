@@ -22,17 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import (
-    DEFAULT_TOLS,
-    _check_tol,
-    _hermitian_part,
-    _psd_floor,
-    _split,
-    as_complex_matrix,
-    partial_trace,
-    partial_transpose,
-    swap_factors,
-    tensor,
-    validate_density,
+    DEFAULT_TOLS, _check_tol, _hermitian_part, _psd_floor, _split, _trace_out, as_complex_matrix,
+    partial_transpose, swap_factors, tensor, validate_density,
 )
 
 __all__ = [
@@ -203,19 +194,21 @@ _CHOI_ROUNDING = 4
 
 def _hptp_gates(e: SuperOp, tol: float) -> tuple[bool, float, bool, float]:
     """The gates ``max|C - C^dag| <= tol + _HERMITICITY_ROUNDING eps max|C|`` and
-    ``max|Tr_out C - 1| <= tol + _TRACE_ROUNDING dim_out eps max|C|``, with their residuals.  The
-    second terms are rounding floors, so ``tol=0`` accepts a map that is HPTP up to rounding."""
-    _check_tol(tol)
+    ``max|Tr_out C - 1| <= tol + _TRACE_ROUNDING dim_out eps max|C|`` at a checked ``tol``, with their
+    residuals.  The second terms are rounding floors: ``tol=0`` accepts a map HPTP up to rounding."""
     c = e.choi
     unit = _EPS * float(np.abs(c).max())
     herm = float(np.abs(c - c.conj().T).max())
-    residual = float(np.abs(partial_trace(c, (e.dim_in, e.dim_out), "b") - np.eye(e.dim_in)).max())
+    gap = _trace_out(c.reshape(e.dim_in, e.dim_out, e.dim_in, e.dim_out), "b")
+    gap.flat[:: e.dim_in + 1] -= 1.0
+    residual = float(np.abs(gap).max())
     tp = residual <= tol + _TRACE_ROUNDING * e.dim_out * unit
     return herm <= tol + _HERMITICITY_ROUNDING * unit, herm, tp, residual
 
 
 def is_cptp(e: SuperOp, tol: float = DEFAULT_TOLS.psd) -> CptpReport:
     """Check Choi positivity and trace preservation, returning full diagnostics."""
+    _check_tol(tol)
     herm_ok, herm, tp, trace_residual = _hptp_gates(e, tol)
     w = np.linalg.eigvalsh(_hermitian_part(e.choi))
     _, lam_min, scale = _psd_floor(w, tol)
@@ -230,6 +223,7 @@ def is_cptp(e: SuperOp, tol: float = DEFAULT_TOLS.psd) -> CptpReport:
 
 def is_hptp(e: SuperOp, tol: float = DEFAULT_TOLS.psd) -> bool:
     """True iff the map is Hermitian-preserving and trace-preserving."""
+    _check_tol(tol)
     herm_ok, _, tp, _ = _hptp_gates(e, tol)
     return herm_ok and tp
 

@@ -116,25 +116,29 @@ def require_hermitian(m: np.ndarray) -> np.ndarray:
 
 def _require_trace_one(m: np.ndarray) -> np.ndarray:
     """The trace gate: validate Hermiticity and unit trace, returning the Hermitian part."""
-    a = require_hermitian(m)
+    return _require_unit_trace(require_hermitian(m))
+
+
+def _require_unit_trace(a: np.ndarray) -> np.ndarray:
+    """Raise ``ValueError`` unless the Hermitian matrix ``a`` has unit trace; return ``a``."""
     tr = float(np.trace(a).real)
     if abs(tr - 1.0) > DEFAULT_TOLS.trace:
         raise ValueError(f"trace invariant violated: Tr = {tr:.10g}, expected 1")
     return a
 
 
-def _check_tol(tol: float) -> None:
-    """Raise ``ValueError`` unless the per-call ``tol`` is finite and nonnegative."""
+def _check_tol(tol: float) -> float:
+    """The per-call ``tol``, raising ``ValueError`` unless it is finite and nonnegative."""
     if not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
+    return tol
 
 
 def _psd_floor(w: np.ndarray, tol: float) -> tuple[bool, float, float]:
     """The PSD floor on ascending eigenvalues ``w``: ``lambda_min >= -tol * max(1, lambda_max)``.
 
-    Returns the verdict, ``lambda_min`` and the scale ``max(1, lambda_max)``.
+    Returns the verdict, ``lambda_min`` and the scale ``max(1, lambda_max)``; the caller checks ``tol``.
     """
-    _check_tol(tol)
     lam_min = float(w[0])
     scale = max(1.0, float(w[-1]))
     return lam_min >= -tol * scale, lam_min, scale
@@ -146,8 +150,14 @@ def is_psd(m: np.ndarray, tol: float = DEFAULT_TOLS.psd) -> tuple[bool, float]:
     Returns ``(verdict, min_eigenvalue)``; the verdict is true iff
     ``lambda_min >= -tol * max(1, lambda_max)``.
     """
-    ok, lam_min, _ = _psd_floor(np.linalg.eigvalsh(require_hermitian(m)), tol)
-    return ok, lam_min
+    return _psd_floor(np.linalg.eigvalsh(require_hermitian(m)), _check_tol(tol))[:2]
+
+
+def _gated_psd(h: np.ndarray, tol: float) -> tuple[bool, float]:
+    """:func:`is_psd` of an exactly Hermitian ``h`` derived from a gated input; it is scanned for overflow."""
+    as_complex_matrix(h)
+    _check_tol(tol)
+    return _psd_floor(np.linalg.eigvalsh(h), tol)[:2]
 
 
 def validate_density(m: np.ndarray) -> np.ndarray:
@@ -270,7 +280,11 @@ def partial_trace(t: np.ndarray, dims: tuple[int, int], side: str = "b") -> np.n
     ``side="b"`` keeps the first factor (returns a ``dim_a`` square matrix),
     ``side="a"`` keeps the second.
     """
-    r = _split(t, dims)
+    return _trace_out(_split(t, dims), side)
+
+
+def _trace_out(r: np.ndarray, side: str) -> np.ndarray:
+    """:func:`partial_trace` of an operator already split as ``(da, db, da, db)``, as a fresh array."""
     if side == "b":
         return np.einsum("axbx->ab", r)
     if side == "a":

@@ -76,12 +76,12 @@ def verify_dfed(tau: np.ndarray, dims: tuple[int, int]) -> float:
     dephasings ``D`` and ``D'``, and the Petz recovery ``E^`` of ``E``; returns
     ``max|choi(D o F) - choi(E^ o D')|``, which vanishes identically.
     """
-    t, spectra = _validated(tau, dims)
+    t4, spectra = _validated(tau, dims)
     for side, spectrum in spectra.items():
         if spectrum.rank < len(spectrum.p):
             raise ValueError(f"marginal on side {side} is not faithful")
     # Each marginal is solved once, by _validated.  E(rho_a) = rho_b, as E * rho_a = tau.
-    e, f = (_choi_from_eigenbasis(spectra[s], _eigenbasis_array(_oriented(t, dims, s), spectra[s])) for s in "ab")
+    e, f = (_choi_from_eigenbasis(spectra[s], _eigenbasis_array(_oriented(t4, s), spectra[s])) for s in "ab")
     deph_a, deph_b = _dephasing(spectra["a"]), _dephasing(spectra["b"])
     petz_e = _petz(e, spectra["a"], spectra["b"])
     return max_abs(compose(deph_a, f).choi - compose(petz_e, deph_b).choi)

@@ -26,6 +26,12 @@ reconstruction residual ``max|E * rho_a - tau|``.
 factorization of the partial transpose (a second checks its ``10 tol`` clearance only when
 a side of a PPT state reads incompatible), so a certification makes two full-size eigensolves,
 one per test matrix; the partial transpose's least eigenvalue is solved only when it is read.
+
+Each call gates its outside input once, in :func:`_validated` or :func:`_measured`: ``tau``
+(finite, Hermitian, trace one), then ``dims``, then each marginal, then ``tol``.  A marginal is
+the partial trace of ``tau``'s exactly Hermitian part, so it is exactly Hermitian; only its
+finiteness, trace and PSD floor are checked, the last on the one ``eigh`` that gives its
+eigenbasis.  Nothing below that boundary checks them again.
 """
 
 from __future__ import annotations
@@ -35,28 +41,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .channels import (
-    _EPS,
-    CptpReport,
-    SuperOp,
-    _hptp_gates,
-    compose,
-)
+from .channels import _EPS, CptpReport, SuperOp, _hptp_gates, compose
 from .operators import (
-    DEFAULT_TOLS,
-    Spectrum,
-    _check_tol,
-    _density_spectrum,
-    _hermitian_part,
-    _psd_floor,
-    _require_trace_one,
-    _split,
-    is_psd,
-    max_abs,
-    partial_trace,
-    partial_transpose,
-    require_hermitian,
-    tensor,
+    DEFAULT_TOLS, Spectrum, _check_tol, _density_spectrum, _gated_psd, _hermitian_part, _psd_floor,
+    _require_psd_spectrum, _require_trace_one, _require_unit_trace, _spectrum, _split, _trace_out,
+    as_complex_matrix, max_abs, partial_transpose, require_hermitian, tensor,
 )
 from .sot import _star
 
@@ -86,9 +75,8 @@ class VerdictMismatchError(RuntimeError):
     """The two verdict paths disagreed beyond the boundary zone."""
 
 
-def _oriented(tau: np.ndarray, dims: tuple[int, int], side: str) -> np.ndarray:
-    """``tau`` as an ``(m, n, m, n)`` view with the measured factor first; side b is transposed, not copied."""
-    t4 = _split(tau, dims)
+def _oriented(t4: np.ndarray, side: str) -> np.ndarray:
+    """An ``(m, n, m, n)`` operator with the measured factor first; side b is transposed, not copied."""
     if side == "a":
         return t4
     if side == "b":
@@ -96,19 +84,22 @@ def _oriented(tau: np.ndarray, dims: tuple[int, int], side: str) -> np.ndarray:
     raise ValueError(f"side must be 'a' or 'b', got {side!r}")
 
 
-def _validated_marginal(tau: np.ndarray, dims: tuple[int, int], side: str) -> Spectrum:
-    """:func:`_density_spectrum` of the marginal on ``side``; its errors name the side."""
-    rho = partial_trace(tau, dims, "b" if side == "a" else "a")  # bad dims are not the marginal's fault
+def _validated_marginal(t4: np.ndarray, side: str) -> Spectrum:
+    """The density :class:`Spectrum` of the marginal on ``side`` of ``tau``'s split Hermitian part ``t4``,
+    gated for finiteness (a Hermitian part can overflow), trace and PSD floor; its errors name the side."""
+    rho = _trace_out(t4, "b" if side == "a" else "a")
     try:
-        return _density_spectrum(rho)
+        s = _spectrum(_require_unit_trace(as_complex_matrix(rho)))
+        _require_psd_spectrum(s.p)
     except ValueError as exc:
         raise ValueError(f"marginal on side {side}: {exc}") from exc
+    return s
 
 
 def _measured(tau: np.ndarray, dims: tuple[int, int], side: str) -> tuple[np.ndarray, Spectrum]:
-    """``tau`` validated and oriented by :func:`_oriented`, and :func:`_validated_marginal` on ``side``."""
-    t = _require_trace_one(tau)
-    return _oriented(t, dims, side), _validated_marginal(t, dims, side)
+    """``tau``, ``dims`` and ``side`` gated: the Hermitian part by :func:`_oriented`, and the side's marginal."""
+    t4 = _split(_require_trace_one(tau), dims)
+    return _oriented(t4, side), _validated_marginal(t4, side)
 
 
 def _conjugate_first(x4: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -209,7 +200,7 @@ def correlation_matrix_check(c: np.ndarray, tol: float = DEFAULT_TOLS.psd) -> tu
     """Check for a correlation matrix (PSD, unit diagonal); also report strictness."""
     a = require_hermitian(c)
     diag_ok = max_abs(np.diag(a) - 1.0) <= tol
-    psd_ok, lam_min = is_psd(a, tol)
+    psd_ok, lam_min = _gated_psd(a, tol)
     valid = diag_ok and psd_ok
     return valid, valid and lam_min > tol
 
@@ -275,19 +266,17 @@ class CompatibilityReport:
 
 def is_ppt(tau: np.ndarray, dims: tuple[int, int], tol: float = DEFAULT_TOLS.psd) -> tuple[bool, float]:
     """Positive-partial-transpose check in the computational basis."""
-    pt = partial_transpose(require_hermitian(tau), dims, "a")
-    return is_psd(pt, tol)
+    return _gated_psd(partial_transpose(require_hermitian(tau), dims, "a"), tol)
 
 
 def _validated(tau: np.ndarray, dims: tuple[int, int]) -> tuple[np.ndarray, dict[str, Spectrum]]:
-    """Validate ``tau`` and both marginals: its Hermitian part and the marginal spectra by side."""
-    t = _require_trace_one(tau)
-    return t, {side: _validated_marginal(t, dims, side) for side in "ab"}
+    """``tau``, ``dims`` and both marginals gated: the Hermitian part as ``(m, n, m, n)``, the spectra by side."""
+    t4 = _split(_require_trace_one(tau), dims)
+    return t4, {side: _validated_marginal(t4, side) for side in "ab"}
 
 
-def _cholesky_cp(c: np.ndarray, shift: float) -> bool:
-    """True iff ``c + shift * 1`` has a Cholesky factorization, i.e. is positive definite."""
-    a = c.copy()
+def _cholesky_cp(a: np.ndarray, shift: float) -> bool:
+    """True iff ``a + shift * 1`` has a Cholesky factorization; ``a`` is the caller's buffer, shifted in place."""
     a.flat[:: a.shape[0] + 1] += shift
     try:
         np.linalg.cholesky(a)
@@ -296,14 +285,12 @@ def _cholesky_cp(c: np.ndarray, shift: float) -> bool:
     return True
 
 
-def _side_report(validated: tuple, dims: tuple[int, int], side: str, tol: float) -> CompatibilityReport:
-    """Both verdict paths in one direction for a ``tau`` validated by :func:`_validated`."""
-    t, spectra = validated
-    t4 = _oriented(t, dims, side)
-    s = spectra[side]
+def _side_report(validated: tuple, side: str, tol: float) -> CompatibilityReport:
+    """Both verdict paths in one direction for a ``tau`` validated by :func:`_validated`, at a checked ``tol``."""
+    t4, s = _oriented(validated[0], side), validated[1][side]
     x4 = _eigenbasis_array(t4, s)
-    n, r = t4.shape[1], s.rank
-    faithful = r == t4.shape[0]
+    m, n, r = *t4.shape[:2], s.rank
+    faithful = r == m
 
     # Path 1: the dephased distorted partial transpose, read in the eigenbasis.  Its kernel
     # rows and columns are zero, so one eigensolve of the support block gives its spectrum
@@ -319,7 +306,7 @@ def _side_report(validated: tuple, dims: tuple[int, int], side: str, tol: float)
     channel = _choi_from_eigenbasis(s, x4)
     del x4  # one full-size array fewer held through the checks below, where a certify peaks
     herm_ok, herm, tp, trace_residual = _hptp_gates(channel, tol)
-    cp = herm_ok and _cholesky_cp(channel.choi, 5 * tol * scale)
+    cp = herm_ok and _cholesky_cp(channel.choi.copy(), 5 * tol * scale)
     cptp = CptpReport(
         cp=cp, tp=tp, choi_min_eigenvalue=choi_min, trace_residual=trace_residual, hermiticity_defect=herm
     )
@@ -327,7 +314,7 @@ def _side_report(validated: tuple, dims: tuple[int, int], side: str, tol: float)
 
     # On a rank-deficient marginal test_min is 0 or choi_min, so it alone sets the zone.  Its
     # rounding floor keeps an exact zero eigenvalue inside the zone at tol=0.
-    boundary = abs(test_min) < (10 * tol + _ZONE_ROUNDING * t.shape[0] * _EPS) * scale
+    boundary = abs(test_min) < (10 * tol + _ZONE_ROUNDING * m * n * _EPS) * scale
     if test_ok != cp and not boundary:
         raise VerdictMismatchError(
             f"side {side}: test-matrix verdict {test_ok} (min eig {test_min:.3e}) disagrees "
@@ -365,7 +352,9 @@ def compatibility_test(
     """
     if side not in ("a", "b"):
         raise ValueError(f"side must be 'a' or 'b', got {side!r}")
-    return _side_report(_validated(tau, dims), dims, side, tol)
+    validated = _validated(tau, dims)
+    _check_tol(tol)
+    return _side_report(validated, side, tol)
 
 
 @dataclass(frozen=True)
@@ -404,11 +393,13 @@ def certify(tau: np.ndarray, dims: tuple[int, int], tol: float = DEFAULT_TOLS.ps
     """
     validated = _validated(tau, dims)
     _check_tol(tol)
-    t = validated[0]
-    ppt = _cholesky_cp(partial_transpose(t, dims, "a"), tol * max(1.0, float(np.linalg.norm(t))))
-    side_a, side_b = (_side_report(validated, dims, side, tol) for side in "ab")
+    t4 = validated[0]
+    t = t4.reshape(t4.shape[0] * t4.shape[1], -1)
+    pt = t4.transpose(2, 1, 0, 3)  # a view; each factorization shifts a fresh copy of it
+    ppt = _cholesky_cp(pt.copy().reshape(t.shape), tol * max(1.0, float(np.linalg.norm(t))))
+    side_a, side_b = (_side_report(validated, side, tol) for side in "ab")
     suspects = [report for report in (side_a, side_b) if not report.compatible and not report.boundary]
-    if ppt and suspects and _cholesky_cp(partial_transpose(t, dims, "a"), -10 * tol):
+    if ppt and suspects and _cholesky_cp(pt.copy().reshape(t.shape), -10 * tol):
         raise VerdictMismatchError(
             f"PPT state (partial transpose > {10 * tol:.1e}) reported temporally incompatible on side "
             f"{suspects[0].side} (test min eig {suspects[0].test_min_eigenvalue:.3e})"

@@ -7,10 +7,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import SIGMA_X, SIGMA_Z, bell_state, proj, random_hermitian
+from conftest import SIGMA_X, SIGMA_Z, bell_state, proj, random_hermitian, random_trace_one_hermitian
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tempcert as tc
-from tempcert.operators import require_hermitian
+from tempcert.operators import _hermitian_part, _require_trace_one, hermiticity_defect, require_hermitian
 
 SWAP = np.array(
     [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
@@ -346,3 +348,24 @@ def test_bad_dims_are_named(dims):
     for side in "ab":  # dims are checked before they are unpacked or compared with the channel's
         with pytest.raises(ValueError, match=r"^dims must be two positive ints, got \("):
             tc.apply_to_factor(tc.identity_channel(2), tau6, dims, side)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    dims=st.tuples(st.integers(1, 6), st.integers(1, 6)),
+    kind=st.sampled_from(["density", "non_positive", "skewed"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_marginals_of_the_gated_tau_are_exactly_hermitian(dims, kind, seed):
+    # certify gates tau once and not its marginals: a partial trace of the Hermitian part must be
+    # its own Hermitian part to the last bit, so the marginal gate's defect and matrix are unchanged.
+    rng = np.random.default_rng(seed)
+    m, n = dims
+    tau = tc.random_density(m * n, seed=rng) if kind == "density" else random_trace_one_hermitian(dims, rng)
+    if kind == "skewed":  # an anti-Hermitian residue below the gate, so the Hermitian part is a new matrix
+        tau = tau + 1e-12j * random_hermitian(m * n, rng)
+    t = _require_trace_one(tau)
+    for side in "ab":
+        rho = tc.partial_trace(t, dims, side)
+        assert hermiticity_defect(rho) == 0.0
+        assert _hermitian_part(rho).tobytes() == rho.tobytes()

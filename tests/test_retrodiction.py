@@ -26,21 +26,9 @@ class TestPetzRecovery:
         # rho's spectrum both validates the prior and gives rho^{1/2}; sigma = E(rho) is solved once.
         e = tc.random_cptp(3, 2, 2, seed=3)
         prior = tc.random_density(3, seed=4)
-        sizes = []
-        original_eigh, original_eigvalsh = np.linalg.eigh, np.linalg.eigvalsh
-
-        def counting_eigh(a, *args, **kwargs):
-            sizes.append(("eigh", a.shape[-1]))
-            return original_eigh(a, *args, **kwargs)
-
-        def counting_eigvalsh(a, *args, **kwargs):
-            sizes.append(("eigvalsh", a.shape[-1]))
-            return original_eigvalsh(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-        monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+        sizes = count_factorizations(monkeypatch)
         tc.petz_recovery(e, prior)
-        assert sizes == [("eigh", 3), ("eigh", 2)]
+        assert sizes == {"eigh": [3, 2], "eigvalsh": [], "cholesky": []}
 
     def test_petz_is_cptp(self):
         rng = np.random.default_rng(3)

@@ -330,17 +330,10 @@ class TestPgmMap:
     def test_one_marginal_solve(self, func, monkeypatch):
         # The spectrum that validates the marginal also gives its pseudoinverse root or eigenbasis.
         tau = tc.random_density(6, seed=34)
-        original = np.linalg.eigh
-        sizes = []
-
-        def counting(a, *args, **kwargs):
-            sizes.append(a.shape[-1])
-            return original(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigh", counting)
+        sizes = count_factorizations(monkeypatch)
         func(tau, (2, 3), "a")
         func(tau, (2, 3), "b")
-        assert sizes == [2, 3]
+        assert sizes == {"eigh": [2, 3], "eigvalsh": [], "cholesky": []}
 
 
 def pgm_map_reference(tau: np.ndarray, dims: tuple[int, int], side: str) -> np.ndarray:
@@ -577,8 +570,8 @@ class TestEigenbasisKernel:
         }[state]
         original = tc.temporal._side_report
 
-        def incompatible_a(validated, dims, side, tol):
-            report = original(validated, dims, side, tol)
+        def incompatible_a(validated, side, tol):
+            report = original(validated, side, tol)
             return replace(report, compatible=False, boundary=False) if side == "a" else report
 
         monkeypatch.setattr(tc.temporal, "_side_report", incompatible_a)
@@ -772,6 +765,71 @@ class TestInvariances:
         if abs(lam + DEFAULT_TOL * scale) > ROUNDING * tau.shape[0] * scale:
             assert conjugated.ppt == original.ppt
 
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(dims=st.sampled_from(INVARIANCE_DIMS), weight=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+    def test_convexity_at_a_fixed_marginal(self, dims, weight, seed):
+        # At a fixed marginal the test matrix is linear in tau, and weight E1 * rho + (1 - weight) E2 * rho
+        # is the state over time of the CPTP mixture: compatible on side a, whose unique temporal
+        # channel on a faithful rho is that mixture.
+        rng = np.random.default_rng(seed)
+        m, n = dims
+        rho = tc.random_density(m, seed=rng)
+        e1, e2 = (tc.random_cptp(m, n, -(-m // n) + int(rng.integers(0, 2)), seed=rng) for _ in range(2))
+        tau = weight * tc.star_product(e1, rho) + (1 - weight) * tc.star_product(e2, rho)
+        report = tc.compatibility_test(tau, dims, "a")
+        assert report.compatible or report.boundary
+        assert report.reconstruction_residual <= 1e-12
+        # The map is compared through its action, not by Choi convention.
+        inputs = np.stack([tc.random_density(m, seed=rng) for _ in range(3)] + [tc.random_unitary(m, seed=rng)])
+        mixed = weight * tc.apply(e1, inputs) + (1 - weight) * tc.apply(e2, inputs)
+        p = np.linalg.eigvalsh(rho)
+        assert tc.max_abs(tc.apply(report.channel, inputs) - mixed) <= 1e-13 * p[-1] / p[0]
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        kind=st.sampled_from(["faithful", "rank_deficient"]),
+        dims=st.sampled_from(INVARIANCE_DIMS),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_separable_states_are_compatible_both_ways(self, kind, dims, seed):
+        # A separable tau is E * rho_a for a measure-and-prepare E on either side, so both verdicts hold
+        # and both returned channels reproduce tau; separable states are PPT.
+        rng = np.random.default_rng(seed)
+        m, n = dims
+        if kind == "faithful":
+            tau = tc.assemble_state(random_faithful_separable(dims, rng))
+        else:
+            tau = tc.assemble_state(rank_deficient_separable(dims, m - 1, m + n, rng))
+        result = tc.certify(tau, dims)
+        for report in (result.side_a, result.side_b):
+            assert report.compatible or report.boundary
+            assert report.reconstruction_residual <= 1e-12
+        assert result.ppt
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        dims=st.sampled_from(INVARIANCE_DIMS),
+        rank=st.integers(1, 25),
+        toward_boundary=st.floats(0.0, 0.95),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_ppt_states_outside_the_zone_are_compatible(self, dims, rank, toward_boundary, seed):
+        # A state mixed with white noise to a fraction f of the way to its PPT boundary has a partial
+        # transpose of least eigenvalue at least (1 - f) / d, far outside the zone, so it is compatible
+        # in both directions, as a PPT state must be.
+        rng = np.random.default_rng(seed)
+        d = dims[0] * dims[1]
+        state = tc.random_density(d, rank=min(rank, d), seed=rng)
+        lam = float(np.linalg.eigvalsh(tc.partial_transpose(state, dims, "a"))[0])
+        f = toward_boundary * (1.0 if lam >= 0 else (1 / d) / (1 / d - lam))
+        tau = f * state + (1 - f) * np.eye(d) / d
+        least = float(np.linalg.eigvalsh(tc.partial_transpose(tau, dims, "a"))[0])
+        assert least >= (1 - toward_boundary) / d - 1e-12
+        result = tc.certify(tau, dims)
+        assert result.ppt
+        for report in (result.side_a, result.side_b):
+            assert report.compatible and not report.boundary
+            assert report.reconstruction_residual <= 1e-12
 
 def _ppt_case(kind: str, dims: tuple[int, int], rng: np.random.Generator) -> tuple[np.ndarray, tuple[int, int]]:
     m, n = dims

@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import bell_state, random_faithful_separable
+from conftest import bell_state, count_factorizations, random_faithful_separable
 
 import tempcert as tc
 from tempcert import channels, operators, sot, temporal
@@ -103,8 +103,8 @@ def test_support_cut_agrees_across_modules(ratio):
         assert not tc.compatibility_test(tau, (3, 2), "a").faithful_marginal
 
 
-def test_certify_checks_hermiticity_of_tau_once(monkeypatch):
-    tau = tc.random_density(12, seed=5)
+def count_hermiticity_gates(monkeypatch) -> list[int]:
+    """Record the size of every matrix passed to ``require_hermitian``, in every module that calls it."""
     sizes = []
     original = operators.require_hermitian
 
@@ -115,11 +115,43 @@ def test_certify_checks_hermiticity_of_tau_once(monkeypatch):
     for module in (operators, channels, sot, temporal):
         if hasattr(module, "require_hermitian"):
             monkeypatch.setattr(module, "require_hermitian", counted)
+    return sizes
+
+
+def test_certify_checks_hermiticity_of_tau_once(monkeypatch):
+    # The marginals are partial traces of tau's exactly Hermitian part: they are not gated again.
+    tau = tc.random_density(12, seed=5)
+    sizes = count_hermiticity_gates(monkeypatch)
     result = tc.certify(tau, (3, 4))
-    assert sizes.count(12) == 1
+    assert sizes == [12]
     # the PPT eigenvalues are those of the partial transpose of the Hermitian part
-    w = np.linalg.eigvalsh(tc.partial_transpose(original(tau), (3, 4), "a"))
+    w = np.linalg.eigvalsh(tc.partial_transpose(operators.require_hermitian(tau), (3, 4), "a"))
     assert result.ppt_min_eigenvalue == float(w[0])
+
+
+CORRELATION = np.eye(5) + 0.1 * (np.eye(5, k=1) + np.eye(5, k=-1))
+
+
+@pytest.mark.parametrize(
+    "call, gated, eigvalsh",
+    [
+        (lambda process, tau: tc.bayesian_inverse(process), [3, 6], [6]),  # rho, then tau = E * rho
+        (lambda process, tau: tc.compatibility_test(tau, (3, 4), "b"), [12], [12]),
+        (lambda process, tau: tc.is_ppt(tau, (3, 4)), [12], [12]),
+        (lambda process, tau: tc.correlation_matrix_check(CORRELATION), [5], [5]),
+    ],
+    ids=["bayesian_inverse", "compatibility_test", "is_ppt", "correlation_matrix_check"],
+)
+def test_each_outside_input_is_gated_once(monkeypatch, call, gated, eigvalsh):
+    # A matrix derived from a gated input (a partial transpose, a marginal) is not gated again,
+    # and the gated matrix is solved once.
+    process = tc.Process(channel=tc.random_cptp(3, 2, 2, seed=6), input_state=tc.random_density(3, seed=7))
+    tau = tc.random_density(12, seed=5)
+    sizes = count_hermiticity_gates(monkeypatch)
+    solves = count_factorizations(monkeypatch)
+    call(process, tau)
+    assert sizes == gated
+    assert solves["eigvalsh"] == eigvalsh
 
 
 def test_zero_tol_boundary_zone_holds_exact_zero_eigenvalues(monkeypatch):
