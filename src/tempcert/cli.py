@@ -144,22 +144,23 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
+    common.add_argument("--out", default=None, help="write output to this file instead of stdout")
+    with_tol = argparse.ArgumentParser(add_help=False, parents=[common])
+    with_tol.add_argument(
         "--tol",
         type=float,
         default=DEFAULT_TOLS.psd,
         help=f"certification tolerance, finite and >= 0 (default {DEFAULT_TOLS.psd:g})",
     )
-    common.add_argument("--out", default=None, help="write output to this file instead of stdout")
 
-    p_certify = sub.add_parser("certify", parents=[common], help="certify temporal compatibility")
+    p_certify = sub.add_parser("certify", parents=[with_tol], help="certify temporal compatibility")
     p_certify.add_argument("input", help="state or ensemble document")
     fmt = p_certify.add_mutually_exclusive_group()
     fmt.add_argument("--json", action="store_true", help="emit the report as a JSON document")
     fmt.add_argument("--text", dest="json", action="store_false", help="emit a plain-text report (default)")
     p_certify.set_defaults(func=_cmd_certify, json=False)
 
-    p_channel = sub.add_parser("channel", parents=[common], help="reconstruct the temporal channel")
+    p_channel = sub.add_parser("channel", parents=[with_tol], help="reconstruct the temporal channel")
     p_channel.add_argument("input", help="state or ensemble document")
     p_channel.add_argument("--side", choices=["A", "B", "a", "b"], default="A", help="causal direction")
     p_channel.set_defaults(func=_cmd_channel)
@@ -187,7 +188,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        _check_tol(args.tol)
+        if "tol" in args:  # checked before any file is read
+            _check_tol(args.tol)
         return args.func(args)
     except (ValueError, OSError, VerdictMismatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -9,6 +9,7 @@ must be finite JSON numbers (not booleans) that fit a float64.
 from __future__ import annotations
 
 import json
+import math
 from itertools import chain
 from pathlib import Path
 from typing import Any
@@ -95,7 +96,7 @@ def _nested_floats(obj: Any, shape: tuple[int, ...]) -> np.ndarray | None:
     """
     level = [obj]
     for n in shape:
-        if not _all_are(level, list) or set(map(len, level)) != {n}:
+        if not _all_are(level, list) or not set(map(len, level)) <= {n}:  # an empty level has no lengths
             return None
         level = list(chain.from_iterable(level))
     if not _all_are(level, (int, float)):
@@ -106,33 +107,37 @@ def _nested_floats(obj: Any, shape: tuple[int, ...]) -> np.ndarray | None:
         return None
 
 
-def _matrix_error(obj: Any, dim: int, what: str) -> str:
-    """Name the first malformed row or entry of a matrix that :func:`_nested_floats` rejected."""
-    if isinstance(obj, list) and len(obj) == dim:
-        for i, row in enumerate(obj):
-            if not isinstance(row, list) or len(row) != dim:
-                return f"{what} row {i} must have {dim} entries"
-            for j, entry in enumerate(row):
-                if not isinstance(entry, list) or len(entry) != 2 or not _all_are(entry, (int, float)):
-                    return f"{what}[{i}][{j}] must be a [re, im] pair"
-                if _nested_floats(entry, (2,)) is None:
-                    return f"{what}[{i}][{j}] is out of range for a float"
-    return f"{what} must be a {dim}x{dim} nested array"
+def _first_bad(obj: Any, shape: tuple[int, ...], what: str, where: str) -> str | None:
+    """The error naming the first entry at or below ``where``, in row-major order, that breaks ``shape``
+    or is not a finite number; ``what`` names the field.  ``None`` when every entry is good."""
+    if shape:
+        if not isinstance(obj, list):
+            return f"{where} must be an array"
+        if len(obj) != shape[0]:
+            return f"{where} must have {shape[0]} entries"
+        children = (_first_bad(x, shape[1:], what, f"{where}[{i}]") for i, x in enumerate(obj))
+        return next(filter(None, children), None)
+    if not isinstance(obj, (int, float)) or isinstance(obj, bool):
+        return f"{where} must be a number"
+    try:
+        finite = math.isfinite(obj)
+    except OverflowError:
+        return f"{where} is out of range for a float"
+    return None if finite else f"{what} contains non-finite entries, first at {where}"
 
 
-def _require_finite(values: np.ndarray, what: str) -> np.ndarray:
-    finite = np.isfinite(values)
-    if not finite.all():
-        index = "".join(f"[{k}]" for k in np.argwhere(~finite)[0])
-        raise ValueError(f"{what} contains non-finite entries, first at {what}{index}")
-    return values
+def _decoded(obj: Any, shape: tuple[int, ...], what: str) -> np.ndarray:
+    """The numeric field ``what`` as a finite array of ``shape``, or a ``ValueError`` naming its first bad entry.
+
+    A field of three or more axes holds complex matrices, decoded from a last ``[re, im]`` axis."""
+    values = _nested_floats(obj, shape)
+    if values is None or not np.isfinite(values).all():
+        raise ValueError(_first_bad(obj, shape, what, what))
+    return values.view(np.complex128).reshape(shape[:-1]) if len(shape) > 2 else values
 
 
 def decode_matrix(obj: Any, dim: int, what: str = "matrix") -> np.ndarray:
-    values = _nested_floats(obj, (dim, dim, 2))
-    if values is None:
-        raise ValueError(_matrix_error(obj, dim, what))
-    return _require_finite(values.view(np.complex128).reshape(dim, dim), what)
+    return _decoded(obj, (dim, dim, 2), what)
 
 
 def _positive_dim(doc: dict[str, Any], key: str) -> int:
@@ -224,17 +229,11 @@ def parse_ensemble_document(doc: dict[str, Any]) -> ProductEnsemble:
     _check_header(doc, "ensemble")
     da = _positive_dim(doc, "dim_a")
     db = _positive_dim(doc, "dim_b")
-    weights = doc["weights"]
-    w = _nested_floats(weights, (len(weights),)) if isinstance(weights, list) else None
-    if w is None:
-        raise ValueError("weights must be an array of numbers that fit a float")
-    _require_finite(w, "weights")
-    for key in ("states_a", "states_b"):
-        if not isinstance(doc[key], list) or len(doc[key]) != len(w):
-            raise ValueError(f"{key} must list one matrix per weight")
-    states_a = tuple(decode_matrix(s, da, f"states_a[{i}]") for i, s in enumerate(doc["states_a"]))
-    states_b = tuple(decode_matrix(s, db, f"states_b[{i}]") for i, s in enumerate(doc["states_b"]))
-    return ProductEnsemble(weights=w, states_a=states_a, states_b=states_b)
+    k = len(doc["weights"]) if isinstance(doc["weights"], list) else 0
+    w = _decoded(doc["weights"], (k,), "weights")
+    states_a = _decoded(doc["states_a"], (k, da, da, 2), "states_a")
+    states_b = _decoded(doc["states_b"], (k, db, db, 2), "states_b")
+    return ProductEnsemble(weights=w, states_a=tuple(states_a), states_b=tuple(states_b))
 
 
 def correlations_document(corr: CorrelationTable) -> dict[str, Any]:
@@ -246,17 +245,6 @@ def correlations_document(corr: CorrelationTable) -> dict[str, Any]:
     }
 
 
-def _table_error(table: Any, size: int) -> str:
-    """Name the first malformed row of a table that :func:`_nested_floats` rejected."""
-    if isinstance(table, list) and len(table) == size:
-        for i, row in enumerate(table):
-            if not isinstance(row, list) or len(row) != size or not _all_are(row, (int, float)):
-                return f"incomplete table: row {i} must hold {size} numbers"
-            if _nested_floats(row, (size,)) is None:
-                return f"table row {i} holds a number out of range for a float"
-    return f"incomplete table: expected {size} rows"
-
-
 def parse_correlations_document(doc: dict[str, Any]) -> CorrelationTable:
     _check_header(doc, "correlations")
     qubits = _positive_dim(doc, "qubits")
@@ -265,10 +253,7 @@ def parse_correlations_document(doc: dict[str, Any]) -> CorrelationTable:
     if 2 * qubits >= rows.bit_length():  # 4**qubits > rows, told without building 4**qubits
         raise ValueError(f"incomplete table: {qubits} qubits need 4^{qubits} rows, got {rows}")
     size = 4**qubits
-    values = _nested_floats(table, (size, size))
-    if values is None:
-        raise ValueError(_table_error(table, size))
-    return CorrelationTable(qubits=qubits, table=_require_finite(values, "table"))
+    return CorrelationTable(qubits=qubits, table=_decoded(table, (size, size), "table"))
 
 
 def _side_payload(report: CompatibilityReport) -> dict[str, Any]:

@@ -72,14 +72,14 @@ _HALF = complex(0.5, -0.0)  # x * _HALF is bitwise x / 2 (signed zeros too) unle
 
 
 def as_complex_matrix(m: np.ndarray) -> np.ndarray:
-    """Coerce to a square complex matrix of finite entries, raising on any other input.
+    """Coerce to a nonempty square complex matrix of finite entries, raising on any other input.
 
     The entries are checked before any arithmetic: a NaN passes every comparison-based
     gate, and a Cholesky factorization of a NaN matrix does not fail.
     """
     a = np.asarray(m, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
+        raise ValueError(f"expected a nonempty square matrix, got shape {a.shape}")
     if np.count_nonzero(np.isfinite(a)) != a.size:  # half the cost of .all() on small matrices
         raise ValueError("matrix contains non-finite entries")
     return a
@@ -104,14 +104,18 @@ def hermiticity_defect(m: np.ndarray) -> float:
 
 
 def require_hermitian(m: np.ndarray) -> np.ndarray:
-    """Validate Hermiticity (max norm) and return the Hermitian part."""
+    """Validate Hermiticity (max norm) and return the Hermitian part, which must be finite."""
     a = as_complex_matrix(m)
-    defect = max_abs(a - a.conj().T)
+    with np.errstate(over="ignore", invalid="ignore"):  # entries near the float limit overflow; named below
+        defect = max_abs(a - a.conj().T)
+        h = _hermitian_part(a)
     if defect > DEFAULT_TOLS.hermiticity:
         raise ValueError(
             f"hermiticity violated: max|M - M^dag| = {defect:.3e} > {DEFAULT_TOLS.hermiticity:.1e}"
         )
-    return _hermitian_part(a)
+    if np.count_nonzero(np.isfinite(h)) != h.size:
+        raise ValueError("hermitian part out of range: (M + M^dag) / 2 overflows a float")
+    return h
 
 
 def _require_trace_one(m: np.ndarray) -> np.ndarray:
@@ -150,12 +154,11 @@ def is_psd(m: np.ndarray, tol: float = DEFAULT_TOLS.psd) -> tuple[bool, float]:
     Returns ``(verdict, min_eigenvalue)``; the verdict is true iff
     ``lambda_min >= -tol * max(1, lambda_max)``.
     """
-    return _psd_floor(np.linalg.eigvalsh(require_hermitian(m)), _check_tol(tol))[:2]
+    return _gated_psd(require_hermitian(m), tol)
 
 
 def _gated_psd(h: np.ndarray, tol: float) -> tuple[bool, float]:
-    """:func:`is_psd` of an exactly Hermitian ``h`` derived from a gated input; it is scanned for overflow."""
-    as_complex_matrix(h)
+    """:func:`is_psd` of an exactly Hermitian, finite ``h`` derived from a gated input."""
     _check_tol(tol)
     return _psd_floor(np.linalg.eigvalsh(h), tol)[:2]
 
@@ -235,7 +238,7 @@ class Spectrum:
         Consecutive eigenvalues closer than ``DEFAULT_TOLS.cluster * max(1, spectral radius)``
         share one projector ``P`` and take their mean as ``lambda``.
         """
-        gap = DEFAULT_TOLS.cluster * max(1.0, float(np.max(np.abs(self.p))) if self.p.size else 0.0)
+        gap = DEFAULT_TOLS.cluster * max(1.0, float(np.max(np.abs(self.p))))
         cuts = np.flatnonzero(np.diff(self.p) > gap) + 1
         groups = zip(np.split(self.p, cuts), np.split(self.u, cuts, axis=1))
         return tuple((float(np.mean(w)), v @ v.conj().T) for w, v in groups)
@@ -244,7 +247,7 @@ class Spectrum:
 def _spectrum(a: np.ndarray) -> Spectrum:
     """The :class:`Spectrum` of a Hermitian matrix ``a``."""
     p, u = np.linalg.eigh(a)
-    return Spectrum(a, p, u, p > DEFAULT_TOLS.rank * max(float(p[-1]) if p.size else 0.0, 0.0))
+    return Spectrum(a, p, u, p > DEFAULT_TOLS.rank * max(float(p[-1]), 0.0))
 
 
 def _density_spectrum(m: np.ndarray) -> Spectrum:
@@ -266,7 +269,8 @@ def _split(t: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
     mostly on matrices that a gate such as :func:`require_hermitian` has already checked.
     """
     da, db = dims if len(dims) == 2 else (0, 0)
-    if not (isinstance(da, (int, np.integer)) and isinstance(db, (int, np.integer)) and da > 0 and db > 0):
+    ints = (int, np.integer)
+    if not (isinstance(da, ints) and isinstance(db, ints) and da > 0 and db > 0) or bool in (type(da), type(db)):
         raise ValueError(f"dims must be two positive ints, got {dims!r}")
     a = np.asarray(t, dtype=np.complex128)
     if a.shape != (da * db, da * db):

@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import bell_state, count_factorizations, octahedral_ensemble, random_faithful_separable
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 import tempcert as tc
 from tempcert import cli, documents
@@ -102,7 +105,7 @@ class TestDocuments:
     def test_malformed_matrix_entries(self):
         doc = documents.state_document(np.eye(4) / 4, (2, 2))
         doc["matrix"][0][0] = [1.0]
-        with pytest.raises(ValueError, match="re, im"):
+        with pytest.raises(ValueError, match=re.escape("matrix[0][0] must have 2 entries")):
             documents.parse_state_document(doc)
 
     @pytest.mark.parametrize(
@@ -143,20 +146,20 @@ class TestDecoderRejections:
     @pytest.mark.parametrize(
         "matrix, message",
         [
-            (_state_matrix()[:3], "matrix must be a 4x4 nested array"),
-            ({"rows": []}, "matrix must be a 4x4 nested array"),
-            (_truncate_row(_state_matrix(), 2, 3), "matrix row 2 must have 4 entries"),
-            (_set(_state_matrix(), 1, 0, 0.25), "matrix[1][0] must be a [re, im] pair"),
-            (_set(_state_matrix(), 1, 3, [0.0]), "matrix[1][3] must be a [re, im] pair"),
-            (_set(_state_matrix(), 1, 2, ["0", 0]), "matrix[1][2] must be a [re, im] pair"),
-            (_set(_state_matrix(), 0, 0, [True, False]), "matrix[0][0] must be a [re, im] pair"),
-            (_set(_state_matrix(), 3, 1, [float("nan"), 0.0]), "matrix contains non-finite entries, first at matrix[3][1]"),
-            (_set(_state_matrix(), 0, 2, [0.0, float("-inf")]), "matrix contains non-finite entries, first at matrix[0][2]"),
-            (_set(_state_matrix(), 2, 3, [0, 10**400]), "matrix[2][3] is out of range for a float"),
-            (_set(_state_matrix(), 2, 3, [-(10**400), 0]), "matrix[2][3] is out of range for a float"),
+            (_state_matrix()[:3], "matrix must have 4 entries"),
+            ({"rows": []}, "matrix must be an array"),
+            (_truncate_row(_state_matrix(), 2, 3), "matrix[2] must have 4 entries"),
+            (_set(_state_matrix(), 1, 0, 0.25), "matrix[1][0] must be an array"),
+            (_set(_state_matrix(), 1, 3, [0.0]), "matrix[1][3] must have 2 entries"),
+            (_set(_state_matrix(), 1, 2, ["0", 0]), "matrix[1][2][0] must be a number"),
+            (_set(_state_matrix(), 0, 0, [True, False]), "matrix[0][0][0] must be a number"),
+            (_set(_state_matrix(), 3, 1, [float("nan"), 0.0]), "matrix contains non-finite entries, first at matrix[3][1][0]"),
+            (_set(_state_matrix(), 0, 2, [0.0, float("-inf")]), "matrix contains non-finite entries, first at matrix[0][2][1]"),
+            (_set(_state_matrix(), 2, 3, [0, 10**400]), "matrix[2][3][1] is out of range for a float"),
+            (_set(_state_matrix(), 2, 3, [-(10**400), 0]), "matrix[2][3][0] is out of range for a float"),
             # The first bad row or entry in row-major order is the one named.
-            (_truncate_row(_set(_state_matrix(), 0, 3, [True, 0]), 1, 2), "matrix[0][3] must be a [re, im] pair"),
-            (_set(_set(_state_matrix(), 1, 1, [10**400, 0]), 1, 2, [False, 0]), "matrix[1][1] is out of range for a float"),
+            (_truncate_row(_set(_state_matrix(), 0, 3, [True, 0]), 1, 2), "matrix[0][3][0] must be a number"),
+            (_set(_set(_state_matrix(), 1, 1, [10**400, 0]), 1, 2, [False, 0]), "matrix[1][1][0] is out of range for a float"),
         ],
         ids=[
             "row-count", "not-a-list", "row-length", "entry-not-a-list", "pair-length", "string", "boolean",
@@ -170,16 +173,16 @@ class TestDecoderRejections:
     def test_matrix_name_in_message(self):
         doc = documents.channel_document(tc.identity_channel(2))
         doc["choi"][2][1] = [True, 0.0]
-        with pytest.raises(ValueError, match=re.escape("choi[2][1] must be a [re, im] pair")):
+        with pytest.raises(ValueError, match=re.escape("choi[2][1][0] must be a number")):
             documents.parse_channel_document(doc)
 
     @pytest.mark.parametrize(
         "row, message",
         [
-            ([1.0, 0.0, 0.0], "incomplete table: row 2 must hold 4 numbers"),
-            ([1.0, 0.0, 0.0, True], "incomplete table: row 2 must hold 4 numbers"),
-            ([1.0, 0.0, None, 0.0], "incomplete table: row 2 must hold 4 numbers"),
-            ([1.0, 0.0, 0.0, 10**400], "table row 2 holds a number out of range for a float"),
+            ([1.0, 0.0, 0.0], "table[2] must have 4 entries"),
+            ([1.0, 0.0, 0.0, True], "table[2][3] must be a number"),
+            ([1.0, 0.0, None, 0.0], "table[2][2] must be a number"),
+            ([1.0, 0.0, 0.0, 10**400], "table[2][3] is out of range for a float"),
             ([1.0, 0.0, float("nan"), 0.0], "table contains non-finite entries, first at table[2][2]"),
         ],
         ids=["row-length", "boolean", "null", "overflow", "nan"],
@@ -194,10 +197,10 @@ class TestDecoderRejections:
     @pytest.mark.parametrize(
         "weight, message",
         [
-            (True, "weights must be an array of numbers that fit a float"),
-            (10**400, "weights must be an array of numbers that fit a float"),
-            ("0.5", "weights must be an array of numbers that fit a float"),
-            ([0.5], "weights must be an array of numbers that fit a float"),
+            (True, "weights[1] must be a number"),
+            (10**400, "weights[1] is out of range for a float"),
+            ("0.5", "weights[1] must be a number"),
+            ([0.5], "weights[1] must be a number"),
             (float("inf"), "weights contains non-finite entries, first at weights[1]"),
         ],
         ids=["boolean", "overflow", "string", "list", "inf"],
@@ -222,6 +225,110 @@ class TestDecoderRejections:
         doc["matrix"] = [[[int(x) for x in entry] for entry in row] for row in doc["matrix"]]
         tau, _ = documents.parse_state_document(doc)
         assert np.array_equal(tau, np.diag([1.0, 0, 0, 0]))
+
+
+def _field_documents() -> dict[str, tuple[str, object]]:
+    """One valid document per numeric field, as JSON text, and the parser that reads it."""
+    process = tc.Process(channel=tc.identity_channel(2), input_state=np.eye(2) / 2)
+    state = documents.dump_document(documents.state_document(tc.random_density(4, seed=3), (2, 2)))
+    channel = documents.dump_document(documents.channel_document(tc.identity_channel(2)))
+    ensemble = documents.dump_document(documents.ensemble_document(octahedral_ensemble()))
+    table = documents.dump_document(documents.correlations_document(tc.correlations_from_process(process, 1)))
+    process_text = documents.dump_document(documents.process_document(process))
+    return {
+        "matrix": (state, documents.parse_state_document),
+        "choi": (channel, documents.parse_channel_document),
+        "input_state": (process_text, documents.parse_process_document),
+        "weights": (ensemble, documents.parse_ensemble_document),
+        "states_a": (ensemble, documents.parse_ensemble_document),
+        "states_b": (ensemble, documents.parse_ensemble_document),
+        "table": (table, documents.parse_correlations_document),
+    }
+
+
+FIELD_DOCUMENTS = _field_documents()
+NOT_A_NUMBER = "{where} must be a number"
+# Each corruption replaces one entry and names it; "short" drops the last entry of the list holding it.
+CORRUPTIONS = {
+    "bool": (lambda x: True, NOT_A_NUMBER),
+    "string": (lambda x: "0.5", NOT_A_NUMBER),
+    "null": (lambda x: None, NOT_A_NUMBER),
+    "nesting": (lambda x: [x], NOT_A_NUMBER),
+    "huge": (lambda x: -(10**400), "{where} is out of range for a float"),
+    "nan": (lambda x: float("nan"), "{field} contains non-finite entries, first at {where}"),
+    "inf": (lambda x: float("inf"), "{field} contains non-finite entries, first at {where}"),
+    "short": (None, "{where} must have {n} entries"),
+}
+
+
+# One to three entries, each by its row-major position (taken modulo the field's size), and a corruption.
+PICKS = st.lists(st.tuples(st.integers(0, 2**16), st.sampled_from(list(CORRUPTIONS))), min_size=1, max_size=3)
+NOT_A_LIST = st.one_of(st.none(), st.booleans(), st.floats(), st.integers(), st.text(max_size=3), st.just({}))
+
+
+def _at(field: list, path: tuple[int, ...]) -> list:
+    for k in path:
+        field = field[k]
+    return field
+
+
+class TestFirstBadEntry:
+    @pytest.mark.parametrize("field", list(FIELD_DOCUMENTS))
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(picks=PICKS)
+    @example(picks=[(0, "bool"), (1, "short")])  # a shortened list is named before its first entry
+    def test_the_first_corrupted_entry_is_named(self, field, picks):
+        text, parse = FIELD_DOCUMENTS[field]
+        doc = json.loads(text)
+        shape = np.shape(doc[field])
+        entries = list(np.ndindex(shape))
+        # The length of weights is the ensemble size, not a shape to break, so weights are not shortened.
+        chosen = {entries[i % len(entries)]: kind for i, kind in picks if field != "weights" or kind != "short"}
+        assume(chosen)
+        named = {}
+        for path, kind in sorted(chosen.items(), key=lambda item: item[1] == "short"):  # shorten last
+            corrupt, message = CORRUPTIONS[kind]
+            holder = _at(doc[field], path[:-1])
+            if corrupt is None:
+                where = path[:-1]
+                holder.pop()
+            else:
+                where = path
+                holder[path[-1]] = corrupt(holder[path[-1]])
+            named[where] = message.format(where=field + "".join(f"[{k}]" for k in where), field=field, n=shape[-1])
+        # Row-major order visits a list before its entries: a path sorts before its extensions.
+        with pytest.raises(ValueError, match=f"^{re.escape(named[min(named)])}$"):
+            parse(doc)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(weights=NOT_A_LIST)
+    @example(weights=[])
+    @example(weights={"0": 1.0})
+    def test_weights_that_are_not_a_list(self, weights):
+        doc = json.loads(FIELD_DOCUMENTS["weights"][0])
+        doc["weights"] = weights
+        if weights == []:  # the empty ensemble decodes, and the ensemble names what is missing
+            doc["states_a"] = doc["states_b"] = []
+            message = "weights and the two state lists must be nonempty and of equal length"
+        else:
+            message = "weights must be an array"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            documents.parse_ensemble_document(doc)
+
+    @pytest.mark.parametrize("key", ["states_a", "states_b"])
+    def test_one_state_per_weight(self, key):
+        doc = documents.ensemble_document(octahedral_ensemble())
+        doc[key] = doc[key][:5]
+        with pytest.raises(ValueError, match=f"^{key} must have 6 entries$"):
+            documents.parse_ensemble_document(doc)
+
+    def test_only_the_decoder_reads_numbers_in_bulk(self):
+        # Every numeric field is read by documents._decoded, so one walker names every rejection.
+        sources = {path.name: path.read_text(encoding="utf-8") for path in Path(tc.__file__).parent.glob("*.py")}
+        calls = {name: len(re.findall(r"(?<!def )\b_nested_floats\(", text)) for name, text in sources.items()}
+        assert {name: k for name, k in calls.items() if k} == {"documents.py": 1}
+        body = sources["documents.py"].split("def _decoded(")[1].split("\ndef ")[0]
+        assert "_nested_floats(" in body
 
 
 class TestDocumentText:
@@ -313,7 +420,7 @@ class TestCertifyCommand:
         doc["matrix"][0][1] = [10**400, 0]
         path = write(tmp_path, "huge.json", doc)
         assert main(["certify", path]) == 1
-        assert capsys.readouterr().err == "error: matrix[0][1] is out of range for a float\n"
+        assert capsys.readouterr().err == "error: matrix[0][1][0] is out of range for a float\n"
 
     def test_exit_code_is_reproducible(self, tmp_path):
         path = write(tmp_path, "bell.json", documents.state_document(bell_state(), (2, 2)))
@@ -492,15 +599,24 @@ class TestBlochCommand:
 
 
 class TestTolOption:
-    @pytest.mark.parametrize("command", [["certify"], ["channel"], ["pdm"], ["expect", "--m", "1"], ["bloch"]])
+    @pytest.mark.parametrize("command", [["certify"], ["channel"]])
     @pytest.mark.parametrize("value", ["nan", "-1", "inf"])
     def test_invalid_tol_exits_1_with_one_line(self, tmp_path, capsys, command, value):
-        path = write(tmp_path, "bell.json", documents.state_document(bell_state(), (2, 2)))
+        path = str(tmp_path / "never-read.json")  # the tol is checked before the input is opened
         assert main([command[0], path, *command[1:], f"--tol={value}"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: tol must be finite and >= 0")
         assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", [["pdm"], ["expect", "--m", "1"], ["bloch"]])
+    @pytest.mark.parametrize("value", ["nan", "-1", "inf"])
+    def test_commands_without_a_tolerance_reject_tol(self, tmp_path, capsys, command, value):
+        path = write(tmp_path, "bell.json", documents.state_document(bell_state(), (2, 2)))
+        with pytest.raises(SystemExit) as exit_info:
+            main([command[0], path, *command[1:], f"--tol={value}"])
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: --tol={value}" in capsys.readouterr().err
 
 
 class TestMissingFile:

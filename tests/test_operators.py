@@ -317,6 +317,43 @@ def test_non_finite_entries_are_rejected_before_arithmetic(check, value, at):
         NON_FINITE_CHECKS[check](_tau6_with(value, at))
 
 
+OVERFLOW_GATES = {
+    "certify": lambda m: tc.certify(m, (2, 3)),
+    "is_ppt": lambda m: tc.is_ppt(m, (2, 3)),
+    "is_psd": tc.is_psd,
+    "validate_density": tc.validate_density,
+    "dephasing_channel": tc.dephasing_channel,
+}
+
+
+@pytest.mark.parametrize("gate", list(OVERFLOW_GATES), ids=str)
+@pytest.mark.parametrize(
+    "pair, message",
+    [
+        (1e308, r"^hermitian part out of range: \(M \+ M\^dag\) / 2 overflows a float$"),
+        (-1e308, r"^hermiticity violated: max\|M - M\^dag\| = inf > 1\.0e-10$"),
+    ],
+    ids=["hermitian", "anti-hermitian"],
+)
+def test_entries_near_the_float_limit_are_named(gate, pair, message):
+    # Finite entries off both marginals whose Hermitian part, or defect, overflows; warnings are errors.
+    tau = tc.random_density(6, seed=7)
+    tau[0, 4] = tau[1, 5] = 1e308
+    tau[4, 0] = tau[5, 1] = pair
+    with pytest.raises(ValueError, match=message):
+        OVERFLOW_GATES[gate](tau)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [tc.is_psd, tc.correlation_matrix_check, lambda m: tc.observable(m).eigenspaces],
+    ids=["is_psd", "correlation_matrix_check", "observable"],
+)
+def test_empty_matrices_are_named(call):
+    with pytest.raises(ValueError, match=r"^expected a nonempty square matrix, got shape \(0, 0\)$"):
+        call(np.zeros((0, 0)))
+
+
 UNWRITTEN_INPUT_CALLS = {
     "certify": lambda m: tc.certify(m, (2, 3)),
     "compatibility_test": lambda m: tc.compatibility_test(m, (2, 3), "b"),
@@ -337,7 +374,7 @@ def test_complex_input_is_not_written(call):
     assert tau.tobytes() == before
 
 
-@pytest.mark.parametrize("dims", [(-2, -3), (2.0, 3.0), (6,), (0, 6), (2, 3, 1)], ids=str)
+@pytest.mark.parametrize("dims", [(-2, -3), (2.0, 3.0), (6,), (0, 6), (2, 3, 1), (True, 6), (2, False)], ids=str)
 def test_bad_dims_are_named(dims):
     tau6 = tc.random_density(6, seed=7)
     with pytest.raises(ValueError, match=r"^dims must be two positive ints, got \("):
