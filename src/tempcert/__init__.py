@@ -49,7 +49,6 @@ from .operators import (
     max_abs,
     partial_trace,
     partial_transpose,
-    sqrt_pinv,
     swap_factors,
     tensor,
     validate_density,

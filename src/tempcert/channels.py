@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import (
-    DEFAULT_TOLS, _check_tol, _hermitian_part, _psd_floor, _split, _trace_out, as_complex_matrix,
+    DEFAULT_TOLS, _check_tol, _defect_and_part, _in_range, _psd_floor, _split, _trace_out, as_complex_matrix,
     partial_transpose, swap_factors, tensor, validate_density,
 )
 
@@ -192,25 +192,25 @@ _HERMITICITY_ROUNDING = 8
 _CHOI_ROUNDING = 4
 
 
-def _hptp_gates(e: SuperOp, tol: float) -> tuple[bool, float, bool, float]:
-    """The gates ``max|C - C^dag| <= tol + _HERMITICITY_ROUNDING eps max|C|`` and
-    ``max|Tr_out C - 1| <= tol + _TRACE_ROUNDING dim_out eps max|C|`` at a checked ``tol``, with their
-    residuals.  The second terms are rounding floors: ``tol=0`` accepts a map HPTP up to rounding."""
+def _hptp_gates(e: SuperOp, tol: float) -> tuple[bool, float, bool, float, np.ndarray]:
+    """At a checked ``tol``, the gates ``max|C - C^dag| <= tol + _HERMITICITY_ROUNDING eps max|C|`` and
+    ``max|Tr_out C - 1| <= tol + _TRACE_ROUNDING dim_out eps max|C|``, their residuals, and ``C``'s Hermitian part
+    (unchecked).  The second terms are rounding floors: ``tol=0`` accepts a map HPTP up to rounding."""
     c = e.choi
     unit = _EPS * float(np.abs(c).max())
-    herm = float(np.abs(c - c.conj().T).max())
+    herm, h = _defect_and_part(c)
     gap = _trace_out(c.reshape(e.dim_in, e.dim_out, e.dim_in, e.dim_out), "b")
     gap.flat[:: e.dim_in + 1] -= 1.0
     residual = float(np.abs(gap).max())
     tp = residual <= tol + _TRACE_ROUNDING * e.dim_out * unit
-    return herm <= tol + _HERMITICITY_ROUNDING * unit, herm, tp, residual
+    return herm <= tol + _HERMITICITY_ROUNDING * unit, herm, tp, residual, h
 
 
 def is_cptp(e: SuperOp, tol: float = DEFAULT_TOLS.psd) -> CptpReport:
     """Check Choi positivity and trace preservation, returning full diagnostics."""
     _check_tol(tol)
-    herm_ok, herm, tp, trace_residual = _hptp_gates(e, tol)
-    w = np.linalg.eigvalsh(_hermitian_part(e.choi))
+    herm_ok, herm, tp, trace_residual, h = _hptp_gates(e, tol)
+    w = np.linalg.eigvalsh(_in_range(h))
     _, lam_min, scale = _psd_floor(w, tol)
     return CptpReport(
         cp=herm_ok and lam_min >= -(tol + _CHOI_ROUNDING * len(w) * _EPS) * scale,
@@ -224,7 +224,7 @@ def is_cptp(e: SuperOp, tol: float = DEFAULT_TOLS.psd) -> CptpReport:
 def is_hptp(e: SuperOp, tol: float = DEFAULT_TOLS.psd) -> bool:
     """True iff the map is Hermitian-preserving and trace-preserving."""
     _check_tol(tol)
-    herm_ok, _, tp, _ = _hptp_gates(e, tol)
+    herm_ok, _, tp, _, _ = _hptp_gates(e, tol)
     return herm_ok and tp
 
 

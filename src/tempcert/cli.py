@@ -36,13 +36,12 @@ def _load_state(path: str) -> tuple[np.ndarray, tuple[int, int]]:
     if doc["kind"] == "ensemble":
         ensemble = documents.parse_ensemble_document(doc)
         return assemble_state(ensemble), ensemble.dims
-    tau, dims = documents.parse_state_document(doc)
-    return tau, dims
+    return documents.parse_state_document(doc)
 
 
 def _write_text(text: str, out: str | None) -> None:
     if out is None:
-        sys.stdout.write(text if text.endswith("\n") or not text else text + "\n")
+        sys.stdout.write(text)
     else:
         Path(out).write_text(text, encoding="utf-8")
 
@@ -111,10 +110,8 @@ def _bloch_points(tau: np.ndarray, dims: tuple[int, int], stage: str, samples: i
         push = None
     elif stage == "dephased":
         push = dephasing_channel(partial_trace(tau, dims, "b"))
-    elif stage == "output":
+    else:  # "output"; the parser restricts --stage to the three names
         push = temporal_channel(tau, dims, "a")
-    else:
-        raise ValueError(f"stage must be input, dephased or output, got {stage!r}")
     v = np.random.default_rng(seed).standard_normal((samples, 3))
     v /= np.linalg.norm(v, axis=1, keepdims=True)
     sigmas = np.stack(PAULIS[1:])

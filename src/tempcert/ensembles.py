@@ -11,7 +11,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import SuperOp, from_kraus
-from .operators import DEFAULT_TOLS, Spectrum, _check_tol, _hermitian_part, max_abs, sqrt_pinv, validate_density
+from .operators import (
+    DEFAULT_TOLS, Spectrum, _check_tol, _gated_psd, _pairings, as_complex_matrix, max_abs, require_hermitian,
+    validate_density,
+)
 from .sot import observable
 
 __all__ = [
@@ -146,50 +149,50 @@ def random_povm(dim: int, outcomes: int, seed: Seed = None) -> list[np.ndarray]:
         g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         parts.append(g @ g.conj().T)
     total = sum(parts)
-    inv = sqrt_pinv(total).inv_sqrt
+    inv = observable(total).inv_sqrt
     return [inv @ p @ inv for p in parts]
 
 
 def is_orthogonal_ensemble(states: list[np.ndarray], tol: float = DEFAULT_TOLS.psd) -> bool:
-    """True iff all pairwise Hilbert-Schmidt overlaps ``Tr[rho_s rho_t]`` vanish."""
+    """True iff all pairwise Hilbert-Schmidt overlaps ``Tr[rho_s rho_t]``, ``s != t``, vanish."""
     _check_tol(tol)
-    for i in range(len(states)):
-        for j in range(i + 1, len(states)):
-            if abs(np.trace(states[i] @ states[j])) > tol:
-                return False
-    return True
+    if len(states) == 0:
+        raise ValueError("ensemble must hold at least one state")
+    s = np.stack([as_complex_matrix(m) for m in states])
+    return bool(np.all(np.abs(_pairings(s, s))[~np.eye(len(s), dtype=bool)] <= tol))
 
 
 @dataclass(frozen=True)
 class DiscriminationInstance:
     """An ensemble with a candidate discriminating POVM.
 
-    ``assignment[k]`` is the ensemble index announced on POVM outcome ``k``;
-    the assignment must be surjective onto the ensemble.
+    ``assignment[k]`` is the ensemble index announced on POVM outcome ``k``; the assignment must be surjective
+    onto the ensemble.  States and POVM elements pass the shared gates and are held as ``(k, d, d)`` stacks.
     """
 
     weights: np.ndarray
-    states: tuple[np.ndarray, ...]
-    povm: tuple[np.ndarray, ...]
+    states: np.ndarray
+    povm: np.ndarray
     assignment: tuple[int, ...]
 
     def __post_init__(self) -> None:
         w = np.asarray(self.weights, dtype=float).ravel()
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "states", tuple(np.asarray(s, dtype=np.complex128) for s in self.states))
-        object.__setattr__(self, "povm", tuple(np.asarray(e, dtype=np.complex128) for e in self.povm))
+        if w.size == 0 or w.size != len(self.states):
+            raise ValueError(f"need one weight per state of a nonempty ensemble, got {w.size} for {len(self.states)}")
+        states = np.stack([validate_density(s) for s in self.states])
         if len(self.assignment) != len(self.povm):
             raise ValueError("assignment must map every POVM outcome to an ensemble index")
-        if set(self.assignment) != set(range(len(self.states))):
+        if set(self.assignment) != set(range(len(states))):
             raise ValueError("assignment must be surjective onto the ensemble")
-        dim = self.states[0].shape[0]
-        total = sum(self.povm)
-        if max_abs(total - np.eye(dim)) > DEFAULT_TOLS.trace:
+        povm = np.stack([require_hermitian(e) for e in self.povm])
+        if max_abs(povm.sum(axis=0) - np.eye(states.shape[1])) > DEFAULT_TOLS.trace:
             raise ValueError("POVM elements do not sum to the identity")
-        for e in self.povm:
-            lam_min = float(np.linalg.eigvalsh(_hermitian_part(e))[0])
-            if lam_min < -DEFAULT_TOLS.psd:
+        for ok, lam_min in (_gated_psd(e, DEFAULT_TOLS.psd) for e in povm):
+            if not ok:
                 raise ValueError(f"POVM element has negative eigenvalue {lam_min:.3e}")
+        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "states", states)
+        object.__setattr__(self, "povm", povm)
 
 
 def discrimination_povm(
@@ -205,18 +208,13 @@ def discrimination_povm(
     mats = [validate_density(s) for s in states]
     if not is_orthogonal_ensemble(mats, tol):
         raise ValueError("ensemble is not orthogonal")
-    povm = [sqrt_pinv(s).support for s in mats]
+    povm = [observable(s).support for s in mats]
     assignment = list(range(len(mats)))
     leftover = np.eye(mats[0].shape[0]) - sum(povm)
     if max_abs(leftover) > tol:
         povm.append(leftover)
         assignment.append(0)
-    return DiscriminationInstance(
-        weights=np.asarray(weights, dtype=float),
-        states=tuple(mats),
-        povm=tuple(povm),
-        assignment=tuple(assignment),
-    )
+    return DiscriminationInstance(weights=weights, states=mats, povm=povm, assignment=tuple(assignment))
 
 
 def perfect_distinguishability_check(
@@ -230,12 +228,7 @@ def perfect_distinguishability_check(
     the largest violation.
     """
     _check_tol(tol)
-    avg = sum(w * s for w, s in zip(instance.weights, instance.states))
-    worst = 0.0
-    for k, e in enumerate(instance.povm):
-        p_k = float(np.trace(avg @ e).real)
-        for t, (w, s) in enumerate(zip(instance.weights, instance.states)):
-            lhs = float(np.trace(s @ e).real) * w
-            rhs = p_k if t == instance.assignment[k] else 0.0
-            worst = max(worst, abs(lhs - rhs))
+    joint = instance.weights[:, None] * _pairings(instance.states, instance.povm).real  # [t, k]
+    announced = np.arange(len(joint))[:, None] == np.array(instance.assignment)
+    worst = float(np.max(np.abs(joint - np.where(announced, joint.sum(axis=0), 0.0))))
     return worst <= tol, worst

@@ -27,7 +27,6 @@ __all__ = [
     "partial_trace",
     "partial_transpose",
     "hadamard_product",
-    "sqrt_pinv",
     "swap_factors",
     "cauchy_matrix",
     "harmonic_mean_matrix",
@@ -98,24 +97,29 @@ def _hermitian_part(a: np.ndarray) -> np.ndarray:
     return np.multiply(h, _HALF, out=h)
 
 
+def _defect_and_part(a: np.ndarray) -> tuple[float, np.ndarray]:
+    with np.errstate(over="ignore", invalid="ignore"):  # near the float limit either overflows; callers name it
+        return max_abs(a - a.conj().T), _hermitian_part(a)
+
+
+def _in_range(h: np.ndarray) -> np.ndarray:
+    if np.count_nonzero(np.isfinite(h)) != h.size:
+        raise ValueError("hermitian part out of range: (M + M^dag) / 2 overflows a float")
+    return h
+
+
 def hermiticity_defect(m: np.ndarray) -> float:
-    a = as_complex_matrix(m)
-    return max_abs(a - a.conj().T)
+    return _defect_and_part(as_complex_matrix(m))[0]
 
 
 def require_hermitian(m: np.ndarray) -> np.ndarray:
     """Validate Hermiticity (max norm) and return the Hermitian part, which must be finite."""
-    a = as_complex_matrix(m)
-    with np.errstate(over="ignore", invalid="ignore"):  # entries near the float limit overflow; named below
-        defect = max_abs(a - a.conj().T)
-        h = _hermitian_part(a)
+    defect, h = _defect_and_part(as_complex_matrix(m))
     if defect > DEFAULT_TOLS.hermiticity:
         raise ValueError(
             f"hermiticity violated: max|M - M^dag| = {defect:.3e} > {DEFAULT_TOLS.hermiticity:.1e}"
         )
-    if np.count_nonzero(np.isfinite(h)) != h.size:
-        raise ValueError("hermitian part out of range: (M + M^dag) / 2 overflows a float")
-    return h
+    return _in_range(h)
 
 
 def _require_trace_one(m: np.ndarray) -> np.ndarray:
@@ -307,6 +311,11 @@ def partial_transpose(t: np.ndarray, dims: tuple[int, int], side: str = "a") -> 
     raise ValueError(f"side must be 'a' or 'b', got {side!r}")
 
 
+def _pairings(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The ``(k, l)`` table ``Tr[a_s b_t]`` of a ``(k, d, d)`` and an ``(l, d, d)`` stack, as one matmul."""
+    return a.reshape(len(a), -1) @ b.transpose(0, 2, 1).reshape(len(b), -1).T
+
+
 def hadamard_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Entrywise (Hadamard-Schur) product of two equal-dimension matrices."""
     x = as_complex_matrix(a)
@@ -314,15 +323,6 @@ def hadamard_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if x.shape != y.shape:
         raise ValueError(f"dimension mismatch: {x.shape} vs {y.shape}")
     return x * y
-
-
-def sqrt_pinv(rho: np.ndarray) -> Spectrum:
-    """Pseudoinverse square root of a PSD matrix, as the :class:`Spectrum` whose ``inv_sqrt`` it is.
-
-    Eigenvalues below the support cut ``DEFAULT_TOLS.rank * p_max`` count as
-    zero; rank deficiency is handled, not an error.
-    """
-    return _spectrum(require_hermitian(rho))
 
 
 def swap_factors(t: np.ndarray, dims: tuple[int, int]) -> np.ndarray:

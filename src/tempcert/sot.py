@@ -23,6 +23,7 @@ from .operators import (
     DEFAULT_TOLS,
     Spectrum,
     _check_tol,
+    _pairings,
     _spectrum,
     require_hermitian,
     swap_factors,
@@ -120,17 +121,16 @@ def two_time_expectation(m_obs: Spectrum, n_obs: Spectrum, process: Process) -> 
     """Expectation of measuring ``M`` first, evolving, then measuring ``N``.
 
     Computed as ``sum_i lambda_i Tr[E(P_i rho P_i) N]`` over the eigenspace
-    projectors ``P_i`` of ``M``; the result is asserted real before the
-    imaginary part is discarded.
+    projectors ``P_i`` of ``M``, with the channel applied once to the stack of
+    all ``P_i rho P_i``; the result is asserted real before the imaginary part is discarded.
     """
     e, rho = process.channel, process.input_state
     if m_obs.matrix.shape[0] != e.dim_in:
         raise ValueError("first observable does not match the channel input dimension")
     if n_obs.matrix.shape[0] != e.dim_out:
         raise ValueError("second observable does not match the channel output dimension")
-    value = 0.0 + 0.0j
-    for lam, proj in m_obs.eigenspaces:
-        value += lam * np.trace(apply(e, proj @ rho @ proj) @ n_obs.matrix)
+    lams, projs = map(np.array, zip(*m_obs.eigenspaces))
+    value = lams @ _pairings(apply(e, projs @ rho @ projs), n_obs.matrix[None])[:, 0]
     if abs(value.imag) > DEFAULT_TOLS.imag:
         raise ValueError(f"two-time expectation has imaginary residue {value.imag:.3e}")
     return float(value.real)
@@ -145,10 +145,10 @@ def representability_check(
 ) -> tuple[bool, float]:
     """Compare ``Tr[R (M (x) N)]`` with the two-time expectation of (M, N).
 
-    Returns the verdict and the absolute residual.
+    ``R`` must pass :func:`require_hermitian`; returns the verdict and the absolute residual.
     """
     _check_tol(tol)
-    lhs = np.trace(r @ tensor(m_obs.matrix, n_obs.matrix))
+    lhs = _pairings(require_hermitian(r)[None], tensor(m_obs.matrix, n_obs.matrix)[None])[0, 0]
     rhs = two_time_expectation(m_obs, n_obs, process)
     residual = abs(complex(lhs) - rhs)
     return residual <= tol, float(residual)
@@ -167,6 +167,8 @@ class CorrelationTable:
 
     def __post_init__(self) -> None:
         t = np.asarray(self.table, dtype=float)
+        if np.count_nonzero(np.isfinite(t)) != t.size:
+            raise ValueError("correlation table contains non-finite entries")
         size = 4**self.qubits
         if t.shape != (size, size):
             raise ValueError(f"incomplete table: expected shape {(size, size)}, got {t.shape}")

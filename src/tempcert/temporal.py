@@ -43,7 +43,7 @@ import numpy as np
 
 from .channels import _EPS, CptpReport, SuperOp, _hptp_gates, compose
 from .operators import (
-    DEFAULT_TOLS, Spectrum, _check_tol, _density_spectrum, _gated_psd, _hermitian_part, _psd_floor,
+    DEFAULT_TOLS, Spectrum, _check_tol, _density_spectrum, _gated_psd, _hermitian_part, _in_range, _psd_floor,
     _require_psd_spectrum, _require_trace_one, _require_unit_trace, _spectrum, _split, _trace_out,
     as_complex_matrix, max_abs, partial_transpose, require_hermitian, tensor,
 )
@@ -305,8 +305,8 @@ def _side_report(validated: tuple, side: str, tol: float) -> CompatibilityReport
     # The factorization reads only the lower triangle, so Hermiticity is gated separately, as in is_cptp.
     channel = _choi_from_eigenbasis(s, x4)
     del x4  # one full-size array fewer held through the checks below, where a certify peaks
-    herm_ok, herm, tp, trace_residual = _hptp_gates(channel, tol)
-    cp = herm_ok and _cholesky_cp(channel.choi.copy(), 5 * tol * scale)
+    herm_ok, herm, tp, trace_residual, h = _hptp_gates(channel, tol)
+    cp = herm_ok and _cholesky_cp(_in_range(h), 5 * tol * scale)  # the choi is Hermitian: h is its copy
     cptp = CptpReport(
         cp=cp, tp=tp, choi_min_eigenvalue=choi_min, trace_residual=trace_residual, hermiticity_defect=herm
     )
@@ -350,8 +350,6 @@ def compatibility_test(
     must agree outside the ``10 * tol`` boundary zone, else
     :class:`VerdictMismatchError` is raised.
     """
-    if side not in ("a", "b"):
-        raise ValueError(f"side must be 'a' or 'b', got {side!r}")
     validated = _validated(tau, dims)
     _check_tol(tol)
     return _side_report(validated, side, tol)

@@ -214,6 +214,20 @@ class TestVerdicts:
         assert not rep.cp
         assert abs(rep.choi_min_eigenvalue + 1e-8) < 1e-15
 
+    def test_choi_entries_near_the_float_limit(self):
+        # Finite entries whose Hermitian part, or Hermiticity defect, overflows; warnings are errors.
+        c = np.eye(4, dtype=complex) / 2
+        c[0, 3] = c[3, 0] = 1e308
+        hermitian = tc.SuperOp(2, 2, c)
+        assert tc.is_hptp(hermitian)
+        with pytest.raises(ValueError, match=r"^hermitian part out of range: \(M \+ M\^dag\) / 2 overflows a float$"):
+            tc.is_cptp(hermitian)
+        c[3, 0] = -1e308
+        skewed = tc.SuperOp(2, 2, c)
+        assert not tc.is_hptp(skewed)
+        rep = tc.is_cptp(skewed)
+        assert rep.hermiticity_defect == np.inf and not rep.cp and rep.tp
+
 
 class TestComposeAndAdjoint:
     def test_compose_identity_and_replace(self):

@@ -196,3 +196,82 @@ class TestDiscrimination:
                 povm=(np.eye(2) / 2,),
                 assignment=(0,),
             )
+
+
+def _qubit_basis_instance(**changes) -> tc.DiscriminationInstance:
+    """The computational-basis pair with its projective measurement, with the given fields replaced."""
+    fields = dict(weights=[0.5, 0.5], states=(proj(KET0), proj(KET1)), povm=(proj(KET0), proj(KET1)), assignment=(0, 1))
+    fields.update(changes)
+    return tc.DiscriminationInstance(**fields)
+
+
+class TestDiscriminationGates:
+    # Each case was admitted before the shared gates, and the Bayes check then called it perfectly discriminating.
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"povm": (np.diag([1.0, np.nan]), proj(KET1))}, "^matrix contains non-finite entries$"),
+            (
+                {"povm": (np.array([[1, 0.3j], [0.3j, 0]]), np.array([[0, -0.3j], [-0.3j, 1]]))},
+                r"^hermiticity violated: max\|M - M\^dag\| = 6\.000e-01",
+            ),
+            ({"states": (2 * proj(KET0), proj(KET1))}, "^trace invariant violated: Tr = 2, expected 1$"),
+            ({"weights": [1.0]}, "^need one weight per state of a nonempty ensemble, got 1 for 2$"),
+            (
+                {"weights": [0.5, 0.5], "states": (np.eye(2) / 2,), "povm": (np.eye(2),), "assignment": (0,)},
+                "^need one weight per state of a nonempty ensemble, got 2 for 1$",
+            ),
+            ({"weights": [], "states": (), "povm": (), "assignment": ()}, "nonempty ensemble, got 0 for 0$"),
+            ({"assignment": (0, 1, 1)}, "^assignment must map every POVM outcome to an ensemble index$"),
+            (
+                {"povm": (np.diag([1.5, 0.0]), np.diag([-0.5, 1.0]))},
+                "^POVM element has negative eigenvalue -5.000e-01$",
+            ),
+        ],
+        ids=["nan-povm", "non-hermitian-povm", "trace-2-state", "one-weight", "two-weights", "empty",
+             "assignment-length", "negative-povm"],
+    )
+    def test_instance_gates_are_named(self, changes, message):
+        with pytest.raises(ValueError, match=message):
+            _qubit_basis_instance(**changes)
+
+    def test_fields_are_stacks_of_hermitian_parts(self):
+        inst = _qubit_basis_instance(povm=[proj(KET0) + 1e-12j * tc.PAULIS[2], proj(KET1)])
+        assert inst.states.shape == inst.povm.shape == (2, 2, 2)
+        np.testing.assert_array_equal(inst.povm[0], proj(KET0))
+        assert tc.perfect_distinguishability_check(inst) == (True, 0.0)
+
+    def test_bayes_violation_matches_the_loop(self):
+        # The (states, povm) table against the pair loop it replaced; the sums run in another order.
+        rng = np.random.default_rng(12)
+        for _ in range(30):
+            dim = int(rng.integers(2, 5))
+            states = [tc.random_density(dim, rank=int(rng.integers(1, dim + 1)), seed=rng) for _ in range(3)]
+            weights = rng.dirichlet(np.ones(3))
+            povm = tc.random_povm(dim, 4, seed=rng)
+            assignment = (0, 1, 2, int(rng.integers(0, 3)))
+            inst = tc.DiscriminationInstance(weights, tuple(states), tuple(povm), assignment)
+            avg = sum(w * s for w, s in zip(weights, states))
+            loop = max(
+                abs(w * np.trace(s @ e).real - (np.trace(avg @ e).real if t == assignment[k] else 0.0))
+                for k, e in enumerate(povm)
+                for t, (w, s) in enumerate(zip(weights, states))
+            )
+            assert abs(tc.perfect_distinguishability_check(inst)[1] - loop) < 1e-14
+
+    def test_discrimination_povm_needs_one_weight_per_state(self):
+        with pytest.raises(ValueError, match="^need one weight per state of a nonempty ensemble, got 1 for 2$"):
+            tc.discrimination_povm([1.0], [proj(KET0), proj(KET1)])
+
+    def test_empty_ensemble_is_named(self):
+        with pytest.raises(ValueError, match="^ensemble must hold at least one state$"):
+            tc.discrimination_povm([], [])
+        with pytest.raises(ValueError, match="^ensemble must hold at least one state$"):
+            tc.is_orthogonal_ensemble([])
+
+    def test_orthogonality_rejects_a_nan_state(self):
+        with pytest.raises(ValueError, match="^matrix contains non-finite entries$"):
+            tc.is_orthogonal_ensemble([proj(KET0), np.diag([np.nan, 1.0])])
+
+    def test_orthogonality_of_one_state(self):
+        assert tc.is_orthogonal_ensemble([proj(KET0)])

@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import numpy as np
 from conftest import rank_deficient_separable
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tempcert as tc
 from tempcert.cli import _bloch_points
+from tempcert.operators import _pairings
 
 DIMS = st.tuples(st.integers(1, 5), st.integers(1, 5)).filter(lambda d: d[0] != d[1])
 SEEDS = st.integers(0, 2**32 - 1)
@@ -82,6 +83,20 @@ class TestKernelProperties:
         np.testing.assert_allclose(
             tc.superoperator_matrix(e) @ x.ravel(), tc.apply(e, x).ravel(), rtol=0, atol=1e-12
         )
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(k=st.integers(1, 4), l=st.integers(1, 4), d=st.integers(1, 5), hermitian=st.booleans(), seed=SEEDS)
+    @example(k=1, l=1, d=3, hermitian=False, seed=0)
+    def test_pairings_are_traces_of_products(self, k, l, d, hermitian, seed):
+        # Tr[a_s b_t] for every pair, on general complex stacks: the kernel must not assume b is Hermitian.
+        rng = np.random.default_rng(seed)
+        a, b = complex_normal(rng, (k, d, d)), complex_normal(rng, (l, d, d))
+        if hermitian:
+            a, b = a + a.conj().transpose(0, 2, 1), b + b.conj().transpose(0, 2, 1)
+        want = np.array([[np.trace(x @ y) for y in b] for x in a])
+        got = _pairings(a, b)
+        assert got.shape == (k, l)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * d)
 
 
 def test_kernels_make_no_multi_operand_einsum(monkeypatch):

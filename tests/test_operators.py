@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tempcert as tc
+from tempcert import documents
 from tempcert.operators import _hermitian_part, _require_trace_one, hermiticity_defect, require_hermitian
 
 SWAP = np.array(
@@ -84,6 +85,30 @@ def test_package_forms_the_hermitian_part_in_one_helper():
     assert {name: k for name, k in found.items() if k} == {"operators.py": 1}
     body = sources["operators.py"].split("def _hermitian_part(")[1].split("\ndef ")[0]
     assert 'np.conj(a.T, order="C")' in body
+
+
+def test_package_pairs_operators_in_one_kernel():
+    # Every Tr[A B] is operators._pairings, one matmul over stacks; no np.trace runs on a product.
+    sources = {path.name: path.read_text(encoding="utf-8") for path in Path(tc.__file__).parent.glob("*.py")}
+    products = {}
+    for name, text in sources.items():
+        for start in (m.end() for m in re.finditer(r"np\.trace\(", text)):
+            depth, end = 1, start
+            while depth:
+                depth += {"(": 1, ")": -1}.get(text[end], 0)
+                end += 1
+            if "@" in text[start : end - 1]:
+                products.setdefault(name, []).append(text[start : end - 1])
+    assert products == {}
+    assert "def _pairings(" in sources["operators.py"]
+
+
+def test_package_builds_observables_in_one_place():
+    # sot.observable is the one Spectrum of a gated Hermitian matrix; there is no second spelling of it.
+    sources = {path.name: path.read_text(encoding="utf-8") for path in Path(tc.__file__).parent.glob("*.py")}
+    found = {name: text.count("_spectrum(require_hermitian(") for name, text in sources.items()}
+    assert {name: k for name, k in found.items() if k} == {"sot.py": 1}
+    assert "sqrt_pinv" not in "".join(sources.values())
 
 
 def test_package_makes_one_cholesky_call():
@@ -205,24 +230,24 @@ class TestHadamard:
 
 class TestSqrtPinv:
     def test_maximally_mixed(self):
-        ps = tc.sqrt_pinv(np.eye(2) / 2)
+        ps = tc.observable(np.eye(2) / 2)
         np.testing.assert_allclose(ps.inv_sqrt, np.sqrt(2) * np.eye(2), atol=1e-12)
 
     def test_pure_state(self):
-        ps = tc.sqrt_pinv(proj(np.array([1, 0], dtype=complex)))
+        ps = tc.observable(proj(np.array([1, 0], dtype=complex)))
         np.testing.assert_allclose(ps.inv_sqrt, np.diag([1.0, 0.0]), atol=1e-12)
         np.testing.assert_allclose(ps.complement, np.diag([0.0, 1.0]), atol=1e-12)
         assert ps.rank == 1
 
     def test_diagonal_values(self):
-        ps = tc.sqrt_pinv(np.diag([0.9, 0.1]))
+        ps = tc.observable(np.diag([0.9, 0.1]))
         np.testing.assert_allclose(ps.inv_sqrt, np.diag([0.9**-0.5, 0.1**-0.5]), atol=1e-12)
 
     @pytest.mark.parametrize("rank", [1, 2, 4])
     def test_support_identity(self, rank):
         rng = np.random.default_rng(rank)
         rho = tc.random_density(4, rank=rank, seed=rng)
-        ps = tc.sqrt_pinv(rho)
+        ps = tc.observable(rho)
         assert ps.rank == rank
         np.testing.assert_allclose(ps.inv_sqrt @ ps.inv_sqrt @ rho, ps.support, atol=1e-9)
         np.testing.assert_allclose(ps.sqrt @ ps.sqrt, rho, atol=1e-12)
@@ -406,3 +431,66 @@ def test_marginals_of_the_gated_tau_are_exactly_hermitian(dims, kind, seed):
         rho = tc.partial_trace(t, dims, side)
         assert hermiticity_defect(rho) == 0.0
         assert _hermitian_part(rho).tobytes() == rho.tobytes()
+
+
+def _imaginary_two_time_expectation():
+    # E(X) = i X is not Hermitian-preserving, so <Z then 1> on |0> comes out as i.
+    process = tc.Process(tc.SuperOp(2, 2, 1j * tc.identity_channel(2).choi), proj(np.array([1, 0])))
+    return tc.two_time_expectation(tc.observable(SIGMA_Z), tc.observable(np.eye(2)), process)
+
+
+RARE_INPUT_CHECKS = {
+    "process-input-dim": (
+        lambda: tc.Process(tc.identity_channel(3), np.eye(2) / 2),
+        r"^input state dim 2 does not match channel input dim 3$",
+    ),
+    "apply-to-factor-dim": (
+        lambda: tc.apply_to_factor(tc.identity_channel(3), np.eye(4), (2, 2), "a"),
+        r"^channel input dim 3 does not match factor dim 2$",
+    ),
+    "header-not-object": (lambda: documents.parse_state_document([1]), r"^document must be a JSON object$"),
+    "header-unknown-kind": (
+        lambda: documents.parse_state_document({"schema_version": "1", "kind": "tableau"}),
+        r"^unknown document kind 'tableau'$",
+    ),
+    "positive-dim": (
+        lambda: documents.parse_state_document(
+            {"schema_version": "1", "kind": "state", "dim_a": 0, "dim_b": 2, "matrix": []}
+        ),
+        r"^dim_a must be a positive integer$",
+    ),
+    "separable-terms": (lambda: tc.random_separable(2, 2, 0), r"^need at least one product term$"),
+    "discrimination-assignment": (
+        lambda: tc.DiscriminationInstance([1.0], (np.eye(2) / 2,), (np.eye(2),), (0, 0)),
+        r"^assignment must map every POVM outcome to an ensemble index$",
+    ),
+    "discrimination-negative-povm": (
+        lambda: tc.DiscriminationInstance([1.0], (np.eye(2) / 2,), (np.diag([2.0, 1.0]), -np.diag([1.0, 0.0])), (0, 0)),
+        r"^POVM element has negative eigenvalue -1\.000e\+00$",
+    ),
+    "split-does-not-factor": (
+        lambda: tc.partial_trace(np.eye(4), (2, 3)),
+        r"^matrix of shape \(4, 4\) does not factor as 2x3$",
+    ),
+    "star-product-dim": (
+        lambda: tc.star_product(tc.identity_channel(3), np.eye(2) / 2),
+        r"^state dim 2 does not match channel input dim 3$",
+    ),
+    "two-time-output-dim": (
+        lambda: tc.two_time_expectation(
+            tc.observable(SIGMA_Z), tc.observable(np.eye(3)), tc.Process(tc.identity_channel(2), np.eye(2) / 2)
+        ),
+        r"^second observable does not match the channel output dimension$",
+    ),
+    "two-time-imaginary": (
+        _imaginary_two_time_expectation,
+        r"^two-time expectation has imaginary residue 1\.000e\+00$",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(RARE_INPUT_CHECKS), ids=str)
+def test_rarely_reached_input_checks_are_named(case):
+    call, message = RARE_INPUT_CHECKS[case]
+    with pytest.raises(ValueError, match=message):
+        call()

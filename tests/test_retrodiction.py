@@ -63,7 +63,7 @@ class TestPetzRecovery:
         ens = random_faithful_separable((3, 2), rng)
         tau = tc.assemble_state(ens)
         rho_a = tc.partial_trace(tau, (3, 2), "b")
-        inv = tc.sqrt_pinv(rho_a).inv_sqrt
+        inv = tc.observable(rho_a).inv_sqrt
         g_star = tc.hs_adjoint(tc.pgm_map(tau, (3, 2), "a"))
         b = np.random.default_rng(7).standard_normal((2, 2)).astype(complex)
         expected = sum(

@@ -183,6 +183,20 @@ class TestTwoTimeExpectation:
         one = tc.observable(np.eye(2))
         assert abs(tc.two_time_expectation(one, n, p) - expected) < 1e-12
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_the_per_eigenspace_loop(self, seed):
+        # One channel application to the stack of all P rho P, read by one pairing, against the loop
+        # sum_i lambda_i Tr[E(P_i rho P_i) N]; the summation order changed, so agreement is to rounding.
+        rng = np.random.default_rng(seed)
+        d_in, d_out = 2 + seed % 3, 2 + seed // 3
+        e = tc.random_cptp(d_in, d_out, 2, seed=rng)
+        p = tc.Process(channel=e, input_state=tc.random_density(d_in, seed=rng))
+        m = tc.observable(np.diag([1.0, 1.0] + [-0.5] * (d_in - 2)) + 0.3 * random_hermitian(d_in, rng))
+        n = tc.observable(random_hermitian(d_out, rng))
+        rho = p.input_state
+        loop = sum(lam * np.trace(tc.apply(e, q @ rho @ q) @ n.matrix) for lam, q in m.eigenspaces)
+        assert abs(tc.two_time_expectation(m, n, p) - loop.real) < 1e-14
+
     def test_dimension_mismatch(self):
         p = tc.Process(channel=tc.identity_channel(2), input_state=np.eye(2) / 2)
         with pytest.raises(ValueError, match="dimension"):
@@ -212,6 +226,23 @@ class TestRepresentability:
         assert not ok
         assert abs(residual - 0.5) < 1e-12
 
+    @pytest.mark.parametrize(
+        "defect, message",
+        [(np.nan, "^matrix contains non-finite entries$"), (1e-3j, "^hermiticity violated"), (None, "nonempty square")],
+        ids=["nan", "non-hermitian", "shape"],
+    )
+    def test_candidate_is_gated(self, defect, message):
+        # R is read through one Tr[A B] kernel, which would pair any array of d^4 entries; the gate keeps it a
+        # finite Hermitian d^2 x d^2 matrix.
+        p = tc.Process(channel=tc.identity_channel(2), input_state=proj(KET_MINUS))
+        r = tc.star_product(p.channel, p.input_state)
+        if defect is None:
+            r = r.reshape(2, 8)
+        else:
+            r[0, 1] += defect
+        with pytest.raises(ValueError, match=message):
+            tc.representability_check(r, tc.observable(SIGMA_X), tc.observable(SIGMA_X), p)
+
     def test_maximally_mixed_input_reduces_to_jamiolkowski(self):
         u = tc.random_unitary(2, seed=4)
         e = tc.from_kraus([u])
@@ -231,6 +262,15 @@ class TestCorrelationTables:
         out_of_range[1, 2] = 1.5
         with pytest.raises(ValueError, match="\\[-1, 1\\]"):
             tc.CorrelationTable(qubits=1, table=out_of_range)
+
+    @pytest.mark.parametrize("at", [(1, 2), (0, 0)], ids=["entry", "identity-pair"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_entries_are_named(self, at, value):
+        # A NaN passes the identity-pair and range comparisons; the table would give a NaN pdm.
+        table = np.eye(4)
+        table[at] = value
+        with pytest.raises(ValueError, match="^correlation table contains non-finite entries$"):
+            tc.CorrelationTable(qubits=1, table=table)
 
     def test_replace_channel_factorizes(self):
         rng = np.random.default_rng(5)

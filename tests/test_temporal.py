@@ -286,7 +286,7 @@ class TestPgmMap:
         ens = random_faithful_separable((2, 3), rng)
         tau = tc.assemble_state(ens)
         g = tc.pgm_map(tau, (2, 3), "a")
-        s = tc.sqrt_pinv(tc.partial_trace(tau, (2, 3), "b")).inv_sqrt
+        s = tc.observable(tc.partial_trace(tau, (2, 3), "b")).inv_sqrt
         povm = [w * s @ a @ s for w, a in zip(ens.weights, ens.states_a)]
         rng2 = np.random.default_rng(seed + 100)
         for _ in range(3):
@@ -322,7 +322,7 @@ class TestPgmMap:
     def test_matches_reference_on_rank_deficient_marginal(self):
         rng = np.random.default_rng(33)
         tau = tc.assemble_state(rank_deficient_separable((4, 3), 2, 5, rng))
-        assert tc.sqrt_pinv(tc.partial_trace(tau, (4, 3), "b")).rank == 2
+        assert tc.observable(tc.partial_trace(tau, (4, 3), "b")).rank == 2
         ref = pgm_map_reference(tau, (4, 3), "a")
         np.testing.assert_allclose(tc.pgm_map(tau, (4, 3), "a").choi, ref, rtol=0, atol=1e-12)
 
@@ -341,7 +341,7 @@ def pgm_map_reference(tau: np.ndarray, dims: tuple[int, int], side: str) -> np.n
     if side == "b":
         tau, dims = tc.swap_factors(tau, dims), (dims[1], dims[0])
     m, n = dims
-    ps = tc.sqrt_pinv(tc.partial_trace(tau, dims, "b"))
+    ps = tc.observable(tc.partial_trace(tau, dims, "b"))
     s = ps.inv_sqrt
     choi = np.einsum("ia,bj,jxiy->axby", s, s, tau.reshape(m, n, m, n)).reshape(m * n, m * n)
     if ps.rank < m:
@@ -449,6 +449,14 @@ def test_invalid_side_raises(func):
         func(np.eye(4, dtype=complex) / 4, (2, 2), "c")
 
 
+def test_compatibility_test_checks_the_side_after_its_other_inputs():
+    # One side check, in _oriented, after the tau, dims and tol gates.
+    with pytest.raises(ValueError, match="^trace invariant violated"):
+        tc.compatibility_test(np.eye(4, dtype=complex), (2, 2), "c")
+    with pytest.raises(ValueError, match="^tol must be finite"):
+        tc.compatibility_test(np.eye(4, dtype=complex) / 4, (2, 2), "c", tol=-1.0)
+
+
 @pytest.mark.parametrize("func", [tc.temporal_channel, tc.sylvester_oracle, tc.pgm_map, tc.verify_decomposition])
 @pytest.mark.parametrize("side", ["a", "b"])
 def test_invalid_marginal_error_names_the_side(func, side):
@@ -481,7 +489,7 @@ def _kernel_case(kind: str, dims: tuple[int, int], rng: np.random.Generator) -> 
 def _composed_test_min(tau: np.ndarray, dims: tuple[int, int], side: str) -> float:
     """Smallest eigenvalue of the partial transpose of the dephased distortion, built stage by stage."""
     rho = tc.partial_trace(tau, dims, "b" if side == "a" else "a")
-    inv = tc.sqrt_pinv(rho).inv_sqrt
+    inv = tc.observable(rho).inv_sqrt
     conj = tc.tensor(inv, np.eye(dims[1])) if side == "a" else tc.tensor(np.eye(dims[0]), inv)
     distorted = conj @ tau @ conj
     dephased = tc.apply_to_factor(tc.dephasing_channel(rho), distorted, dims, side)
@@ -923,7 +931,7 @@ class TestDistort:
         rng = np.random.default_rng(16)
         tau = tc.assemble_state(random_faithful_separable((3, 2), rng))
         rho_a = tc.partial_trace(tau, (3, 2), "b")
-        inv = tc.sqrt_pinv(rho_a).inv_sqrt
+        inv = tc.observable(rho_a).inv_sqrt
         _, u = np.linalg.eigh(rho_a)
         deph = tc.dephasing_channel(rho_a)
         conj = tc.tensor(inv, np.eye(2))

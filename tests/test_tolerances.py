@@ -87,7 +87,7 @@ def test_support_cut_agrees_across_modules(ratio):
     rho_a = u @ np.diag(p) @ u.conj().T
     tau = tc.tensor(rho_a, tc.random_density(2, seed=rng))
 
-    assert tc.sqrt_pinv(rho_a).rank == (3 if faithful else 2)
+    assert tc.observable(rho_a).rank == (3 if faithful else 2)
     checks = [
         lambda: tc.sylvester_oracle(tau, (3, 2)),
         lambda: tc.verify_dfed(tau, (3, 2)),
