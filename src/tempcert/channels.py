@@ -11,8 +11,8 @@ is a derived view: it differs from the Choi matrix by a partial transpose on
 the input factor.
 
 Every map action goes through :func:`apply`, one matmul against the superoperator
-matrix: :func:`apply_to_factor` runs it on the blocks of a bipartite operator and
-:func:`compose` on the blocks of the inner map's Choi matrix.
+matrix: :func:`apply_to_factor` runs it on the blocks of a bipartite operator, and
+:func:`compose` is :func:`apply_to_factor` on side b of the inner map's Choi matrix.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import (
-    DEFAULT_TOLS, _check_tol, _defect_and_part, _in_range, _psd_floor, _split, _trace_out, as_complex_matrix,
-    partial_transpose, swap_factors, tensor, validate_density,
+    DEFAULT_TOLS, _check_tol, _defect_and_part, _in_range, _oriented, _psd_floor, _split, _trace_out,
+    as_complex_matrix, partial_transpose, swap_factors, tensor, validate_density,
 )
 
 __all__ = [
@@ -98,8 +98,7 @@ def replace_channel(sigma: np.ndarray, dim_in: int | None = None) -> SuperOp:
 
 def transpose_map(dim: int) -> SuperOp:
     """The (positive but not completely positive) transpose map; its Choi is SWAP."""
-    ident = identity_channel(dim)
-    return SuperOp(dim, dim, partial_transpose(ident.choi, (dim, dim), "a"))
+    return SuperOp(dim, dim, jamiolkowski(identity_channel(dim)))
 
 
 def from_kraus(ops: list[np.ndarray]) -> SuperOp:
@@ -133,18 +132,12 @@ def apply(e: SuperOp, x: np.ndarray) -> np.ndarray:
 
 def apply_to_factor(e: SuperOp, t: np.ndarray, dims: tuple[int, int], side: str = "a") -> np.ndarray:
     """Evaluate ``(E (x) id)`` or ``(id (x) E)`` on a bipartite operator."""
-    t4 = _split(t, dims)  # validates dims before they are unpacked
-    da, db = dims
-    if side == "a":
-        if e.dim_in != da:
-            raise ValueError(f"channel input dim {e.dim_in} does not match factor dim {da}")
-        # The blocks t[i x, j y] at fixed (x, y) form a stack of da x da operators.
-        blocks = apply(e, t4.transpose(1, 3, 0, 2))
-        return blocks.transpose(2, 0, 3, 1).reshape(e.dim_out * db, e.dim_out * db)
-    if side == "b":
-        swapped = apply_to_factor(e, swap_factors(t, dims), (db, da), "a")
-        return swap_factors(swapped, (e.dim_out, da))
-    raise ValueError(f"side must be 'a' or 'b', got {side!r}")
+    t4 = _oriented(_split(t, dims), side)  # validates dims before the side
+    if e.dim_in != t4.shape[0]:
+        raise ValueError(f"channel input dim {e.dim_in} does not match factor dim {t4.shape[0]}")
+    # The blocks t[i x, j y] at fixed (x, y) of the factor placed first form a stack of operators.
+    blocks = apply(e, t4.transpose(1, 3, 0, 2))
+    return _oriented(blocks.transpose(2, 0, 3, 1), side).reshape(e.dim_out * t4.shape[1], -1)
 
 
 def jamiolkowski(e: SuperOp) -> np.ndarray:
@@ -229,13 +222,10 @@ def is_hptp(e: SuperOp, tol: float = DEFAULT_TOLS.psd) -> bool:
 
 
 def compose(f: SuperOp, e: SuperOp) -> SuperOp:
-    """The composite ``F o E`` (apply ``E`` first): ``F`` applied to the blocks of ``E``'s Choi matrix."""
+    """The composite ``F o E`` (apply ``E`` first): ``F`` applied to the output factor of ``E``'s Choi matrix."""
     if e.dim_out != f.dim_in:
         raise ValueError(f"cannot compose: inner dims {e.dim_out} vs {f.dim_in}")
-    ce = e.choi.reshape(e.dim_in, e.dim_out, e.dim_in, e.dim_out)
-    out = apply(f, ce.transpose(0, 2, 1, 3)).transpose(0, 2, 1, 3)
-    d = e.dim_in * f.dim_out
-    return SuperOp(e.dim_in, f.dim_out, out.reshape(d, d))
+    return SuperOp(e.dim_in, f.dim_out, apply_to_factor(f, e.choi, (e.dim_in, e.dim_out), "b"))
 
 
 def hs_adjoint(e: SuperOp) -> SuperOp:

@@ -12,8 +12,8 @@ import numpy as np
 
 from .channels import SuperOp, from_kraus
 from .operators import (
-    DEFAULT_TOLS, Spectrum, _check_tol, _gated_psd, _pairings, as_complex_matrix, max_abs, require_hermitian,
-    validate_density,
+    DEFAULT_TOLS, Spectrum, _check_tol, _density_spectrum, _gated_psd, _pairings, as_complex_matrix, max_abs,
+    require_hermitian, validate_density,
 )
 from .sot import observable
 
@@ -164,7 +164,7 @@ def is_orthogonal_ensemble(states: list[np.ndarray], tol: float = DEFAULT_TOLS.p
 
 @dataclass(frozen=True)
 class DiscriminationInstance:
-    """An ensemble with a candidate discriminating POVM.
+    """An ensemble, its weights nonnegative and summing to one, with a candidate discriminating POVM.
 
     ``assignment[k]`` is the ensemble index announced on POVM outcome ``k``; the assignment must be surjective
     onto the ensemble.  States and POVM elements pass the shared gates and are held as ``(k, d, d)`` stacks.
@@ -179,6 +179,8 @@ class DiscriminationInstance:
         w = np.asarray(self.weights, dtype=float).ravel()
         if w.size == 0 or w.size != len(self.states):
             raise ValueError(f"need one weight per state of a nonempty ensemble, got {w.size} for {len(self.states)}")
+        if not (np.all(w >= 0) and abs(w.sum() - 1.0) <= DEFAULT_TOLS.weight_sum):  # NaN fails both
+            raise ValueError(f"weights must be nonnegative and sum to 1, got {w.tolist()}")
         states = np.stack([validate_density(s) for s in self.states])
         if len(self.assignment) != len(self.povm):
             raise ValueError("assignment must map every POVM outcome to an ensemble index")
@@ -205,10 +207,11 @@ def discrimination_povm(
     A completion element (assigned to ensemble index 0) is adjoined only when
     the support projectors do not already resolve the identity.
     """
-    mats = [validate_density(s) for s in states]
+    spectra = [_density_spectrum(s) for s in states]  # one eigh per state: its gate, matrix and support
+    mats = [s.matrix for s in spectra]
     if not is_orthogonal_ensemble(mats, tol):
         raise ValueError("ensemble is not orthogonal")
-    povm = [observable(s).support for s in mats]
+    povm = [s.support for s in spectra]
     assignment = list(range(len(mats)))
     leftover = np.eye(mats[0].shape[0]) - sum(povm)
     if max_abs(leftover) > tol:

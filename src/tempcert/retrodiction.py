@@ -12,14 +12,13 @@ from __future__ import annotations
 import numpy as np
 
 from .channels import Process, SuperOp, apply, compose, from_kraus, hs_adjoint
-from .operators import DEFAULT_TOLS, Spectrum, _density_spectrum, _hermitian_part, _spectrum, max_abs
+from .operators import DEFAULT_TOLS, Spectrum, _density_spectrum, _hermitian_part, _oriented, _spectrum, max_abs
 from .sot import star_product
 from .temporal import (
     CompatibilityReport,
     _choi_from_eigenbasis,
     _dephasing,
     _eigenbasis_array,
-    _oriented,
     _validated,
     compatibility_test,
 )

@@ -43,8 +43,8 @@ import numpy as np
 
 from .channels import _EPS, CptpReport, SuperOp, _hptp_gates, compose
 from .operators import (
-    DEFAULT_TOLS, Spectrum, _check_tol, _density_spectrum, _gated_psd, _hermitian_part, _in_range, _psd_floor,
-    _require_psd_spectrum, _require_trace_one, _require_unit_trace, _spectrum, _split, _trace_out,
+    DEFAULT_TOLS, Spectrum, _check_tol, _density_spectrum, _gated_psd, _hermitian_part, _in_range, _oriented,
+    _psd_floor, _require_psd_spectrum, _require_trace_one, _require_unit_trace, _spectrum, _split, _trace_out,
     as_complex_matrix, max_abs, partial_transpose, require_hermitian, tensor,
 )
 from .sot import _star
@@ -75,19 +75,10 @@ class VerdictMismatchError(RuntimeError):
     """The two verdict paths disagreed beyond the boundary zone."""
 
 
-def _oriented(t4: np.ndarray, side: str) -> np.ndarray:
-    """An ``(m, n, m, n)`` operator with the measured factor first; side b is transposed, not copied."""
-    if side == "a":
-        return t4
-    if side == "b":
-        return t4.transpose(1, 0, 3, 2)
-    raise ValueError(f"side must be 'a' or 'b', got {side!r}")
-
-
 def _validated_marginal(t4: np.ndarray, side: str) -> Spectrum:
     """The density :class:`Spectrum` of the marginal on ``side`` of ``tau``'s split Hermitian part ``t4``,
     gated for finiteness (a Hermitian part can overflow), trace and PSD floor; its errors name the side."""
-    rho = _trace_out(t4, "b" if side == "a" else "a")
+    rho = _trace_out(_oriented(t4, side), "b")
     try:
         s = _spectrum(_require_unit_trace(as_complex_matrix(rho)))
         _require_psd_spectrum(s.p)

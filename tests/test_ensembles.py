@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from conftest import KET0, KET1, KET_PLUS, proj
+from conftest import KET0, KET1, KET_PLUS, count_factorizations, proj
 
 import tempcert as tc
 
@@ -227,9 +227,14 @@ class TestDiscriminationGates:
                 {"povm": (np.diag([1.5, 0.0]), np.diag([-0.5, 1.0]))},
                 "^POVM element has negative eigenvalue -5.000e-01$",
             ),
+            ({"weights": [-0.5, 1.5]}, r"^weights must be nonnegative and sum to 1, got \[-0\.5, 1\.5\]$"),
+            ({"weights": [3.0, 4.0]}, r"^weights must be nonnegative and sum to 1, got \[3\.0, 4\.0\]$"),
+            ({"weights": [np.nan, 1.0]}, r"^weights must be nonnegative and sum to 1, got \[nan, 1\.0\]$"),
+            ({"weights": [0.5, 0.5 + 1e-9]}, "^weights must be nonnegative and sum to 1"),
         ],
         ids=["nan-povm", "non-hermitian-povm", "trace-2-state", "one-weight", "two-weights", "empty",
-             "assignment-length", "negative-povm"],
+             "assignment-length", "negative-povm", "negative-weight", "unnormalized-weights", "nan-weight",
+             "weights-off-by-1e-9"],
     )
     def test_instance_gates_are_named(self, changes, message):
         with pytest.raises(ValueError, match=message):
@@ -258,6 +263,13 @@ class TestDiscriminationGates:
                 for t, (w, s) in enumerate(zip(weights, states))
             )
             assert abs(tc.perfect_distinguishability_check(inst)[1] - loop) < 1e-14
+
+    def test_discrimination_povm_solves_each_state_once(self, monkeypatch):
+        # One eigh per state gives its gate, its matrix and its support projector; the instance then
+        # gates each state and each POVM element once.
+        sizes = count_factorizations(monkeypatch)
+        tc.discrimination_povm([0.3, 0.7], [proj(KET0), proj(KET1)])
+        assert sizes == {"eigh": [2, 2], "eigvalsh": [2, 2, 2, 2], "cholesky": []}
 
     def test_discrimination_povm_needs_one_weight_per_state(self):
         with pytest.raises(ValueError, match="^need one weight per state of a nonempty ensemble, got 1 for 2$"):

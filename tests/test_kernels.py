@@ -8,6 +8,7 @@ an independent Kraus set, on asymmetric dims and stacks with leading axes.
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from conftest import rank_deficient_separable
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -47,19 +48,22 @@ class TestKernelProperties:
         assert got.shape == lead + (dim_out, dim_out)
         np.testing.assert_allclose(got, kraus_sum(ops, x), rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("side", ["a", "b"])
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(dims=DIMS, other=st.integers(1, 4), seed=SEEDS)
-    def test_apply_to_factor_is_the_kraus_sum_on_one_factor(self, dims, other, seed):
+    def test_apply_to_factor_is_the_kraus_sum_on_one_factor(self, side, dims, other, seed):
         dim_in, dim_out = dims
         rng = np.random.default_rng(seed)
         ops = kraus_set(rng, dim_out, dim_in)
-        e = tc.from_kraus(ops)
         one = np.eye(other)
         t = complex_normal(rng, (dim_in * other, dim_in * other))
-        got = tc.apply_to_factor(e, t, (dim_in, other), "a")
-        np.testing.assert_allclose(got, kraus_sum([np.kron(k, one) for k in ops], t), rtol=0, atol=1e-12)
-        got = tc.apply_to_factor(e, t, (other, dim_in), "b")
-        np.testing.assert_allclose(got, kraus_sum([np.kron(one, k) for k in ops], t), rtol=0, atol=1e-12)
+        if side == "a":
+            got = tc.apply_to_factor(tc.from_kraus(ops), t, (dim_in, other), "a")
+            want = kraus_sum([np.kron(k, one) for k in ops], t)
+        else:
+            got = tc.apply_to_factor(tc.from_kraus(ops), t, (other, dim_in), "b")
+            want = kraus_sum([np.kron(one, k) for k in ops], t)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(dims=DIMS, dim_last=st.integers(1, 5), seed=SEEDS)
@@ -97,6 +101,42 @@ class TestKernelProperties:
         got = _pairings(a, b)
         assert got.shape == (k, l)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * d)
+
+
+def _swap(t: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
+    """The factor exchange written out, independent of ``operators._oriented``."""
+    da, db = dims
+    return t.reshape(da, db, da, db).transpose(1, 0, 3, 2).reshape(da * db, da * db)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(dims=st.tuples(st.integers(1, 5), st.integers(1, 5)), dim_out=st.integers(1, 4), seed=SEEDS)
+@example(dims=(1, 4), dim_out=3, seed=0)
+@example(dims=(5, 1), dim_out=1, seed=1)
+@example(dims=(3, 3), dim_out=2, seed=2)
+def test_factor_operations_match_their_per_side_forms(dims, dim_out, seed):
+    # Every factor operation is written once, for the factor placed first by operators._oriented.  The
+    # per-side forms it replaced are the oracles, on non-Hermitian inputs, to the last bit.
+    da, db = dims
+    rng = np.random.default_rng(seed)
+    t = complex_normal(rng, (da * db, da * db))
+    r = t.reshape(da, db, da, db)
+    assert np.array_equal(tc.partial_trace(t, dims, "b"), np.einsum("axbx->ab", r))
+    assert np.array_equal(tc.partial_trace(t, dims, "a"), np.einsum("axay->xy", r))
+    assert np.array_equal(tc.partial_transpose(t, dims, "a"), r.transpose(2, 1, 0, 3).reshape(t.shape))
+    assert np.array_equal(tc.partial_transpose(t, dims, "b"), r.transpose(0, 3, 2, 1).reshape(t.shape))
+    assert np.array_equal(tc.swap_factors(t, dims), _swap(t, dims))
+
+    # Side b is side a between two factor exchanges.
+    f = tc.from_kraus(kraus_set(rng, dim_out, db))
+    side_a = tc.apply_to_factor(f, _swap(t, dims), (db, da), "a")
+    assert np.array_equal(tc.apply_to_factor(f, t, dims, "b"), _swap(side_a, (dim_out, da)))
+
+    # compose applies the outer map to the blocks of the inner map's Choi matrix at fixed input indices.
+    e = tc.from_kraus(kraus_set(rng, db, da))
+    ce = e.choi.reshape(da, db, da, db)
+    blocks = tc.apply(f, ce.transpose(0, 2, 1, 3)).transpose(0, 2, 1, 3)
+    assert np.array_equal(tc.compose(f, e).choi, blocks.reshape(da * dim_out, da * dim_out))
 
 
 def test_kernels_make_no_multi_operand_einsum(monkeypatch):

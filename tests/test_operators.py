@@ -111,6 +111,16 @@ def test_package_builds_observables_in_one_place():
     assert "sqrt_pinv" not in "".join(sources.values())
 
 
+def test_package_checks_the_side_in_one_place():
+    # operators._oriented puts the named factor first; every factor operation is written for that order.
+    sources = {path.name: path.read_text(encoding="utf-8") for path in Path(tc.__file__).parent.glob("*.py")}
+    checks = {name: text.count("side must be 'a' or 'b'") for name, text in sources.items()}
+    assert {name: k for name, k in checks.items() if k} == {"operators.py": 1}
+    definitions = {name: text.count("def _oriented(") for name, text in sources.items()}
+    assert {name: k for name, k in definitions.items() if k} == {"operators.py": 1}
+    assert "side must be 'a' or 'b'" in sources["operators.py"].split("def _oriented(")[1].split("\ndef ")[0]
+
+
 def test_package_makes_one_cholesky_call():
     # The PPT flag and the Choi cross-check share _cholesky_cp, so a failed factorization means one thing.
     sources = {path.name: path.read_text(encoding="utf-8") for path in Path(tc.__file__).parent.glob("*.py")}
