@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import (
-    DEFAULT_TOLS, _check_tol, _defect_and_part, _in_range, _oriented, _psd_floor, _split, _trace_out,
+    DEFAULT_TOLS, _check_tol, _defect_and_part, _in_range, _is_positive_int, _oriented, _psd_floor, _split, _trace_out,
     as_complex_matrix, partial_transpose, swap_factors, tensor, validate_density,
 )
 
@@ -55,6 +55,8 @@ class SuperOp:
     choi: np.ndarray
 
     def __post_init__(self) -> None:
+        if not (_is_positive_int(self.dim_in) and _is_positive_int(self.dim_out)):
+            raise ValueError(f"dim_in and dim_out must be positive ints, got ({self.dim_in!r}, {self.dim_out!r})")
         d = self.dim_in * self.dim_out
         c = as_complex_matrix(self.choi)
         if c.shape != (d, d):

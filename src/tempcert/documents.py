@@ -42,40 +42,48 @@ __all__ = [
 
 SCHEMA_VERSION = "1"
 
-_KIND_FIELDS: dict[str, tuple[set[str], set[str]]] = {
-    "state": ({"dim_a", "dim_b", "matrix"}, set()),
-    "channel": ({"dim_in", "dim_out", "choi"}, {"diagnostics"}),
-    "process": ({"dim_in", "dim_out", "choi", "input_state"}, set()),
-    "ensemble": ({"dim_a", "dim_b", "weights", "states_a", "states_b"}, set()),
-    "correlations": ({"qubits", "table"}, set()),
-    "report": ({"tolerance", "ppt", "ppt_min_eigenvalue", "sides"}, set()),
+# kind: (dimension fields in the order they are read, the other required fields, the optional ones)
+_KINDS: dict[str, tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]]] = {
+    "state": (("dim_a", "dim_b"), ("matrix",), ()),
+    "channel": (("dim_in", "dim_out"), ("choi",), ("diagnostics",)),
+    "process": (("dim_in", "dim_out"), ("choi", "input_state"), ()),
+    "ensemble": (("dim_a", "dim_b"), ("weights", "states_a", "states_b"), ()),
+    "correlations": (("qubits",), ("table",), ()),
+    "report": ((), ("tolerance", "ppt", "ppt_min_eigenvalue", "sides"), ()),
 }
 
 
-def _check_fields(doc: dict[str, Any], kind: str) -> None:
-    required, optional = _KIND_FIELDS[kind]
-    required = required | {"schema_version", "kind"}
-    unknown = set(doc) - required - optional
-    if unknown:
-        raise ValueError(f"unknown fields in {kind} document: {sorted(unknown)}")
-    missing = required - set(doc)
-    if missing:
-        raise ValueError(f"missing fields in {kind} document: {sorted(missing)}")
+def _document(kind: str, **fields: Any) -> dict[str, Any]:
+    """A ``kind`` document: the header, then ``fields`` in the order given."""
+    return {"schema_version": SCHEMA_VERSION, "kind": kind, **fields}
 
 
-def _check_header(doc: Any, kind: str | None) -> str:
+def _header(doc: Any, kind: str | None) -> str:
+    """The kind of ``doc``, once its header and then its field names are checked against ``_KINDS``."""
     if not isinstance(doc, dict):
         raise ValueError("document must be a JSON object")
-    version = doc.get("schema_version")
-    if version != SCHEMA_VERSION:
-        raise ValueError(f"unsupported schema_version {version!r}")
+    if doc.get("schema_version") != SCHEMA_VERSION:
+        raise ValueError(f"unsupported schema_version {doc.get('schema_version')!r}")
     actual = doc.get("kind")
-    if actual not in _KIND_FIELDS:
+    if not isinstance(actual, str) or actual not in _KINDS:
         raise ValueError(f"unknown document kind {actual!r}")
     if kind is not None and actual != kind:
         raise ValueError(f"expected a {kind} document, got kind {actual!r}")
-    _check_fields(doc, actual)
+    dims, required, optional = _KINDS[actual]
+    required = {"schema_version", "kind", *dims, *required}
+    for problem, names in (("unknown", set(doc) - required - set(optional)), ("missing", required - set(doc))):
+        if names:
+            raise ValueError(f"{problem} fields in {actual} document: {sorted(names)}")
     return actual
+
+
+def _dims(doc: Any, kind: str) -> tuple[int, ...]:
+    """The dimension fields of a ``kind`` document in table order, each a positive int, once its header is checked."""
+    keys = _KINDS[_header(doc, kind)][0]
+    for key in keys:
+        if not isinstance(doc[key], int) or isinstance(doc[key], bool) or doc[key] < 1:
+            raise ValueError(f"{key} must be a positive integer")
+    return tuple(doc[key] for key in keys)
 
 
 def encode_matrix(m: np.ndarray) -> list[list[list[float]]]:
@@ -140,27 +148,17 @@ def decode_matrix(obj: Any, dim: int, what: str = "matrix") -> np.ndarray:
     return _decoded(obj, (dim, dim, 2), what)
 
 
-def _positive_dim(doc: dict[str, Any], key: str) -> int:
-    value = doc[key]
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-        raise ValueError(f"{key} must be a positive integer")
-    return value
-
-
 def state_document(tau: np.ndarray, dims: tuple[int, int]) -> dict[str, Any]:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "state",
-        "dim_a": dims[0],
-        "dim_b": dims[1],
-        "matrix": encode_matrix(tau),
-    }
+    return _document(
+        "state",
+        dim_a=dims[0],
+        dim_b=dims[1],
+        matrix=encode_matrix(tau),
+    )
 
 
 def parse_state_document(doc: dict[str, Any]) -> tuple[np.ndarray, tuple[int, int]]:
-    _check_header(doc, "state")
-    da = _positive_dim(doc, "dim_a")
-    db = _positive_dim(doc, "dim_b")
+    da, db = _dims(doc, "state")
     return decode_matrix(doc["matrix"], da * db), (da, db)
 
 
@@ -173,62 +171,53 @@ def _diagnostics_payload(report: CptpReport) -> dict[str, Any]:
     }
 
 
-def channel_document(e: SuperOp, diagnostics: CptpReport | None = None) -> dict[str, Any]:
-    doc: dict[str, Any] = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "channel",
-        "dim_in": e.dim_in,
-        "dim_out": e.dim_out,
-        "choi": encode_matrix(e.choi),
-    }
-    if diagnostics is not None:
-        doc["diagnostics"] = _diagnostics_payload(diagnostics)
-    return doc
+def _channel_document(kind: str, e: SuperOp, **fields: Any) -> dict[str, Any]:
+    """A ``kind`` document that opens with the dims and Choi matrix of ``e``, then ``fields``."""
+    return _document(
+        kind,
+        dim_in=e.dim_in,
+        dim_out=e.dim_out,
+        choi=encode_matrix(e.choi),
+        **fields,
+    )
 
 
-def parse_channel_document(doc: dict[str, Any]) -> SuperOp:
-    _check_header(doc, "channel")
-    din = _positive_dim(doc, "dim_in")
-    dout = _positive_dim(doc, "dim_out")
+def _parse_channel(doc: dict[str, Any], kind: str) -> SuperOp:
+    din, dout = _dims(doc, kind)
     return SuperOp(din, dout, decode_matrix(doc["choi"], din * dout, "choi"))
 
 
+def channel_document(e: SuperOp, diagnostics: CptpReport | None = None) -> dict[str, Any]:
+    extra = {} if diagnostics is None else {"diagnostics": _diagnostics_payload(diagnostics)}
+    return _channel_document("channel", e, **extra)
+
+
+def parse_channel_document(doc: dict[str, Any]) -> SuperOp:
+    return _parse_channel(doc, "channel")
+
+
 def process_document(process: Process) -> dict[str, Any]:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "process",
-        "dim_in": process.channel.dim_in,
-        "dim_out": process.channel.dim_out,
-        "choi": encode_matrix(process.channel.choi),
-        "input_state": encode_matrix(process.input_state),
-    }
+    return _channel_document("process", process.channel, input_state=encode_matrix(process.input_state))
 
 
 def parse_process_document(doc: dict[str, Any]) -> Process:
-    _check_header(doc, "process")
-    din = _positive_dim(doc, "dim_in")
-    dout = _positive_dim(doc, "dim_out")
-    channel = SuperOp(din, dout, decode_matrix(doc["choi"], din * dout, "choi"))
-    return Process(channel=channel, input_state=decode_matrix(doc["input_state"], din, "input_state"))
+    channel = _parse_channel(doc, "process")
+    return Process(channel=channel, input_state=decode_matrix(doc["input_state"], channel.dim_in, "input_state"))
 
 
 def ensemble_document(ensemble: ProductEnsemble) -> dict[str, Any]:
-    da, db = ensemble.dims
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "ensemble",
-        "dim_a": da,
-        "dim_b": db,
-        "weights": ensemble.weights.tolist(),
-        "states_a": [encode_matrix(s) for s in ensemble.states_a],
-        "states_b": [encode_matrix(s) for s in ensemble.states_b],
-    }
+    return _document(
+        "ensemble",
+        dim_a=ensemble.dims[0],
+        dim_b=ensemble.dims[1],
+        weights=ensemble.weights.tolist(),
+        states_a=[encode_matrix(s) for s in ensemble.states_a],
+        states_b=[encode_matrix(s) for s in ensemble.states_b],
+    )
 
 
 def parse_ensemble_document(doc: dict[str, Any]) -> ProductEnsemble:
-    _check_header(doc, "ensemble")
-    da = _positive_dim(doc, "dim_a")
-    db = _positive_dim(doc, "dim_b")
+    da, db = _dims(doc, "ensemble")
     k = len(doc["weights"]) if isinstance(doc["weights"], list) else 0
     w = _decoded(doc["weights"], (k,), "weights")
     states_a = _decoded(doc["states_a"], (k, da, da, 2), "states_a")
@@ -237,23 +226,20 @@ def parse_ensemble_document(doc: dict[str, Any]) -> ProductEnsemble:
 
 
 def correlations_document(corr: CorrelationTable) -> dict[str, Any]:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "correlations",
-        "qubits": corr.qubits,
-        "table": corr.table.tolist(),
-    }
+    return _document(
+        "correlations",
+        qubits=corr.qubits,
+        table=corr.table.tolist(),
+    )
 
 
 def parse_correlations_document(doc: dict[str, Any]) -> CorrelationTable:
-    _check_header(doc, "correlations")
-    qubits = _positive_dim(doc, "qubits")
+    (qubits,) = _dims(doc, "correlations")
     table = doc["table"]
     rows = len(table) if isinstance(table, list) else 0
     if 2 * qubits >= rows.bit_length():  # 4**qubits > rows, told without building 4**qubits
         raise ValueError(f"incomplete table: {qubits} qubits need 4^{qubits} rows, got {rows}")
-    size = 4**qubits
-    return CorrelationTable(qubits=qubits, table=_decoded(table, (size, size), "table"))
+    return CorrelationTable(qubits=qubits, table=_decoded(table, (4**qubits,) * 2, "table"))
 
 
 def _side_payload(report: CompatibilityReport) -> dict[str, Any]:
@@ -269,14 +255,13 @@ def _side_payload(report: CompatibilityReport) -> dict[str, Any]:
 
 
 def report_document(result: CertificationResult) -> dict[str, Any]:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "report",
-        "tolerance": result.side_a.tolerance,
-        "ppt": result.ppt,
-        "ppt_min_eigenvalue": result.ppt_min_eigenvalue,
-        "sides": {"a": _side_payload(result.side_a), "b": _side_payload(result.side_b)},
-    }
+    return _document(
+        "report",
+        tolerance=result.side_a.tolerance,
+        ppt=result.ppt,
+        ppt_min_eigenvalue=result.ppt_min_eigenvalue,
+        sides={"a": _side_payload(result.side_a), "b": _side_payload(result.side_b)},
+    )
 
 
 def load_document(path: str | Path, kind: str | None = None) -> dict[str, Any]:
@@ -285,7 +270,7 @@ def load_document(path: str | Path, kind: str | None = None) -> dict[str, Any]:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except (json.JSONDecodeError, RecursionError) as exc:  # json.loads recurses once per nesting level
         raise ValueError(f"{path}: not valid JSON ({exc})") from exc
-    _check_header(doc, kind)
+    _header(doc, kind)
     return doc
 
 

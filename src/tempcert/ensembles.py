@@ -43,7 +43,7 @@ def _rng(seed: Seed) -> np.random.Generator:
 class ProductEnsemble:
     """Weighted collection of product states ``sum_t w_t rho_{a;t} (x) rho_{b;t}``.
 
-    Weights must sum to one; negative weights are allowed and flag the
+    Weights must be finite and sum to one; negative weights are allowed and flag the
     ensemble as a quasiprobability decomposition.
     """
 
@@ -55,7 +55,9 @@ class ProductEnsemble:
         w = np.asarray(self.weights, dtype=float).ravel()
         if w.size == 0 or w.size != len(self.states_a) or w.size != len(self.states_b):
             raise ValueError("weights and the two state lists must be nonempty and of equal length")
-        if abs(w.sum() - 1.0) > DEFAULT_TOLS.weight_sum:
+        if not np.isfinite(w).all():
+            raise ValueError(f"weights must be finite, got {w.tolist()}")
+        if not abs(w.sum() - 1.0) <= DEFAULT_TOLS.weight_sum:  # a NaN sum fails too
             raise ValueError(f"weights sum to {w.sum()!r}, expected 1")
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "states_a", tuple(validate_density(s) for s in self.states_a))

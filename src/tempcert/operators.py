@@ -266,6 +266,11 @@ def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(np.asarray(a, dtype=np.complex128), np.asarray(b, dtype=np.complex128))
 
 
+def _is_positive_int(v: object) -> bool:
+    """Whether ``v`` is a positive int; an ``np.integer`` counts and a ``bool`` does not."""
+    return isinstance(v, (int, np.integer)) and type(v) is not bool and v > 0
+
+
 def _split(t: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
     """``t`` as an ``(da, db, da, db)`` array, for dims of two positive ints whose product is its size.
 
@@ -273,8 +278,7 @@ def _split(t: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
     mostly on matrices that a gate such as :func:`require_hermitian` has already checked.
     """
     da, db = dims if len(dims) == 2 else (0, 0)
-    ints = (int, np.integer)
-    if not (isinstance(da, ints) and isinstance(db, ints) and da > 0 and db > 0) or bool in (type(da), type(db)):
+    if not (_is_positive_int(da) and _is_positive_int(db)):
         raise ValueError(f"dims must be two positive ints, got {dims!r}")
     a = np.asarray(t, dtype=np.complex128)
     if a.shape != (da * db, da * db):

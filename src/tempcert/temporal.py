@@ -152,11 +152,10 @@ def sylvester_oracle(tau: np.ndarray, dims: tuple[int, int], side: str = "a") ->
     solution is not unique, and dimensions ``m * n`` above 64, where the
     dense system would not fit in memory.
     """
-    m, n = dims
-    if m * n > _SYLVESTER_MAX_DIM:
-        raise ValueError(f"sylvester_oracle is limited to m*n <= {_SYLVESTER_MAX_DIM}, got {m}*{n}")
     t4, s = _measured(tau, dims, side)
     m, n = t4.shape[:2]
+    if m * n > _SYLVESTER_MAX_DIM:
+        raise ValueError(f"sylvester_oracle is limited to m*n <= {_SYLVESTER_MAX_DIM}, got {dims[0]}*{dims[1]}")
     if s.rank < m:
         raise ValueError("non-faithful marginal: the anticommutator equation has no unique solution")
     d = m * n

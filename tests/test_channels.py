@@ -57,6 +57,15 @@ class TestConstruction:
         with pytest.raises(ValueError, match="choi"):
             tc.SuperOp(2, 2, np.eye(3))
 
+    @pytest.mark.parametrize("dims", [(2.0, 2), (True, 4), (2, False), (0, 4), (np.bool_(True), 4)])
+    def test_superop_dims_are_positive_ints(self, dims):
+        with pytest.raises(ValueError, match=r"^dim_in and dim_out must be positive ints, got \("):
+            tc.SuperOp(*dims, np.eye(4))
+
+    def test_superop_accepts_numpy_int_dims(self):
+        e = tc.SuperOp(np.int64(2), np.int32(2), tc.identity_channel(2).choi)
+        np.testing.assert_array_equal(e(np.diag([0.25, 0.75])), np.diag([0.25, 0.75]))
+
 
 class TestApply:
     def test_identity_and_replace(self):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import ast
+import hashlib
 import json
 import re
 from pathlib import Path
@@ -373,6 +375,100 @@ class TestDocumentText:
         path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
         back = documents.parse_ensemble_document(documents.load_document(path, "ensemble"))
         assert documents.ensemble_document(back) == doc
+
+
+# SHA-256 of the dumped text of one small fixed document of each kind, so any change to a writer shows.
+DUMPED_TEXT_SHA256 = {
+    "state": "1441a28df918470e3832e7b8b703ca5d76565db701df1d7e202779297a7ede68",
+    "channel": "88b6545bdf8041c61bec658a42a9465c1447c4b7eee6f63669f3aa133bc25320",
+    "channel-diagnostics": "78393018d47e5898921d5c522fa11429213b302815bdabf65f668152553dc333",
+    "process": "26d21aff504d1602e31340f0153c6e147fbefd89821ac00cf4ab4155d8bd48de",
+    "ensemble": "7f4aaf8f3021fbbbad9b4557e3511229526b4308c5e2c116e9928a3193cde492",
+    "correlations": "128dd972a00ef8989b325e0e1674d78a4b0849af32be618aa66649deacfd9951",
+    "report": "30e1a39d51794fe74aa77896aab1f800e20f72f106db313f33b4f9ef6784fd43",
+}
+
+
+def _pinned_document(name: str) -> dict:
+    identity = tc.identity_channel(2)
+    if name == "state":
+        tau = np.array([[0.5, 0, 0, 0.25j], [0, 0, 0, 0], [0, 0, 0, 0], [-0.25j, 0, 0, 0.5]])
+        return documents.state_document(tau, (2, 2))
+    if name == "channel":
+        return documents.channel_document(identity)
+    if name == "channel-diagnostics":
+        return documents.channel_document(identity, tc.is_cptp(identity))
+    if name == "process":
+        return documents.process_document(tc.Process(channel=identity, input_state=np.diag([0.75, 0.25])))
+    if name == "ensemble":
+        pure = (np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
+        ens = tc.ProductEnsemble(weights=[0.25, 0.75], states_a=pure, states_b=(np.eye(2) / 2, pure[0]))
+        return documents.ensemble_document(ens)
+    if name == "correlations":
+        process = tc.Process(channel=identity, input_state=np.eye(2) / 2)
+        return documents.correlations_document(tc.correlations_from_process(process, 1))
+    return documents.report_document(tc.certify(np.eye(4) / 4, (2, 2)))
+
+
+class TestSchemaTable:
+    @pytest.mark.parametrize("name", list(DUMPED_TEXT_SHA256))
+    def test_dumped_text_is_pinned(self, name):
+        text = documents.dump_document(_pinned_document(name))
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == DUMPED_TEXT_SHA256[name]
+
+    def test_every_kind_is_pinned(self):
+        assert {name.split("-")[0] for name in DUMPED_TEXT_SHA256} == set(documents._KINDS)
+
+    def test_one_table_one_header_writer_one_dims_check(self):
+        sources = {path.name: path.read_text(encoding="utf-8") for path in Path(tc.__file__).parent.glob("*.py")}
+        text = sources["documents.py"]
+        writes = {name: k for name, t in sources.items() if (k := t.count('"schema_version": SCHEMA_VERSION'))}
+        assert writes == {"documents.py": 1}
+        assert '"schema_version": SCHEMA_VERSION' in text.split("def _document(")[1].split("\ndef ")[0]
+        checks = {name: k for name, t in sources.items() if (k := t.count("must be a positive integer"))}
+        assert checks == {"documents.py": 1}
+        assert "must be a positive integer" in text.split("def _dims(")[1].split("\ndef ")[0]
+        # Outside _KINDS no literal names a dimension field, and no collection literal holds two field names.
+        tree = ast.parse(text)
+        table = next(n for n in tree.body if isinstance(n, ast.AnnAssign) and n.target.id == "_KINDS")
+        inside = set(range(table.lineno, table.end_lineno + 1))
+        dim_fields = {key for dims, _, _ in documents._KINDS.values() for key in dims}
+        fields = {key for row in documents._KINDS.values() for keys in row for key in keys}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and node.value in dim_fields:
+                assert node.lineno in inside, f"dimension field {node.value!r} named on line {node.lineno}"
+            if isinstance(node, (ast.Set, ast.Tuple, ast.List, ast.Dict)) and node.lineno not in inside:
+                items = node.keys if isinstance(node, ast.Dict) else node.elts
+                named = [i.value for i in items if isinstance(i, ast.Constant) and i.value in fields]
+                assert len(named) < 2, f"field table {named} on line {node.lineno}"
+
+    @pytest.mark.parametrize("kind", [[], {}, ["state"]], ids=["list", "object", "list-of-kind"])
+    def test_unhashable_kind_is_named(self, tmp_path, capsys, kind):
+        doc = {"schema_version": "1", "kind": kind}
+        with pytest.raises(ValueError, match=f"^unknown document kind {re.escape(repr(kind))}$"):
+            documents.parse_state_document(doc)
+        path = tmp_path / "kind.json"
+        path.write_text(json.dumps(doc))
+        assert main(["certify", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: unknown document kind {kind!r}\n"
+
+    @pytest.mark.parametrize(
+        "kind, dims, message",
+        [
+            ("state", {"dim_a": 2.0, "dim_b": 0}, "dim_a must be a positive integer"),
+            ("state", {"dim_a": 2, "dim_b": True}, "dim_b must be a positive integer"),
+            ("channel", {"dim_in": -1, "dim_out": "2"}, "dim_in must be a positive integer"),
+            ("process", {"dim_in": 2, "dim_out": None}, "dim_out must be a positive integer"),
+            ("ensemble", {"dim_a": 0, "dim_b": 0}, "dim_a must be a positive integer"),
+            ("correlations", {"qubits": False}, "qubits must be a positive integer"),
+        ],
+    )
+    def test_dims_are_gated_in_table_order_before_numeric_fields(self, kind, dims, message):
+        doc = _pinned_document(kind)
+        doc.update({key: "not numeric" for key in doc if key not in ("schema_version", "kind")}, **dims)
+        parse = getattr(documents, f"parse_{kind}_document")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            parse(doc)
 
 
 class TestCertifyCommand:

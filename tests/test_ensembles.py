@@ -56,6 +56,13 @@ class TestProductEnsemble:
         with pytest.raises(ValueError, match="sum"):
             tc.ProductEnsemble(weights=[0.5, 0.4], states_a=(proj(KET0),) * 2, states_b=(proj(KET0),) * 2)
 
+    @pytest.mark.parametrize("weights", [[np.nan, 1.0], [np.inf, -np.inf], [0.5, np.nan, 0.5]])
+    def test_non_finite_weights_rejected(self, weights):
+        # A NaN sum passes no comparison, so before this gate such an ensemble assembled an all-NaN tau.
+        mixed = (np.eye(2) / 2,) * len(weights)
+        with pytest.raises(ValueError, match=r"^weights must be finite, got \["):
+            tc.ProductEnsemble(weights=weights, states_a=mixed, states_b=mixed)
+
 
 class TestRandomGenerators:
     def test_random_separable_deterministic(self):

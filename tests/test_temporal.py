@@ -140,6 +140,15 @@ class TestSylvesterOracle:
         with pytest.raises(ValueError, match=r"m\*n <= 64"):
             tc.sylvester_oracle(tau, (5, 13), side)
 
+    @pytest.mark.parametrize("dims", [(2, 2, 1), (True, 4)])
+    def test_dims_are_gated_before_they_are_read(self, dims):
+        with pytest.raises(ValueError, match="dims must be two positive ints"):
+            tc.sylvester_oracle(np.eye(4) / 4, dims)
+
+    def test_size_limit_is_checked_after_the_tau_gate(self):
+        with pytest.raises(ValueError, match="^trace invariant violated"):
+            tc.sylvester_oracle(np.eye(65), (5, 13))
+
 
 class TestDephasingChannel:
     def test_maximally_mixed_gives_identity(self):
