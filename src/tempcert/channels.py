@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import (
-    DEFAULT_TOLS, _check_tol, _defect_and_part, _in_range, _is_positive_int, _oriented, _psd_floor, _split, _trace_out,
-    as_complex_matrix, partial_transpose, swap_factors, tensor, validate_density,
+    DEFAULT_TOLS, _check_tol, _defect, _hermitian_part, _in_range, _is_positive_int, _oriented, _psd_floor, _split,
+    _trace_out, as_complex_matrix, partial_transpose, swap_factors, tensor, validate_density,
 )
 
 __all__ = [
@@ -187,24 +187,27 @@ _HERMITICITY_ROUNDING = 8
 _CHOI_ROUNDING = 4
 
 
-def _hptp_gates(e: SuperOp, tol: float) -> tuple[bool, float, bool, float, np.ndarray]:
+def _hptp_gates(e: SuperOp, tol: float) -> tuple[bool, float, bool, float]:
     """At a checked ``tol``, the gates ``max|C - C^dag| <= tol + _HERMITICITY_ROUNDING eps max|C|`` and
-    ``max|Tr_out C - 1| <= tol + _TRACE_ROUNDING dim_out eps max|C|``, their residuals, and ``C``'s Hermitian part
-    (unchecked).  The second terms are rounding floors: ``tol=0`` accepts a map HPTP up to rounding."""
+    ``max|Tr_out C - 1| <= tol + _TRACE_ROUNDING dim_out eps max|C|``, and their residuals.
+    The second terms are rounding floors: ``tol=0`` accepts a map HPTP up to rounding."""
     c = e.choi
     unit = _EPS * float(np.abs(c).max())
-    herm, h = _defect_and_part(c)
+    with np.errstate(over="ignore"):  # near the float limit C - C^dag overflows, and the gate fails
+        herm = float(_defect(c))
     gap = _trace_out(c.reshape(e.dim_in, e.dim_out, e.dim_in, e.dim_out), "b")
     gap.flat[:: e.dim_in + 1] -= 1.0
     residual = float(np.abs(gap).max())
     tp = residual <= tol + _TRACE_ROUNDING * e.dim_out * unit
-    return herm <= tol + _HERMITICITY_ROUNDING * unit, herm, tp, residual, h
+    return herm <= tol + _HERMITICITY_ROUNDING * unit, herm, tp, residual
 
 
 def is_cptp(e: SuperOp, tol: float = DEFAULT_TOLS.psd) -> CptpReport:
     """Check Choi positivity and trace preservation, returning full diagnostics."""
     _check_tol(tol)
-    herm_ok, herm, tp, trace_residual, h = _hptp_gates(e, tol)
+    herm_ok, herm, tp, trace_residual = _hptp_gates(e, tol)
+    with np.errstate(over="ignore", invalid="ignore"):  # near the float limit the part overflows; _in_range names it
+        h = _hermitian_part(e.choi)
     w = np.linalg.eigvalsh(_in_range(h))
     _, lam_min, scale = _psd_floor(w, tol)
     return CptpReport(
@@ -219,7 +222,7 @@ def is_cptp(e: SuperOp, tol: float = DEFAULT_TOLS.psd) -> CptpReport:
 def is_hptp(e: SuperOp, tol: float = DEFAULT_TOLS.psd) -> bool:
     """True iff the map is Hermitian-preserving and trace-preserving."""
     _check_tol(tol)
-    herm_ok, _, tp, _, _ = _hptp_gates(e, tol)
+    herm_ok, _, tp, _ = _hptp_gates(e, tol)
     return herm_ok and tp
 
 

@@ -54,7 +54,10 @@ _KINDS: dict[str, tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]]] = {
 
 
 def _document(kind: str, **fields: Any) -> dict[str, Any]:
-    """A ``kind`` document: the header, then ``fields`` in the order given."""
+    """A ``kind`` document: the header, then ``fields`` in the order given, numpy integer dimensions as ints."""
+    for key in _KINDS[kind][0]:
+        if isinstance(fields[key], np.integer):  # a bool is no np.integer: it stays, for the parsers to reject
+            fields[key] = int(fields[key])
     return {"schema_version": SCHEMA_VERSION, "kind": kind, **fields}
 
 
@@ -222,7 +225,7 @@ def parse_ensemble_document(doc: dict[str, Any]) -> ProductEnsemble:
     w = _decoded(doc["weights"], (k,), "weights")
     states_a = _decoded(doc["states_a"], (k, da, da, 2), "states_a")
     states_b = _decoded(doc["states_b"], (k, db, db, 2), "states_b")
-    return ProductEnsemble(weights=w, states_a=tuple(states_a), states_b=tuple(states_b))
+    return ProductEnsemble(weights=w, states_a=states_a, states_b=states_b)
 
 
 def correlations_document(corr: CorrelationTable) -> dict[str, Any]:

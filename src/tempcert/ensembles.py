@@ -12,8 +12,8 @@ import numpy as np
 
 from .channels import SuperOp, from_kraus
 from .operators import (
-    DEFAULT_TOLS, Spectrum, _check_tol, _density_spectrum, _gated_psd, _pairings, as_complex_matrix, max_abs,
-    require_hermitian, validate_density,
+    DEFAULT_TOLS, Spectrum, _check_tol, _density_spectrum, _density_stack, _gated_stack, _pairings, _psd_leading,
+    as_complex_matrix, max_abs, require_hermitian,
 )
 from .sot import observable
 
@@ -39,12 +39,25 @@ def _rng(seed: Seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+def _members(matrices: object, name: str) -> np.ndarray:
+    """The members of the field ``name`` as one complex array; a ``ValueError`` names their shapes if they differ."""
+    try:
+        return np.asarray(matrices, dtype=np.complex128)
+    except ValueError:
+        shapes = list(dict.fromkeys(map(np.shape, matrices)))
+        if len(shapes) > 1:
+            raise ValueError(f"the members of {name} must share one shape, got shapes {shapes}") from None
+        raise
+
+
 @dataclass(frozen=True)
 class ProductEnsemble:
     """Weighted collection of product states ``sum_t w_t rho_{a;t} (x) rho_{b;t}``.
 
     Weights must be finite and sum to one; negative weights are allowed and flag the
-    ensemble as a quasiprobability decomposition.
+    ensemble as a quasiprobability decomposition.  The members of a factor share one
+    shape and are gated as one ``(k, d, d)`` stack, with the errors of
+    :func:`validate_density` for the first member that fails.
     """
 
     weights: np.ndarray
@@ -60,8 +73,8 @@ class ProductEnsemble:
         if not abs(w.sum() - 1.0) <= DEFAULT_TOLS.weight_sum:  # a NaN sum fails too
             raise ValueError(f"weights sum to {w.sum()!r}, expected 1")
         object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "states_a", tuple(validate_density(s) for s in self.states_a))
-        object.__setattr__(self, "states_b", tuple(validate_density(s) for s in self.states_b))
+        object.__setattr__(self, "states_a", tuple(_density_stack(_members(self.states_a, "states_a"))))
+        object.__setattr__(self, "states_b", tuple(_density_stack(_members(self.states_b, "states_b"))))
 
     @property
     def dims(self) -> tuple[int, int]:
@@ -183,17 +196,19 @@ class DiscriminationInstance:
             raise ValueError(f"need one weight per state of a nonempty ensemble, got {w.size} for {len(self.states)}")
         if not (np.all(w >= 0) and abs(w.sum() - 1.0) <= DEFAULT_TOLS.weight_sum):  # NaN fails both
             raise ValueError(f"weights must be nonnegative and sum to 1, got {w.tolist()}")
-        states = np.stack([validate_density(s) for s in self.states])
+        states = _density_stack(_members(self.states, "states"))
         if len(self.assignment) != len(self.povm):
             raise ValueError("assignment must map every POVM outcome to an ensemble index")
         if set(self.assignment) != set(range(len(states))):
             raise ValueError("assignment must be surjective onto the ensemble")
-        povm = np.stack([require_hermitian(e) for e in self.povm])
+        elements, povm, n = _gated_stack(_members(self.povm, "povm"))
+        if n < len(povm):
+            require_hermitian(elements[n])  # raises the error of the first element that fails
         if max_abs(povm.sum(axis=0) - np.eye(states.shape[1])) > DEFAULT_TOLS.trace:
             raise ValueError("POVM elements do not sum to the identity")
-        for ok, lam_min in (_gated_psd(e, DEFAULT_TOLS.psd) for e in povm):
-            if not ok:
-                raise ValueError(f"POVM element has negative eigenvalue {lam_min:.3e}")
+        n, spectra = _psd_leading(povm)
+        if n < len(povm):
+            raise ValueError(f"POVM element has negative eigenvalue {spectra[n, 0]:.3e}")
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "povm", povm)

@@ -91,15 +91,21 @@ def max_abs(m: np.ndarray) -> float:
 
 
 def _hermitian_part(a: np.ndarray) -> np.ndarray:
-    """``(a + a^dag) / 2``, summed and halved in place on a C-ordered copy of ``a^dag``; ``a`` is not written."""
-    h = np.conj(a.T, order="C")
+    """``(a + a^dag) / 2`` over the last two axes, summed and halved in place on a C-ordered copy of ``a^dag``;
+    ``a`` is not written."""
+    h = np.conj(a.swapaxes(-1, -2), order="C")
     h += a
     return np.multiply(h, _HALF, out=h)
 
 
-def _defect_and_part(a: np.ndarray) -> tuple[float, np.ndarray]:
+def _defect(a: np.ndarray) -> np.ndarray:
+    """``max|a - a^dag|`` over the last two axes, inf where the difference overflows: callers ignore that warning."""
+    return np.abs(a - a.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+
+
+def _defect_and_part(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     with np.errstate(over="ignore", invalid="ignore"):  # near the float limit either overflows; callers name it
-        return max_abs(a - a.conj().T), _hermitian_part(a)
+        return _defect(a), _hermitian_part(a)
 
 
 def _in_range(h: np.ndarray) -> np.ndarray:
@@ -109,7 +115,8 @@ def _in_range(h: np.ndarray) -> np.ndarray:
 
 
 def hermiticity_defect(m: np.ndarray) -> float:
-    return _defect_and_part(as_complex_matrix(m))[0]
+    with np.errstate(over="ignore"):  # near the float limit M - M^dag overflows to inf
+        return float(_defect(as_complex_matrix(m)))
 
 
 def require_hermitian(m: np.ndarray) -> np.ndarray:
@@ -173,9 +180,47 @@ def validate_density(m: np.ndarray) -> np.ndarray:
     Raises ``ValueError`` whose message names the violated invariant
     (hermiticity, trace, or psd).
     """
-    a = _require_trace_one(m)
-    _require_psd_spectrum(np.linalg.eigvalsh(a))
-    return a
+    return _density_stack(np.asarray(m, dtype=np.complex128)[None])[0]
+
+
+def _leading(ok: list[bool]) -> int:
+    """The number of leading ``True`` entries of ``ok``: the index of the first member that fails."""
+    return ok.index(False) if False in ok else len(ok)
+
+
+def _gated_stack(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """A ``(k, d, d)`` stack, ``k >= 1``, its Hermitian parts, and how many leading members pass the gates of
+    :func:`require_hermitian` (finite entries, Hermiticity, a finite Hermitian part), each run once over the stack.
+
+    Not a stack of nonempty square matrices: raises the shape error of member 0."""
+    a = np.asarray(m, dtype=np.complex128)
+    if a.ndim != 3 or a.shape[1] != a.shape[2] or a.size == 0:
+        as_complex_matrix(a[0])  # raises
+    defect, h = _defect_and_part(a)  # h is finite only where a is finite and its sum does not overflow
+    return a, h, _leading((np.isfinite(h).all(axis=(1, 2)) & (defect <= DEFAULT_TOLS.hermiticity)).tolist())
+
+
+def _psd_leading(h: np.ndarray) -> tuple[int, np.ndarray]:
+    """How many leading members of an exactly Hermitian, finite stack pass :func:`_psd_floor` at ``DEFAULT_TOLS.psd``,
+    from one stacked ``eigvalsh``, and the ascending eigenvalues, one row per member."""
+    w = np.linalg.eigvalsh(h)
+    ends = zip(w[:, 0].tolist(), w[:, -1].tolist())  # the floor reads only the least and the greatest eigenvalue
+    return _leading([_psd_floor(pair, DEFAULT_TOLS.psd)[0] for pair in ends]), w
+
+
+def _density_stack(m: np.ndarray) -> np.ndarray:
+    """:func:`validate_density` of each member of a ``(k, d, d)`` stack, ``k >= 1``: the Hermitian parts as a stack.
+
+    Each gate runs once over the stack, on the members that passed the gates before it.  A stack that fails
+    raises what ``for s in m: validate_density(s)`` raises: the scalar gates run on its first failing member."""
+    a, h, n = _gated_stack(m)
+    n = _leading([abs(tr - 1.0) <= DEFAULT_TOLS.trace for tr in h[:n].trace(axis1=1, axis2=2).real.tolist()])
+    n_psd, w = _psd_leading(h[:n])
+    if n_psd < n:
+        _require_psd_spectrum(w[n_psd])
+    if n < len(a):
+        _require_trace_one(a[n])
+    return h
 
 
 def _require_psd_spectrum(w: np.ndarray) -> None:

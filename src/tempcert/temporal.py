@@ -43,7 +43,7 @@ import numpy as np
 
 from .channels import _EPS, CptpReport, SuperOp, _hptp_gates, compose
 from .operators import (
-    DEFAULT_TOLS, Spectrum, _check_tol, _density_spectrum, _gated_psd, _hermitian_part, _in_range, _oriented,
+    DEFAULT_TOLS, Spectrum, _check_tol, _density_spectrum, _gated_psd, _hermitian_part, _oriented,
     _psd_floor, _require_psd_spectrum, _require_trace_one, _require_unit_trace, _spectrum, _split, _trace_out,
     as_complex_matrix, max_abs, partial_transpose, require_hermitian, tensor,
 )
@@ -295,8 +295,8 @@ def _side_report(validated: tuple, side: str, tol: float) -> CompatibilityReport
     # The factorization reads only the lower triangle, so Hermiticity is gated separately, as in is_cptp.
     channel = _choi_from_eigenbasis(s, x4)
     del x4  # one full-size array fewer held through the checks below, where a certify peaks
-    herm_ok, herm, tp, trace_residual, h = _hptp_gates(channel, tol)
-    cp = herm_ok and _cholesky_cp(_in_range(h), 5 * tol * scale)  # the choi is Hermitian: h is its copy
+    herm_ok, herm, tp, trace_residual = _hptp_gates(channel, tol)
+    cp = herm_ok and _cholesky_cp(channel.choi.copy(), 5 * tol * scale)  # the choi is exactly Hermitian and finite
     cptp = CptpReport(
         cp=cp, tp=tp, choi_min_eigenvalue=choi_min, trace_residual=trace_residual, hermiticity_defect=herm
     )

@@ -18,14 +18,16 @@ SIGMA_Y = tc.PAULIS[2]
 SIGMA_Z = tc.PAULIS[3]
 
 
-def count_factorizations(monkeypatch) -> dict[str, list[int]]:
-    """Record the size of every ``eigh``, ``eigvalsh`` and ``cholesky`` call, by function."""
+def count_factorizations(monkeypatch, shapes: bool = False) -> dict[str, list]:
+    """Record the size of every ``eigh``, ``eigvalsh`` and ``cholesky`` call, by function.
+
+    With ``shapes``, record the full shape of each argument, so a stack of ``k`` matrices reads ``(k, d, d)``."""
     sizes = {"eigh": [], "eigvalsh": [], "cholesky": []}
     for name, calls in sizes.items():
         original = getattr(np.linalg, name)
 
         def counted(a, *args, _original=original, _calls=calls, **kwargs):
-            _calls.append(np.shape(a)[-1])
+            _calls.append(np.shape(a) if shapes else np.shape(a)[-1])
             return _original(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)

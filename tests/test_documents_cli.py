@@ -470,6 +470,27 @@ class TestSchemaTable:
         with pytest.raises(ValueError, match=f"^{message}$"):
             parse(doc)
 
+    def test_numpy_integer_dims_are_written_as_ints(self, tmp_path):
+        # Before, dump_document raised "Object of type int64 is not JSON serializable" on both.
+        tau = np.eye(4) / 4
+        state = documents.state_document(tau, (np.int64(2), np.int32(2)))
+        assert [type(state[key]) for key in ("dim_a", "dim_b")] == [int, int]
+        documents.dump_document(state, tmp_path / "state.json")
+        got, dims = documents.parse_state_document(documents.load_document(tmp_path / "state.json", "state"))
+        assert dims == (2, 2) and np.array_equal(got, tau)
+        channel = tc.SuperOp(np.int64(2), np.int64(3), np.eye(6))
+        documents.dump_document(documents.channel_document(channel), tmp_path / "channel.json")
+        got = documents.parse_channel_document(documents.load_document(tmp_path / "channel.json", "channel"))
+        assert (got.dim_in, got.dim_out) == (2, 3) and np.array_equal(got.choi, channel.choi)
+
+    def test_bool_dims_are_still_rejected(self):
+        doc = json.loads(documents.dump_document(documents.state_document(np.eye(4) / 4, (True, 4))))
+        assert doc["dim_a"] is True
+        with pytest.raises(ValueError, match="^dim_a must be a positive integer$"):
+            documents.parse_state_document(doc)
+        with pytest.raises(ValueError, match="^dim_in and dim_out must be positive ints"):
+            tc.SuperOp(True, 4, np.eye(4))
+
 
 class TestCertifyCommand:
     def test_bell_state_exits_2_with_report(self, tmp_path, capsys):

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import ast
+import hashlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 from conftest import KET0, KET1, KET_PLUS, count_factorizations, proj
 
 import tempcert as tc
+from tempcert import documents
 
 
 class TestProductEnsemble:
@@ -62,6 +67,77 @@ class TestProductEnsemble:
         mixed = (np.eye(2) / 2,) * len(weights)
         with pytest.raises(ValueError, match=r"^weights must be finite, got \["):
             tc.ProductEnsemble(weights=weights, states_a=mixed, states_b=mixed)
+
+
+# SHA-256 of the stored states (states_a then states_b) of random_separable(m, n, m + n, seed=s),
+# computed before the factors were gated as one stack.
+SEPARABLE_STATES_SHA256 = {
+    (2, 2, 0): "49512f7b8d65980f25ba53569e046607b8ef66e45cdc3283d1293323bde37e05",
+    (3, 3, 1): "5109dcc8a876604e4e05fa09b496c63f85fc3117a4693a7637c48e808f39260d",
+    (2, 4, 817): "7a017b67ecfa3314776f815eead8133824dc496b306316cc2e95e855599daa00",
+    (4, 3, 5): "73ddf6223ee19467265dae1a309a441e01aa54051b1c83b9b88fbf32dd82b7c3",
+    (1, 5, 2): "f1f9e2e84cf2f93dbad9e2c7e06256446788a43a1f87bfc9697fd01483c0b105",
+}
+
+
+class TestStackedGate:
+    @pytest.mark.parametrize("case", list(SEPARABLE_STATES_SHA256))
+    def test_stored_states_are_pinned(self, case):
+        m, n, seed = case
+        ens = tc.random_separable(m, n, m + n, seed=seed)
+        digest = hashlib.sha256(b"".join(np.ascontiguousarray(s).tobytes() for s in ens.states_a + ens.states_b))
+        assert digest.hexdigest() == SEPARABLE_STATES_SHA256[case]
+
+    def test_no_member_gate_runs_in_a_loop(self):
+        # Ensemble members are gated as one stack: no scalar gate is called inside a comprehension or generator.
+        tree = ast.parse(Path(tc.ensembles.__file__).read_text(encoding="utf-8"))
+        loops = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+        gates = {"validate_density", "require_hermitian", "_gated_psd"}
+        for loop in (n for n in ast.walk(tree) if isinstance(n, loops)):
+            for call in (n for n in ast.walk(loop) if isinstance(n, ast.Call)):
+                name = getattr(call.func, "id", getattr(call.func, "attr", None))
+                assert name not in gates, f"{name} called in a loop on line {call.lineno}"
+
+    @pytest.mark.parametrize("side", ["states_a", "states_b"])
+    def test_mixed_member_shapes_are_named(self, side):
+        # Before, these were accepted with dims (2, 2), and assemble_state raised numpy's broadcast error.
+        fields = {"states_a": (np.eye(2) / 2, np.eye(2) / 2), "states_b": (np.eye(2) / 2, np.eye(2) / 2)}
+        fields[side] = (np.eye(2) / 2, np.eye(3) / 3)
+        message = rf"^the members of {side} must share one shape, got shapes \[\(2, 2\), \(3, 3\)\]$"
+        with pytest.raises(ValueError, match=message):
+            tc.ProductEnsemble([0.5, 0.5], **fields)
+
+    @pytest.mark.parametrize("field", ["states", "povm"])
+    def test_mixed_instance_shapes_are_named(self, field):
+        # Before, np.stack raised "all input arrays must have the same shape".
+        with pytest.raises(ValueError, match=rf"^the members of {field} must share one shape, got shapes \["):
+            _qubit_basis_instance(**{field: (proj(KET0), np.diag([0.0, 1.0, 0.0]))})
+
+    def test_first_failing_member_names_the_error(self):
+        # Member 0's trace gate comes before member 1's finiteness gate, in factor a before factor b.
+        nan = np.full((2, 2), np.nan)
+        mixed = (np.eye(2) / 2,) * 2
+        with pytest.raises(ValueError, match="^trace invariant violated: Tr = 2, expected 1$"):
+            tc.ProductEnsemble([0.5, 0.5], (np.eye(2), nan), mixed)
+        with pytest.raises(ValueError, match="^psd invariant violated: min eigenvalue = -5.000e-01$"):
+            tc.ProductEnsemble([0.5, 0.5], (np.diag([1.5, -0.5]), nan), (np.eye(2), nan))
+        with pytest.raises(ValueError, match="^matrix contains non-finite entries$"):
+            tc.ProductEnsemble([0.5, 0.5], mixed, (np.eye(2) / 2, nan))
+
+    def test_every_povm_element_is_checked_hermitian_before_any_is_solved(self):
+        negative, skewed = np.diag([1.5, -0.5]), np.array([[0, 0.3j], [0.3j, 1.5]])
+        with pytest.raises(ValueError, match=r"^hermiticity violated: max\|M - M\^dag\| = 6\.000e-01"):
+            _qubit_basis_instance(povm=(negative, skewed))
+
+    def test_each_factor_is_solved_once(self, monkeypatch):
+        # A parsed ensemble of 4 members makes one stacked eigvalsh per factor, and stores the same states.
+        ens = tc.random_separable(2, 3, 4, seed=7)
+        doc = documents.ensemble_document(ens)
+        sizes = count_factorizations(monkeypatch, shapes=True)
+        parsed = documents.parse_ensemble_document(doc)
+        assert sizes == {"eigh": [], "eigvalsh": [(4, 2, 2), (4, 3, 3)], "cholesky": []}
+        for mine, theirs in zip(ens.states_a + ens.states_b, parsed.states_a + parsed.states_b):
+            assert mine.tobytes() == theirs.tobytes()
 
 
 class TestRandomGenerators:
@@ -273,10 +349,10 @@ class TestDiscriminationGates:
 
     def test_discrimination_povm_solves_each_state_once(self, monkeypatch):
         # One eigh per state gives its gate, its matrix and its support projector; the instance then
-        # gates each state and each POVM element once.
-        sizes = count_factorizations(monkeypatch)
+        # gates its states in one stacked eigvalsh and its POVM elements in another.
+        sizes = count_factorizations(monkeypatch, shapes=True)
         tc.discrimination_povm([0.3, 0.7], [proj(KET0), proj(KET1)])
-        assert sizes == {"eigh": [2, 2], "eigvalsh": [2, 2, 2, 2], "cholesky": []}
+        assert sizes == {"eigh": [(2, 2), (2, 2)], "eigvalsh": [(2, 2, 2), (2, 2, 2)], "cholesky": []}
 
     def test_discrimination_povm_needs_one_weight_per_state(self):
         with pytest.raises(ValueError, match="^need one weight per state of a nonempty ensemble, got 1 for 2$"):

@@ -8,12 +8,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import SIGMA_X, SIGMA_Z, bell_state, proj, random_hermitian, random_trace_one_hermitian
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tempcert as tc
 from tempcert import documents
-from tempcert.operators import _hermitian_part, _require_trace_one, hermiticity_defect, require_hermitian
+from tempcert.operators import (
+    _density_stack, _hermitian_part, _require_psd_spectrum, _require_trace_one, hermiticity_defect,
+    require_hermitian,
+)
 
 SWAP = np.array(
     [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
@@ -78,13 +81,13 @@ def test_package_makes_one_eigh_call():
 
 def test_package_forms_the_hermitian_part_in_one_helper():
     # (a + a^dag) / 2 is operators._hermitian_part, whose sum runs on a C-ordered copy of a^dag,
-    # not on a transposed operand.
+    # not on a transposed operand; a^dag transposes the last two axes, so stacks share the helper.
     sources = {path.name: path.read_text(encoding="utf-8") for path in Path(tc.__file__).parent.glob("*.py")}
     pattern = re.compile(r"\b([\w.]+) \+ \1\.conj\(\)\.T|\b([\w.]+)\.conj\(\)\.T \+ \2\b|np\.conj\(")
     found = {name: len(pattern.findall(text)) for name, text in sources.items()}
     assert {name: k for name, k in found.items() if k} == {"operators.py": 1}
     body = sources["operators.py"].split("def _hermitian_part(")[1].split("\ndef ")[0]
-    assert 'np.conj(a.T, order="C")' in body
+    assert 'np.conj(a.swapaxes(-1, -2), order="C")' in body
 
 
 def test_package_pairs_operators_in_one_kernel():
@@ -441,6 +444,62 @@ def test_marginals_of_the_gated_tau_are_exactly_hermitian(dims, kind, seed):
         rho = tc.partial_trace(t, dims, side)
         assert hermiticity_defect(rho) == 0.0
         assert _hermitian_part(rho).tobytes() == rho.tobytes()
+
+
+def _with_fault(m: np.ndarray, fault: str, rng: np.random.Generator) -> np.ndarray:
+    """``m`` with one density-gate fault; a later gate's fault may sit behind an earlier one of the same member."""
+    d = m.shape[0]
+    m = m.copy()
+    i, j = (int(x) for x in rng.integers(0, d, size=2))
+    if fault == "non_hermitian":
+        m[0, -1] += 1e-6j
+    elif fault == "trace":  # scaled as floats: a complex product would make NaN of an injected inf
+        m = (m.view(float) * (1 + 1e-6)).view(complex)
+    elif fault == "negative":  # trace one with eigenvalue -0.5; a 1x1 has none, so its trace fails instead
+        u = tc.random_unitary(d, seed=rng)
+        m = u @ np.diag([1.5, -0.5] + [0.0] * (d - 2) if d > 1 else [-1.0]).astype(complex) @ u.conj().T
+    elif fault in ("nan", "inf"):
+        m[i, j] = float(fault)
+    else:  # a finite, exactly Hermitian entry pair whose sum overflows
+        m[i, j] = m[j, i] = 1.5e308
+    return m
+
+
+FAULTS = ["non_hermitian", "trace", "negative", "nan", "inf", "overflow"]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    k=st.integers(1, 6),
+    d=st.integers(1, 5),
+    faults=st.lists(st.tuples(st.integers(0, 5), st.sampled_from(FAULTS)), max_size=2),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(k=2, d=2, faults=[(0, "trace"), (1, "non_hermitian")], seed=0)
+@example(k=3, d=2, faults=[(0, "negative"), (2, "nan")], seed=0)
+def test_density_stack_is_the_member_loop(k, d, faults, seed):
+    # The stacked gate against its oracle, the member loop: the same error for the first failing
+    # member's first failing gate, else bitwise the same Hermitian parts.  validate_density is the
+    # stacked gate at k=1, so the loop runs it and also the scalar gates it replaced, which must agree.
+    rng = np.random.default_rng(seed)
+    members = [tc.random_density(d, rank=int(rng.integers(1, d + 1)), seed=rng) for _ in range(k)]
+    for t, fault in faults:
+        members[t % k] = _with_fault(members[t % k], fault, rng)
+
+    def scalar_gates(m):
+        h = _require_trace_one(m)
+        _require_psd_spectrum(np.linalg.eigvalsh(h))
+        return h
+
+    def outcome(gate):
+        try:
+            return gate().tobytes()
+        except ValueError as exc:
+            return type(exc), str(exc)
+
+    expected = outcome(lambda: np.stack([tc.validate_density(s) for s in members]))
+    assert outcome(lambda: np.stack([scalar_gates(s) for s in members])) == expected
+    assert outcome(lambda: _density_stack(np.stack(members))) == expected
 
 
 def _imaginary_two_time_expectation():

@@ -709,6 +709,23 @@ class TestEigenbasisKernel:
         assert report.cptp.cp and report.compatible
 
 
+    def test_certify_forms_three_hermitian_parts(self, monkeypatch):
+        # tau's and each side's Choi matrix.  The Choi matrix is returned exactly Hermitian, so the CP
+        # path factors a plain copy of it; before, the gate formed its Hermitian part again (five in all).
+        tau = tc.assemble_state(tc.random_separable(2, 3, 5, seed=3))
+        shapes = []
+        original = tc.operators._hermitian_part
+
+        def counted(a):
+            shapes.append(a.shape)
+            return original(a)
+
+        for module in (tc.operators, tc.temporal, tc.channels):
+            monkeypatch.setattr(module, "_hermitian_part", counted)
+        tc.certify(tau, (2, 3))
+        assert shapes == [(6, 6)] * 3
+
+
 INVARIANCE_DIMS = [(m, n) for m in range(2, 6) for n in range(2, 6)]
 DEFAULT_TOL = tc.DEFAULT_TOLS.psd
 # Rounding allowance of a threshold comparison, in units of dim * eps * scale, as in the boundary zone.
