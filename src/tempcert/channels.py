@@ -17,7 +17,9 @@ matrix: :func:`apply_to_factor` runs it on the blocks of a bipartite operator, a
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -160,17 +162,26 @@ def superoperator_matrix(e: SuperOp) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CptpReport:
-    """Diagnostics of a complete-positivity / trace-preservation check."""
+    """Diagnostics of a complete-positivity / trace-preservation check.
+
+    ``choi_min_eigenvalue`` is read from ``_least_eigenvalue`` on first access: :func:`is_cptp` hands
+    over the eigenvalue it solved, and ``certify`` a function that solves the test matrix's support block.
+    """
 
     cp: bool
     tp: bool
-    choi_min_eigenvalue: float
     trace_residual: float
     hermiticity_defect: float
+    _least_eigenvalue: Callable[[], float] = field(repr=False, compare=False)
 
     @property
     def ok(self) -> bool:
         return self.cp and self.tp
+
+    @cached_property
+    def choi_min_eigenvalue(self) -> float:
+        """The smallest eigenvalue of the Choi matrix's Hermitian part."""
+        return self._least_eigenvalue()
 
 
 _EPS = float(np.finfo(float).eps)
@@ -213,9 +224,9 @@ def is_cptp(e: SuperOp, tol: float = DEFAULT_TOLS.psd) -> CptpReport:
     return CptpReport(
         cp=herm_ok and lam_min >= -(tol + _CHOI_ROUNDING * len(w) * _EPS) * scale,
         tp=tp,
-        choi_min_eigenvalue=lam_min,
         trace_residual=trace_residual,
         hermiticity_defect=herm,
+        _least_eigenvalue=partial(float, lam_min),  # a partial, not a lambda, so that the report pickles
     )
 
 

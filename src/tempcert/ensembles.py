@@ -173,7 +173,9 @@ def is_orthogonal_ensemble(states: list[np.ndarray], tol: float = DEFAULT_TOLS.p
     _check_tol(tol)
     if len(states) == 0:
         raise ValueError("ensemble must hold at least one state")
-    s = np.stack([as_complex_matrix(m) for m in states])
+    s = _members(states, "states")
+    for m in s:
+        as_complex_matrix(m)  # raises unless the member is a nonempty square matrix of finite entries
     return bool(np.all(np.abs(_pairings(s, s))[~np.eye(len(s), dtype=bool)] <= tol))
 
 
@@ -204,6 +206,8 @@ class DiscriminationInstance:
         elements, povm, n = _gated_stack(_members(self.povm, "povm"))
         if n < len(povm):
             require_hermitian(elements[n])  # raises the error of the first element that fails
+        if povm.shape[1:] != states.shape[1:]:
+            raise ValueError(f"POVM elements of shape {povm.shape[1:]} do not match states of shape {states.shape[1:]}")
         if max_abs(povm.sum(axis=0) - np.eye(states.shape[1])) > DEFAULT_TOLS.trace:
             raise ValueError("POVM elements do not sum to the identity")
         n, spectra = _psd_leading(povm)
@@ -224,7 +228,8 @@ def discrimination_povm(
     A completion element (assigned to ensemble index 0) is adjoined only when
     the support projectors do not already resolve the identity.
     """
-    spectra = [_density_spectrum(s) for s in states]  # one eigh per state: its gate, matrix and support
+    # one eigh per state: its gate, matrix and support
+    spectra = [_density_spectrum(s) for s in _members(states, "states")]
     mats = [s.matrix for s in spectra]
     if not is_orthogonal_ensemble(mats, tol):
         raise ValueError("ensemble is not orthogonal")

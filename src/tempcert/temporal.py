@@ -14,18 +14,23 @@ is positive semidefinite, where ``D`` is the generalized dephasing channel of
 ``rho_a`` and ``T`` the transpose in an eigenbasis of ``rho_a``.  In that
 eigenbasis the test matrix is ``tau`` with the first factor transposed and
 weighted entrywise by the Cauchy matrix ``2 / (p_i + p_j)``, zero on blocks
-touching the kernel.  The same array, rotated back to the computational basis,
-is the Choi matrix of ``E``, so one eigensolve of the test matrix's support
-block gives both spectra.  The verdict is cross-checked on the returned Choi
-matrix by a different algorithm, a Cholesky factorization shifted by ``5 tol``
-times the spectral scale, which succeeds iff ``E`` is completely positive
-outside the boundary zone, gated on the matrix's Hermiticity defect, and by the
-reconstruction residual ``max|E * rho_a - tau|``.
+touching the kernel.  The verdict needs only where the least eigenvalue of its
+support block ``X`` lies, so it is read off inertia probes: Cholesky
+factorizations of ``X`` shifted by the edges ``+-(10 tol + 64 m n eps) * scale`` of
+the boundary zone and by the PSD floor ``tol * scale``, ``scale = max(1, ||X||_F)``.
+The same array, rotated back to the computational basis, is the Choi matrix of
+``E``.  The verdict is cross-checked on the returned Choi matrix by a Cholesky
+factorization shifted by ``5 tol * scale``, which succeeds iff ``E`` is completely
+positive outside the boundary zone, gated on the matrix's Hermiticity defect, and
+by the reconstruction residual ``max|E * rho_a - tau|``.  The two paths run one
+algorithm on different data: the probes read the array before the rotation, the
+cross-check the matrix that is returned.
 
 :func:`certify` runs both directions and adds the plain PPT flag, one shifted Cholesky
 factorization of the partial transpose (a second checks its ``10 tol`` clearance only when
-a side of a PPT state reads incompatible), so a certification makes two full-size eigensolves,
-one per test matrix; the partial transpose's least eigenvalue is solved only when it is read.
+a side of a PPT state reads incompatible), so a certification makes no full-size eigensolve.
+The least eigenvalues it reports are solved when first read: a side's test-matrix and Choi
+minima share one eigensolve of its support block, re-derived from ``tau``'s Hermitian part.
 
 Each call gates its outside input once, in :func:`_validated` or :func:`_measured`: ``tau``
 (finite, Hermitian, trace one), then ``dims``, then each marginal, then ``tol``.  A marginal is
@@ -37,14 +42,14 @@ eigenbasis.  Nothing below that boundary checks them again.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
 from .channels import _EPS, CptpReport, SuperOp, _hptp_gates, compose
 from .operators import (
     DEFAULT_TOLS, Spectrum, _check_tol, _density_spectrum, _gated_psd, _hermitian_part, _oriented,
-    _psd_floor, _require_psd_spectrum, _require_trace_one, _require_unit_trace, _spectrum, _split, _trace_out,
+    _require_psd_spectrum, _require_trace_one, _require_unit_trace, _spectrum, _split, _trace_out,
     as_complex_matrix, max_abs, partial_transpose, require_hermitian, tensor,
 )
 from .sot import _star
@@ -103,13 +108,26 @@ def _conjugate_first(x4: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def _eigenbasis_array(t4: np.ndarray, s: Spectrum) -> np.ndarray:
     """The ``(m, n, m, n)`` test matrix in the eigenbasis ``s.u`` of ``rho_a``, in C order, so that
-    the eigensolve and the Choi rotation reshape it as views.
+    the probes and the Choi rotation reshape it as views.
 
     ``t4`` is oriented by :func:`_oriented`; ``s`` is :func:`_validated_marginal` of its first factor.
     ``X[i, x, j, y] = 2 / (p_i + p_j) <u_j, x| tau |u_i, y>``, zero on blocks touching the kernel.
     """
     rotated = _conjugate_first(t4, s.u)
     return np.multiply(s.cauchy[:, None, :, None], rotated.transpose(2, 1, 0, 3), order="C")
+
+
+def _support_block(x4: np.ndarray, s: Spectrum) -> np.ndarray:
+    """The rows and columns of ``x4 = _eigenbasis_array(t4, s)`` on the support of ``s``, as an ``(r n, r n)``
+    matrix: a view on a faithful marginal, else a copy.  The rest of ``x4`` is zero, so the test matrix's
+    spectrum is the block's plus ``(m - r) n`` zeros."""
+    m, n, r = *x4.shape[:2], s.rank
+    return (x4 if r == m else x4[s.mask][:, :, s.mask]).reshape(r * n, r * n)
+
+
+def _least_support_eigenvalue(t4: np.ndarray, s: Spectrum) -> float:
+    """The least eigenvalue of the support block of an oriented ``t4``, re-derived and solved in full."""
+    return float(np.linalg.eigvalsh(_support_block(_eigenbasis_array(t4, s), s))[0])
 
 
 def _choi_from_eigenbasis(s: Spectrum, x4: np.ndarray) -> SuperOp:
@@ -233,25 +251,33 @@ def verify_decomposition(tau: np.ndarray, dims: tuple[int, int], side: str = "a"
 class CompatibilityReport:
     """Verdict of the temporal-compatibility test in one direction.
 
-    ``compatible`` is decided by the sign of ``test_min_eigenvalue``.  The
-    cross-check is ``cptp.cp``, a Cholesky factorization of the returned
-    ``channel``'s Choi matrix gated on ``cptp.hermiticity_defect`` as in ``is_cptp``,
-    together with the reconstruction residual ``max|tau - E * rho|``.
-    ``cptp.choi_min_eigenvalue`` is read off the test matrix's spectrum, which the
-    Choi matrix shares up to a unitary rotation (plus ``1/n`` on the kernel of a
-    rank-deficient marginal).  ``boundary`` flags verdicts within ``10 tol + 64 m n eps``
-    of zero, relative to the spectral scale.
+    ``compatible`` is decided by Cholesky factorizations of the test matrix's support
+    block ``X``: its least eigenvalue clears the PSD floor ``-tol * scale``, with
+    ``scale = max(1, ||X||_F)``.  ``boundary`` flags a least eigenvalue within
+    ``(10 tol + 64 m n eps) * scale`` of zero.  The cross-check is ``cptp.cp``, a Cholesky
+    factorization of the returned ``channel``'s Choi matrix gated on ``cptp.hermiticity_defect``
+    as in ``is_cptp``, together with the reconstruction residual ``max|tau - E * rho|``.
+
+    ``test_min_eigenvalue`` and ``cptp.choi_min_eigenvalue`` are solved on first read, by
+    one eigensolve of ``X`` that they share: the Choi matrix is ``X`` up to a unitary
+    rotation (plus ``1/n`` on the kernel of a rank-deficient marginal, where the test
+    matrix has zero eigenvalues).
     """
 
     side: str
     compatible: bool
-    test_min_eigenvalue: float
     channel: SuperOp
     reconstruction_residual: float
     cptp: CptpReport
     faithful_marginal: bool
     boundary: bool
     tolerance: float
+
+    @cached_property
+    def test_min_eigenvalue(self) -> float:
+        """The smallest eigenvalue of the test matrix."""
+        lam = self.cptp.choi_min_eigenvalue  # the block's, at most 1/n: its partial trace is the identity
+        return lam if self.faithful_marginal else min(lam, 0.0)
 
 
 def is_ppt(tau: np.ndarray, dims: tuple[int, int], tol: float = DEFAULT_TOLS.psd) -> tuple[bool, float]:
@@ -279,16 +305,23 @@ def _side_report(validated: tuple, side: str, tol: float) -> CompatibilityReport
     """Both verdict paths in one direction for a ``tau`` validated by :func:`_validated`, at a checked ``tol``."""
     t4, s = _oriented(validated[0], side), validated[1][side]
     x4 = _eigenbasis_array(t4, s)
-    m, n, r = *t4.shape[:2], s.rank
-    faithful = r == m
+    m, n = t4.shape[:2]
+    faithful = s.rank == m
 
-    # Path 1: the dephased distorted partial transpose, read in the eigenbasis.  Its kernel
-    # rows and columns are zero, so one eigensolve of the support block gives its spectrum
-    # plus 0 on the kernel.  The Choi matrix is the same block plus 1/n on the kernel; the
-    # block's partial trace is the identity, so 1/n is its mean eigenvalue and w[0] <= 1/n.
-    w = np.linalg.eigvalsh((x4 if faithful else x4[s.mask][:, :, s.mask]).reshape(r * n, r * n))
-    choi_min = float(w[0])
-    test_ok, test_min, scale = _psd_floor(w if faithful else np.insert(w, 0, min(choi_min, 0.0)), tol)
+    # Path 1: the dephased distorted partial transpose, read in the eigenbasis.  Each probe factors a
+    # shifted copy of its support block X, to place the least eigenvalue: above the zone, below it,
+    # or in it and then on a side of the PSD floor.  A kernel puts 0 in the spectrum, so a
+    # rank-deficient side is never above the zone.
+    block = _support_block(x4, s)
+    scale = max(1.0, float(np.linalg.norm(block)))  # bounds max(1, lambda_max) from above
+    zone = (10 * tol + _ZONE_ROUNDING * m * n * _EPS) * scale  # the floor keeps an exact zero in it at tol=0
+    if faithful and _cholesky_cp(block.copy(), -zone):
+        test_ok, boundary = True, False
+    elif not _cholesky_cp(block.copy(), zone):
+        test_ok, boundary = False, False
+    else:
+        test_ok, boundary = _cholesky_cp(block.copy(), tol * scale), True
+    del block  # a copy on a rank-deficient side, freed before the Choi matrix is built
 
     # Path 2: a Cholesky factorization of the returned Choi matrix, shifted to the middle of
     # the (tol, 10 tol) * scale band, so it succeeds iff the channel is CP outside the boundary zone.
@@ -297,31 +330,28 @@ def _side_report(validated: tuple, side: str, tol: float) -> CompatibilityReport
     del x4  # one full-size array fewer held through the checks below, where a certify peaks
     herm_ok, herm, tp, trace_residual = _hptp_gates(channel, tol)
     cp = herm_ok and _cholesky_cp(channel.choi.copy(), 5 * tol * scale)  # the choi is exactly Hermitian and finite
-    cptp = CptpReport(
-        cp=cp, tp=tp, choi_min_eigenvalue=choi_min, trace_residual=trace_residual, hermiticity_defect=herm
-    )
-    reconstruction = max_abs(_star(channel, s.matrix).reshape(t4.shape) - t4)
-
-    # On a rank-deficient marginal test_min is 0 or choi_min, so it alone sets the zone.  Its
-    # rounding floor keeps an exact zero eigenvalue inside the zone at tol=0.
-    boundary = abs(test_min) < (10 * tol + _ZONE_ROUNDING * m * n * _EPS) * scale
-    if test_ok != cp and not boundary:
-        raise VerdictMismatchError(
-            f"side {side}: test-matrix verdict {test_ok} (min eig {test_min:.3e}) disagrees "
-            f"with channel CP verdict {cp} (choi min eig {choi_min:.3e})"
-        )
-
-    return CompatibilityReport(
+    report = CompatibilityReport(
         side=side,
         compatible=test_ok,
-        test_min_eigenvalue=test_min,
         channel=channel,
-        reconstruction_residual=reconstruction,
-        cptp=cptp,
+        reconstruction_residual=max_abs(_star(channel, s.matrix).reshape(t4.shape) - t4),
+        cptp=CptpReport(
+            cp=cp,
+            tp=tp,
+            trace_residual=trace_residual,
+            hermiticity_defect=herm,
+            _least_eigenvalue=partial(_least_support_eigenvalue, t4, s),
+        ),
         faithful_marginal=faithful,
         boundary=boundary,
         tolerance=tol,
     )
+    if test_ok != cp and not boundary:
+        raise VerdictMismatchError(
+            f"side {side}: test-matrix verdict {test_ok} (min eig {report.test_min_eigenvalue:.3e}) disagrees "
+            f"with channel CP verdict {cp} (choi min eig {report.cptp.choi_min_eigenvalue:.3e})"
+        )
+    return report
 
 
 def compatibility_test(
@@ -335,8 +365,9 @@ def compatibility_test(
     ``tau`` must be Hermitian with unit trace and density-matrix marginals
     (it need not itself be positive).  Two verdicts are computed from one
     eigenbasis array: the sign of the smallest eigenvalue of the Cauchy-weighted
-    partial transpose (the test matrix), and a Cholesky factorization of its
-    rotation to the channel's Choi matrix, the matrix that is returned.  They
+    partial transpose (the test matrix), from shifted Cholesky factorizations, and a
+    Cholesky factorization of its rotation to the channel's Choi matrix, the matrix
+    that is returned.  They
     must agree outside the ``10 * tol`` boundary zone, else
     :class:`VerdictMismatchError` is raised.
     """

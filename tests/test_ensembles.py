@@ -368,5 +368,27 @@ class TestDiscriminationGates:
         with pytest.raises(ValueError, match="^matrix contains non-finite entries$"):
             tc.is_orthogonal_ensemble([proj(KET0), np.diag([np.nan, 1.0])])
 
+    def test_povm_of_another_dimension_is_named(self):
+        # Before, the identity-sum check raised numpy's broadcast error.
+        message = r"^POVM elements of shape \(3, 3\) do not match states of shape \(2, 2\)$"
+        with pytest.raises(ValueError, match=message):
+            tc.DiscriminationInstance([1.0], [np.eye(2) / 2], [np.eye(3)], (0,))
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda states: tc.is_orthogonal_ensemble(states),
+            lambda states: tc.discrimination_povm([0.5, 0.5], states),
+        ],
+        ids=["is_orthogonal_ensemble", "discrimination_povm"],
+    )
+    def test_mixed_state_shapes_are_named(self, call, monkeypatch):
+        # Before, np.stack raised "all input arrays must have the same shape".  No state is solved.
+        sizes = count_factorizations(monkeypatch)
+        message = r"^the members of states must share one shape, got shapes \[\(2, 2\), \(3, 3\)\]$"
+        with pytest.raises(ValueError, match=message):
+            call([proj(KET0), np.diag([0.0, 1.0, 0.0])])
+        assert sizes == {"eigh": [], "eigvalsh": [], "cholesky": []}
+
     def test_orthogonality_of_one_state(self):
         assert tc.is_orthogonal_ensemble([proj(KET0)])

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -549,29 +550,56 @@ class TestEigenbasisKernel:
         sizes = count_factorizations(monkeypatch)
         rank_deficient = rank_deficient_separable((4, 3), 3, 7, np.random.default_rng(2))
         product = tc.tensor(tc.random_density(3, seed=4), tc.random_density(4, seed=5))
+        # One eigh per side validates the marginal and gives its eigenbasis; no test matrix is solved.
+        # The factorizations are the PPT flag's, then per side its probes of the support block and the
+        # one of its returned Choi matrix (path 2).  A side above the zone takes 1 probe, one below it
+        # 2, and one in it 3, or 2 on a rank-deficient marginal, which skips the probe above the zone.
         cases = [
-            # faithful marginals: one eigh per side validates the marginal and gives its
-            # eigenbasis, one test-matrix solve per side; the partial transpose is not PPT
-            (tc.random_density(12, seed=17), (3, 4), [3, 4, 12, 12], False),
-            # a rank-3 side-a marginal: that side's test matrix is solved on its 9 x 9 support block;
-            # PPT, with zero partial-transpose eigenvalues
-            (tc.assemble_state(rank_deficient), (4, 3), [3, 4, 9, 12], True),
-            # faithful marginals, PPT, with zero partial-transpose eigenvalues, so not clear of 10 tol
-            (_pure_product_mixture(), (3, 4), [3, 4, 12, 12], True),
+            # faithful marginals, both sides below the zone; the partial transpose is not PPT
+            (tc.random_density(12, seed=17), (3, 4), [12] + [12] * (2 + 1) * 2, False),
+            # a rank-3 side-a marginal: its probes factor the 9 x 9 support block, and it is in the zone,
+            # as is side b; PPT, with zero partial-transpose eigenvalues
+            (tc.assemble_state(rank_deficient), (4, 3), [12] + [9] * 2 + [12] + [12] * (3 + 1), True),
+            # faithful marginals, both sides above the zone; PPT, with zero partial-transpose eigenvalues,
+            # so not clear of 10 tol
+            (_pure_product_mixture(), (3, 4), [12] + [12] * (1 + 1) * 2, True),
             # a faithful product state: its partial transpose clears 10 tol
-            (product, (3, 4), [3, 4, 12, 12], True),
+            (product, (3, 4), [12] + [12] * (1 + 1) * 2, True),
         ]
-        for tau, dims, eigensolves, ppt in cases:
+        for tau, dims, factorizations, ppt in cases:
             for calls in sizes.values():
                 calls.clear()
             result = tc.certify(tau, dims)
-            assert sorted(sizes["eigh"] + sizes["eigvalsh"]) == eigensolves
-            # one Cholesky factorization of each returned Choi matrix (path 2), then one for the PPT
-            # flag; the 10 tol clearance is not factored, as no side reads incompatible
-            assert sizes["cholesky"] == [dims[0] * dims[1]] * (2 + 1)
+            assert sorted(sizes["eigh"]) == [3, 4]
+            assert sizes["eigvalsh"] == []
+            # the 10 tol clearance is not factored, as no side reads incompatible
+            assert sizes["cholesky"] == factorizations
             assert result.ppt == ppt
             assert result.compatible_both == ppt
         assert abs(tc.certify(_pure_product_mixture(), (3, 4)).ppt_min_eigenvalue) < 1e-15
+
+    def test_reports_pickle_with_their_lazy_fields_unread(self):
+        # The lazy fields hold a partial of a module-level function, not a closure, so the reports pickle.
+        result = tc.certify(tc.random_density(6, seed=1), (2, 3))
+        cptp = tc.is_cptp(tc.random_cptp(3, 2, 2, seed=4))
+        side, checked = pickle.loads(pickle.dumps((result.side_b, cptp)))
+        assert side.test_min_eigenvalue == result.side_b.test_min_eigenvalue
+        assert side.cptp.choi_min_eigenvalue == result.side_b.cptp.choi_min_eigenvalue
+        assert checked.choi_min_eigenvalue == cptp.choi_min_eigenvalue
+
+    @pytest.mark.parametrize("field", ["test_min_eigenvalue", "choi_min_eigenvalue"])
+    def test_side_minima_share_one_solve_on_first_read(self, monkeypatch, field):
+        # Either field, read first, solves the side's support block once; the other then reads it.
+        rank_deficient = tc.assemble_state(rank_deficient_separable((4, 3), 3, 7, np.random.default_rng(2)))
+        result = tc.certify(rank_deficient, (4, 3))
+        sizes = count_factorizations(monkeypatch)
+        for report, block in ((result.side_a, 9), (result.side_b, 12)):
+            first = report.test_min_eigenvalue if field == "test_min_eigenvalue" else report.cptp.choi_min_eigenvalue
+            assert isinstance(first, float)
+            assert sizes == {"eigh": [], "eigvalsh": [block], "cholesky": []}
+            assert first in (report.test_min_eigenvalue, report.cptp.choi_min_eigenvalue)
+            assert sizes == {"eigh": [], "eigvalsh": [block], "cholesky": []}
+            sizes["eigvalsh"].clear()
 
     @pytest.mark.parametrize(
         "state, ppt, clearance",
@@ -601,7 +629,11 @@ class TestEigenbasisKernel:
                 tc.certify(tau, (3, 4))
         else:
             assert tc.certify(tau, (3, 4)).ppt == ppt
-        assert sizes["cholesky"] == [12] * (3 + ppt)
+        # The PPT flag, then per side its probes and path 2: both PPT states' sides are above the zone
+        # (1 probe), the entangled state's below it (2); the error message solves side a's support block.
+        probes = 1 if ppt else 2
+        assert sizes["cholesky"] == [12] * (1 + 2 * (probes + 1) + ppt)
+        assert sizes["eigvalsh"] == [12] * clearance
 
     @pytest.mark.parametrize("kind", ["density", "separable_rank_deficient", "non_positive", "isotropic"])
     def test_certify_returns_exactly_hermitian_choi_matrices(self, kind):
@@ -623,24 +655,27 @@ class TestEigenbasisKernel:
         assert sizes["eigvalsh"] == [12]
 
     def test_one_sided_eigensolve_count(self, monkeypatch):
-        # A one-sided call validates both marginals by eigh and solves only its own test matrix;
-        # the partial transpose is factored by certify alone, once.  A map
+        # A one-sided call validates both marginals by eigh and factors only its own test matrix,
+        # by probes, and its Choi matrix: side a of this state is in the zone (3 probes), side b
+        # below it (2).  The partial transpose is factored by certify alone, once.  A map
         # built from one marginal solves it once, and the Petz maps solve each state they are built
         # from once.
         process = tc.Process(tc.random_cptp(3, 4, 2, seed=5), tc.random_density(3, seed=6))
         tau = tc.star_product(process.channel, process.input_state)
         rho = process.input_state
         sizes = count_factorizations(monkeypatch)
-        one_sided = {"eigh": [3, 4], "eigvalsh": [12], "cholesky": [12]}
 
         def eigh_only(*eigh):
             return {"eigh": list(eigh), "eigvalsh": [], "cholesky": []}
 
+        def probed(*factorizations):
+            return {"eigh": [3, 4], "eigvalsh": [], "cholesky": [12] * sum(factorizations)}
+
         cases = [
-            (lambda: tc.compatibility_test(tau, (3, 4), "a"), one_sided),
-            (lambda: tc.compatibility_test(tau, (3, 4), "b"), one_sided),
-            (lambda: tc.bayesian_inverse(process), one_sided),
-            (lambda: tc.certify(tau, (3, 4)), {"eigh": [3, 4], "eigvalsh": [12] * 2, "cholesky": [12] * 3}),
+            (lambda: tc.compatibility_test(tau, (3, 4), "a"), probed(3 + 1)),
+            (lambda: tc.compatibility_test(tau, (3, 4), "b"), probed(2 + 1)),
+            (lambda: tc.bayesian_inverse(process), probed(2 + 1)),
+            (lambda: tc.certify(tau, (3, 4)), probed(1, 3 + 1, 2 + 1)),
             (lambda: tc.verify_decomposition(tau, (3, 4), "a"), eigh_only(3)),
             (lambda: tc.verify_decomposition(tau, (3, 4), "b"), eigh_only(4)),
             (lambda: tc.petz_selfinverse_dephasing_check(rho), eigh_only(3)),
@@ -910,6 +945,66 @@ class TestPptFlag:
         rounding = ROUNDING * tau.shape[0] * scale
         if not -tol * scale - rounding <= lam <= -tol * max(1.0, lam_max) + rounding:
             assert result.ppt == ok
+
+
+def _side_case(
+    kind: str, dims: tuple[int, int], offset: float, tol: float, rng: np.random.Generator
+) -> tuple[np.ndarray, tuple[int, int]]:
+    if kind == "zone":
+        # c |Phi><Phi| + (1 - c) 1/d on m x m levels: its marginals are 1/m, so its test matrix is m times its
+        # partial transpose, of least eigenvalue -c + (1 - c) / m, here offset * tol: in or near the zone.
+        m = dims[0]
+        d = m * m
+        phi = np.eye(m).ravel() / np.sqrt(m)
+        c = (1 - m * offset * tol) / (m + 1)
+        return c * proj(phi) + (1 - c) * np.eye(d) / d, (m, m)
+    if kind == "non_positive":
+        return _ppt_case(kind, dims, rng)
+    return _kernel_case(kind, dims, rng), dims
+
+
+def _block_norms(report: tc.CompatibilityReport, rank: int) -> tuple[float, float]:
+    """``||X||_F`` and ``lambda_max`` of a side's support block ``X``, read off the returned Choi matrix: ``X``
+    rotated, plus ``1/n`` on the ``(m - r) n`` kernel rows of a rank-deficient marginal.  ``X`` has mean
+    eigenvalue ``1/n``, so the kernel's ``1/n`` never exceeds ``lambda_max``."""
+    m, n = report.channel.dim_in, report.channel.dim_out
+    c = report.channel.choi
+    frob = np.sqrt(max(float(np.linalg.norm(c)) ** 2 - (m - rank) / n, 0.0))
+    return frob, float(np.linalg.eigvalsh(c)[-1])
+
+
+class TestSideFlag:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        kind=st.sampled_from(["density", "separable_rank_deficient", "non_positive", "isotropic", "zone"]),
+        dims=st.sampled_from(INVARIANCE_DIMS),
+        seed=st.integers(0, 2**32 - 1),
+        tol=st.sampled_from([DEFAULT_TOL, 1e-3, 5e-2]),
+        offset=st.floats(-15.0, 15.0),
+    )
+    def test_side_flags_match_the_spectrum(self, kind, dims, seed, tol, offset):
+        # Each side's flags come from Cholesky probes of its support block X at +-zone and tol * scale, with
+        # scale = max(1, ||X||_F).  They must match the least eigenvalue lam, solved when read, against the
+        # same thresholds, outside the rounding of the probe shifts.  The Frobenius norm bounds
+        # lambda_max, so the flags may differ from the rule max(1, lambda_max) only between the two
+        # scales' floors (compatible) or zone edges (boundary).
+        tau, dims = _side_case(kind, dims, offset, tol, np.random.default_rng(seed))
+        result = tc.certify(tau, dims, tol)
+        for report, kept in ((result.side_a, "b"), (result.side_b, "a")):
+            rank = tc.observable(tc.partial_trace(tau, dims, kept)).rank
+            frob, lam_max = _block_norms(report, rank)
+            lam = report.test_min_eigenvalue
+            scale, parent_scale = max(1.0, frob), max(1.0, lam_max)
+            edge = 10 * tol + ROUNDING * tau.shape[0]  # the zone's half-width per unit of scale
+            rounding = ROUNDING * tau.shape[0] * scale
+            if abs(lam + tol * scale) > rounding:
+                assert report.compatible == (lam >= -tol * scale)
+            if abs(abs(lam) - edge * scale) > rounding:
+                assert report.boundary == (abs(lam) < edge * scale)
+            if not -tol * scale - rounding <= lam <= -tol * parent_scale + rounding:
+                assert report.compatible == (lam >= -tol * parent_scale)
+            if not edge * parent_scale - rounding <= abs(lam) <= edge * scale + rounding:
+                assert report.boundary == (abs(lam) < edge * parent_scale)
 
 
 class TestIsPpt:
