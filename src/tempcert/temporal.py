@@ -15,9 +15,9 @@ is positive semidefinite, where ``D`` is the generalized dephasing channel of
 eigenbasis the test matrix is ``tau`` with the first factor transposed and
 weighted entrywise by the Cauchy matrix ``2 / (p_i + p_j)``, zero on blocks
 touching the kernel.  The verdict needs only where the least eigenvalue of its
-support block ``X`` lies, so it is read off inertia probes: Cholesky
-factorizations of ``X`` shifted by the edges ``+-(10 tol + 64 m n eps) * scale`` of
-the boundary zone and by the PSD floor ``tol * scale``, ``scale = max(1, ||X||_F)``.
+support block ``X`` lies, so it is read off inertia probes: Cholesky factorizations
+of ``X``, shifted in place and restored, by the edges ``+-(10 tol + 64 m n eps) * scale``
+of the boundary zone and by the PSD floor ``tol * scale``, ``scale = max(1, ||X||_F)``.
 The same array, rotated back to the computational basis, is the Choi matrix of
 ``E``.  The verdict is cross-checked on the returned Choi matrix by a Cholesky
 factorization shifted by ``5 tol * scale``, which succeeds iff ``E`` is completely
@@ -29,6 +29,7 @@ cross-check the matrix that is returned.
 :func:`certify` runs both directions and adds the plain PPT flag, one shifted Cholesky
 factorization of the partial transpose (a second checks its ``10 tol`` clearance only when
 a side of a PPT state reads incompatible), so a certification makes no full-size eigensolve.
+The flag orders the probes: a faithful side of a non-PPT state is probed below the zone first.
 The least eigenvalues it reports are solved when first read: a side's test-matrix and Choi
 minima share one eigensolve of its support block, re-derived from ``tau``'s Hermitian part.
 
@@ -292,35 +293,42 @@ def _validated(tau: np.ndarray, dims: tuple[int, int]) -> tuple[np.ndarray, dict
 
 
 def _cholesky_cp(a: np.ndarray, shift: float) -> bool:
-    """True iff ``a + shift * 1`` has a Cholesky factorization; ``a`` is the caller's buffer, shifted in place."""
+    """True iff ``a + shift * 1`` has a Cholesky factorization.  ``a`` is shifted in place, with no copy,
+    and its saved diagonal written back after, so the caller's array is left exactly as it was."""
+    diagonal = a.flat[:: a.shape[0] + 1]  # a copy of the diagonal
     a.flat[:: a.shape[0] + 1] += shift
     try:
         np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
         return False
+    finally:
+        a.flat[:: a.shape[0] + 1] = diagonal
     return True
 
 
-def _side_report(validated: tuple, side: str, tol: float) -> CompatibilityReport:
-    """Both verdict paths in one direction for a ``tau`` validated by :func:`_validated`, at a checked ``tol``."""
+def _side_report(validated: tuple, side: str, tol: float, ppt: bool | None = None) -> CompatibilityReport:
+    """Both verdict paths in one direction for a ``tau`` validated by :func:`_validated`, at a checked ``tol``;
+    ``ppt``, :func:`certify`'s PPT flag or None where it is not computed, orders the probes only."""
     t4, s = _oriented(validated[0], side), validated[1][side]
     x4 = _eigenbasis_array(t4, s)
     m, n = t4.shape[:2]
     faithful = s.rank == m
 
-    # Path 1: the dephased distorted partial transpose, read in the eigenbasis.  Each probe factors a
-    # shifted copy of its support block X, to place the least eigenvalue: above the zone, below it,
-    # or in it and then on a side of the PSD floor.  A kernel puts 0 in the spectrum, so a
-    # rank-deficient side is never above the zone.
+    # Path 1: the dephased distorted partial transpose, read in the eigenbasis.  Each probe factors its
+    # support block X, shifted in place, to place the least eigenvalue: above the zone, below it, or in
+    # it and then on a side of the PSD floor.  A kernel puts 0 in the spectrum, so a rank-deficient side
+    # is never above the zone.  A faithful side of a non-PPT state mostly reads below the zone, so it is
+    # probed there first; the order sets how many probes run, not what any of them returns.
     block = _support_block(x4, s)
     scale = max(1.0, float(np.linalg.norm(block)))  # bounds max(1, lambda_max) from above
     zone = (10 * tol + _ZONE_ROUNDING * m * n * _EPS) * scale  # the floor keeps an exact zero in it at tol=0
-    if faithful and _cholesky_cp(block.copy(), -zone):
-        test_ok, boundary = True, False
-    elif not _cholesky_cp(block.copy(), zone):
-        test_ok, boundary = False, False
+    if faithful and ppt is False:
+        cleared = _cholesky_cp(block, zone)
+        above = cleared and _cholesky_cp(block, -zone)
     else:
-        test_ok, boundary = _cholesky_cp(block.copy(), tol * scale), True
+        above = faithful and _cholesky_cp(block, -zone)
+        cleared = above or _cholesky_cp(block, zone)
+    test_ok, boundary = (above, False) if above or not cleared else (_cholesky_cp(block, tol * scale), True)
     del block  # a copy on a rank-deficient side, freed before the Choi matrix is built
 
     # Path 2: a Cholesky factorization of the returned Choi matrix, shifted to the middle of
@@ -329,7 +337,7 @@ def _side_report(validated: tuple, side: str, tol: float) -> CompatibilityReport
     channel = _choi_from_eigenbasis(s, x4)
     del x4  # one full-size array fewer held through the checks below, where a certify peaks
     herm_ok, herm, tp, trace_residual = _hptp_gates(channel, tol)
-    cp = herm_ok and _cholesky_cp(channel.choi.copy(), 5 * tol * scale)  # the choi is exactly Hermitian and finite
+    cp = herm_ok and _cholesky_cp(channel.choi, 5 * tol * scale)  # the choi is exactly Hermitian and finite
     report = CompatibilityReport(
         side=side,
         compatible=test_ok,
@@ -367,8 +375,8 @@ def compatibility_test(
     eigenbasis array: the sign of the smallest eigenvalue of the Cauchy-weighted
     partial transpose (the test matrix), from shifted Cholesky factorizations, and a
     Cholesky factorization of its rotation to the channel's Choi matrix, the matrix
-    that is returned.  They
-    must agree outside the ``10 * tol`` boundary zone, else
+    that is returned.  With no PPT flag to order them, the probes start above the
+    zone.  They must agree outside the ``10 * tol`` boundary zone, else
     :class:`VerdictMismatchError` is raised.
     """
     validated = _validated(tau, dims)
@@ -408,7 +416,8 @@ def certify(tau: np.ndarray, dims: tuple[int, int], tol: float = DEFAULT_TOLS.ps
     A PPT state is compatible in both directions; this is asserted when the partial transpose clears
     ``10 * tol``, outside each side's zone.  The PPT flag is one Cholesky factorization of the partial
     transpose shifted by ``tol * max(1, ||tau||_F)``, the PSD floor for a density ``tau``; the clearance
-    is a second, made only for a PPT state with a side incompatible outside its zone.
+    is a second, made only for a PPT state with a side incompatible outside its zone.  A faithful side
+    of a non-PPT state, mostly incompatible, is probed below its zone first: one probe if it is below.
     """
     validated = _validated(tau, dims)
     _check_tol(tol)
@@ -416,7 +425,7 @@ def certify(tau: np.ndarray, dims: tuple[int, int], tol: float = DEFAULT_TOLS.ps
     t = t4.reshape(t4.shape[0] * t4.shape[1], -1)
     pt = t4.transpose(2, 1, 0, 3)  # a view; each factorization shifts a fresh copy of it
     ppt = _cholesky_cp(pt.copy().reshape(t.shape), tol * max(1.0, float(np.linalg.norm(t))))
-    side_a, side_b = (_side_report(validated, side, tol) for side in "ab")
+    side_a, side_b = (_side_report(validated, side, tol, ppt) for side in "ab")
     suspects = [report for report in (side_a, side_b) if not report.compatible and not report.boundary]
     if ppt and suspects and _cholesky_cp(pt.copy().reshape(t.shape), -10 * tol):
         raise VerdictMismatchError(

@@ -554,9 +554,10 @@ class TestEigenbasisKernel:
         # The factorizations are the PPT flag's, then per side its probes of the support block and the
         # one of its returned Choi matrix (path 2).  A side above the zone takes 1 probe, one below it
         # 2, and one in it 3, or 2 on a rank-deficient marginal, which skips the probe above the zone.
+        # A faithful side of a non-PPT state is probed below the zone first, so below it takes 1 probe.
         cases = [
-            # faithful marginals, both sides below the zone; the partial transpose is not PPT
-            (tc.random_density(12, seed=17), (3, 4), [12] + [12] * (2 + 1) * 2, False),
+            # faithful marginals, both sides below the zone; the partial transpose is not PPT: 5 factorizations
+            (tc.random_density(12, seed=17), (3, 4), [12] + [12] * (1 + 1) * 2, False),
             # a rank-3 side-a marginal: its probes factor the 9 x 9 support block, and it is in the zone,
             # as is side b; PPT, with zero partial-transpose eigenvalues
             (tc.assemble_state(rank_deficient), (4, 3), [12] + [9] * 2 + [12] + [12] * (3 + 1), True),
@@ -615,8 +616,8 @@ class TestEigenbasisKernel:
         }[state]
         original = tc.temporal._side_report
 
-        def incompatible_a(validated, side, tol):
-            report = original(validated, side, tol)
+        def incompatible_a(validated, side, tol, ppt):
+            report = original(validated, side, tol, ppt)
             return replace(report, compatible=False, boundary=False) if side == "a" else report
 
         monkeypatch.setattr(tc.temporal, "_side_report", incompatible_a)
@@ -629,10 +630,10 @@ class TestEigenbasisKernel:
                 tc.certify(tau, (3, 4))
         else:
             assert tc.certify(tau, (3, 4)).ppt == ppt
-        # The PPT flag, then per side its probes and path 2: both PPT states' sides are above the zone
-        # (1 probe), the entangled state's below it (2); the error message solves side a's support block.
-        probes = 1 if ppt else 2
-        assert sizes["cholesky"] == [12] * (1 + 2 * (probes + 1) + ppt)
+        # The PPT flag, then per side its probes and path 2: both PPT states' sides are above the zone,
+        # the entangled state's below it, probed there first (1 probe each); the error message solves
+        # side a's support block.
+        assert sizes["cholesky"] == [12] * (1 + 2 * (1 + 1) + ppt)
         assert sizes["eigvalsh"] == [12] * clearance
 
     @pytest.mark.parametrize("kind", ["density", "separable_rank_deficient", "non_positive", "isotropic"])
@@ -657,7 +658,8 @@ class TestEigenbasisKernel:
     def test_one_sided_eigensolve_count(self, monkeypatch):
         # A one-sided call validates both marginals by eigh and factors only its own test matrix,
         # by probes, and its Choi matrix: side a of this state is in the zone (3 probes), side b
-        # below it (2).  The partial transpose is factored by certify alone, once.  A map
+        # below it (2, or 1 in certify, which probes a side of this non-PPT state below the zone
+        # first).  The partial transpose is factored by certify alone, once.  A map
         # built from one marginal solves it once, and the Petz maps solve each state they are built
         # from once.
         process = tc.Process(tc.random_cptp(3, 4, 2, seed=5), tc.random_density(3, seed=6))
@@ -675,7 +677,7 @@ class TestEigenbasisKernel:
             (lambda: tc.compatibility_test(tau, (3, 4), "a"), probed(3 + 1)),
             (lambda: tc.compatibility_test(tau, (3, 4), "b"), probed(2 + 1)),
             (lambda: tc.bayesian_inverse(process), probed(2 + 1)),
-            (lambda: tc.certify(tau, (3, 4)), probed(1, 3 + 1, 2 + 1)),
+            (lambda: tc.certify(tau, (3, 4)), probed(1, 3 + 1, 1 + 1)),
             (lambda: tc.verify_decomposition(tau, (3, 4), "a"), eigh_only(3)),
             (lambda: tc.verify_decomposition(tau, (3, 4), "b"), eigh_only(4)),
             (lambda: tc.petz_selfinverse_dephasing_check(rho), eigh_only(3)),
@@ -1005,6 +1007,60 @@ class TestSideFlag:
                 assert report.compatible == (lam >= -tol * parent_scale)
             if not edge * parent_scale - rounding <= abs(lam) <= edge * scale + rounding:
                 assert report.boundary == (abs(lam) < edge * parent_scale)
+
+
+def _report_bytes(report: tc.CompatibilityReport) -> tuple:
+    """Every field of a side report, floats as ``float.hex`` and the Choi matrix as its bytes."""
+    cptp = report.cptp
+    return (
+        report.compatible,
+        report.boundary,
+        report.faithful_marginal,
+        cptp.cp,
+        cptp.tp,
+        float.hex(report.reconstruction_residual),
+        float.hex(cptp.trace_residual),
+        float.hex(cptp.hermiticity_defect),
+        report.channel.choi.tobytes(),
+        float.hex(report.test_min_eigenvalue),
+        float.hex(cptp.choi_min_eigenvalue),
+    )
+
+
+class TestProbeOrder:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        kind=st.sampled_from(["density", "separable", "separable_rank_deficient", "non_positive", "zone"]),
+        dims=st.sampled_from(INVARIANCE_DIMS),
+        seed=st.integers(0, 2**32 - 1),
+        tol=st.sampled_from([DEFAULT_TOL, 1e-3, 5e-2]),
+        offset=st.floats(-15.0, 15.0),
+    )
+    def test_probe_order_changes_no_report(self, kind, dims, seed, tol, offset):
+        # certify probes a faithful side of a non-PPT state below the zone first, and any other side above it
+        # first.  Each probe shifts its array in place and writes the saved diagonal back, so x4, from which
+        # the Choi matrix is built after the probes, and the Choi matrix, probed after it is built, are left
+        # as they were, and both orders give the same report to the bit.
+        rng = np.random.default_rng(seed)
+        if kind == "separable":
+            tau = tc.assemble_state(random_faithful_separable(dims, rng))
+        else:
+            tau, dims = _side_case(kind, dims, offset, tol, rng)
+        validated = tc.temporal._validated(tau, dims)
+        probe = tc.temporal._cholesky_cp
+
+        def restoring(a, shift):
+            before = a.tobytes()
+            ok = probe(a, shift)
+            assert a.tobytes() == before
+            return ok
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tc.temporal, "_cholesky_cp", restoring)
+            for side in "ab":
+                below_first, above_first = (tc.temporal._side_report(validated, side, tol, p) for p in (False, None))
+                assert _report_bytes(below_first) == _report_bytes(above_first)
+                assert below_first.channel.choi.tobytes() == tc.temporal_channel(tau, dims, side).choi.tobytes()
 
 
 class TestIsPpt:
