@@ -13,7 +13,6 @@ from .channels import (
     apply,
     apply_to_factor,
     compose,
-    from_jamiolkowski,
     from_kraus,
     hs_adjoint,
     identity_channel,

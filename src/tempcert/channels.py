@@ -39,7 +39,6 @@ __all__ = [
     "apply",
     "apply_to_factor",
     "jamiolkowski",
-    "from_jamiolkowski",
     "superoperator_matrix",
     "is_cptp",
     "is_hptp",
@@ -149,11 +148,6 @@ def jamiolkowski(e: SuperOp) -> np.ndarray:
     return partial_transpose(e.choi, (e.dim_in, e.dim_out), "a")
 
 
-def from_jamiolkowski(j: np.ndarray, dims: tuple[int, int]) -> SuperOp:
-    """Inverse of :func:`jamiolkowski`; round-trips exactly (both are re-indexings)."""
-    return SuperOp(dims[0], dims[1], partial_transpose(j, dims, "a"))
-
-
 def superoperator_matrix(e: SuperOp) -> np.ndarray:
     """Dense matrix acting on row-major vectorizations: ``vec(E(X)) = S vec(X)``."""
     c4 = e.choi.reshape(e.dim_in, e.dim_out, e.dim_in, e.dim_out)
@@ -220,7 +214,7 @@ def is_cptp(e: SuperOp, tol: float = DEFAULT_TOLS.psd) -> CptpReport:
     with np.errstate(over="ignore", invalid="ignore"):  # near the float limit the part overflows; _in_range names it
         h = _hermitian_part(e.choi)
     w = np.linalg.eigvalsh(_in_range(h))
-    _, lam_min, scale = _psd_floor(w, tol)
+    _, lam_min, scale = map(float, _psd_floor(w, tol))
     return CptpReport(
         cp=herm_ok and lam_min >= -(tol + _CHOI_ROUNDING * len(w) * _EPS) * scale,
         tp=tp,

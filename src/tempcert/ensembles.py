@@ -12,8 +12,8 @@ import numpy as np
 
 from .channels import SuperOp, from_kraus
 from .operators import (
-    DEFAULT_TOLS, Spectrum, _check_tol, _density_spectrum, _density_stack, _gated_stack, _pairings, _psd_leading,
-    as_complex_matrix, max_abs, require_hermitian,
+    DEFAULT_TOLS, Spectrum, _check_tol, _density_spectrum, _density_stack, _hermitian_stack, _pairings, _psd_floor,
+    as_complex_matrix, max_abs,
 )
 from .sot import observable
 
@@ -176,7 +176,11 @@ def is_orthogonal_ensemble(states: list[np.ndarray], tol: float = DEFAULT_TOLS.p
     s = _members(states, "states")
     for m in s:
         as_complex_matrix(m)  # raises unless the member is a nonempty square matrix of finite entries
-    return bool(np.all(np.abs(_pairings(s, s))[~np.eye(len(s), dtype=bool)] <= tol))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overlap that overflows is named below
+        overlaps = np.abs(_pairings(s, s))
+    if not np.isfinite(overlaps).all():
+        raise ValueError("overlap out of range: Tr[rho_s rho_t] overflows a float")
+    return bool(np.all(overlaps[~np.eye(len(s), dtype=bool)] <= tol))
 
 
 @dataclass(frozen=True)
@@ -184,7 +188,8 @@ class DiscriminationInstance:
     """An ensemble, its weights nonnegative and summing to one, with a candidate discriminating POVM.
 
     ``assignment[k]`` is the ensemble index announced on POVM outcome ``k``; the assignment must be surjective
-    onto the ensemble.  States and POVM elements pass the shared gates and are held as ``(k, d, d)`` stacks.
+    onto the ensemble.  States and POVM elements are ``(k, d, d)`` stacks of Hermitian parts, gated by the stacked
+    fast path of the shared gates with its member-loop fallback: an error names the first member that fails.
     """
 
     weights: np.ndarray
@@ -203,16 +208,14 @@ class DiscriminationInstance:
             raise ValueError("assignment must map every POVM outcome to an ensemble index")
         if set(self.assignment) != set(range(len(states))):
             raise ValueError("assignment must be surjective onto the ensemble")
-        elements, povm, n = _gated_stack(_members(self.povm, "povm"))
-        if n < len(povm):
-            require_hermitian(elements[n])  # raises the error of the first element that fails
+        povm = _hermitian_stack(_members(self.povm, "povm"))
         if povm.shape[1:] != states.shape[1:]:
             raise ValueError(f"POVM elements of shape {povm.shape[1:]} do not match states of shape {states.shape[1:]}")
         if max_abs(povm.sum(axis=0) - np.eye(states.shape[1])) > DEFAULT_TOLS.trace:
             raise ValueError("POVM elements do not sum to the identity")
-        n, spectra = _psd_leading(povm)
-        if n < len(povm):
-            raise ValueError(f"POVM element has negative eigenvalue {spectra[n, 0]:.3e}")
+        ok, lam_min, _ = _psd_floor(np.linalg.eigvalsh(povm), DEFAULT_TOLS.psd)
+        if not ok.all():
+            raise ValueError(f"POVM element has negative eigenvalue {lam_min[ok.argmin()]:.3e}")
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "povm", povm)

@@ -149,13 +149,13 @@ def _check_tol(tol: float) -> float:
     return tol
 
 
-def _psd_floor(w: np.ndarray, tol: float) -> tuple[bool, float, float]:
-    """The PSD floor on ascending eigenvalues ``w``: ``lambda_min >= -tol * max(1, lambda_max)``.
+def _psd_floor(w: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The PSD floor ``lambda_min >= -tol * max(1, lambda_max)`` on ascending eigenvalues ``w``, one row per member.
 
-    Returns the verdict, ``lambda_min`` and the scale ``max(1, lambda_max)``; the caller checks ``tol``.
+    Returns the verdicts, ``lambda_min`` and the scales ``max(1, lambda_max)``, 0-d for one spectrum; the caller
+    checks ``tol``.
     """
-    lam_min = float(w[0])
-    scale = max(1.0, float(w[-1]))
+    lam_min, scale = w[..., 0], np.maximum(1.0, w[..., -1])
     return lam_min >= -tol * scale, lam_min, scale
 
 
@@ -171,56 +171,47 @@ def is_psd(m: np.ndarray, tol: float = DEFAULT_TOLS.psd) -> tuple[bool, float]:
 def _gated_psd(h: np.ndarray, tol: float) -> tuple[bool, float]:
     """:func:`is_psd` of an exactly Hermitian, finite ``h`` derived from a gated input."""
     _check_tol(tol)
-    return _psd_floor(np.linalg.eigvalsh(h), tol)[:2]
+    ok, lam_min, _ = _psd_floor(np.linalg.eigvalsh(h), tol)
+    return bool(ok), float(lam_min)
 
 
 def validate_density(m: np.ndarray) -> np.ndarray:
     """Check the density-matrix invariants, returning the Hermitian part.
 
     Raises ``ValueError`` whose message names the violated invariant
-    (hermiticity, trace, or psd).
+    (hermiticity, trace, or psd).  These gates are the definition; :func:`_density_stack`
+    is their fast path over a stack.
     """
-    return _density_stack(np.asarray(m, dtype=np.complex128)[None])[0]
+    h = _require_trace_one(m)
+    _require_psd_spectrum(np.linalg.eigvalsh(h))
+    return h
 
 
-def _leading(ok: list[bool]) -> int:
-    """The number of leading ``True`` entries of ``ok``: the index of the first member that fails."""
-    return ok.index(False) if False in ok else len(ok)
-
-
-def _gated_stack(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    """A ``(k, d, d)`` stack, ``k >= 1``, its Hermitian parts, and how many leading members pass the gates of
-    :func:`require_hermitian` (finite entries, Hermiticity, a finite Hermitian part), each run once over the stack.
-
-    Not a stack of nonempty square matrices: raises the shape error of member 0."""
+def _hermitian_stack(m: np.ndarray) -> np.ndarray:
+    """:func:`require_hermitian` of each member of a stack, as a stack.  The gates run once over a ``(k, d, d)``
+    stack; if a member fails, the members are gated one by one, which raises the first failing member's error."""
     a = np.asarray(m, dtype=np.complex128)
-    if a.ndim != 3 or a.shape[1] != a.shape[2] or a.size == 0:
-        as_complex_matrix(a[0])  # raises
-    defect, h = _defect_and_part(a)  # h is finite only where a is finite and its sum does not overflow
-    return a, h, _leading((np.isfinite(h).all(axis=(1, 2)) & (defect <= DEFAULT_TOLS.hermiticity)).tolist())
-
-
-def _psd_leading(h: np.ndarray) -> tuple[int, np.ndarray]:
-    """How many leading members of an exactly Hermitian, finite stack pass :func:`_psd_floor` at ``DEFAULT_TOLS.psd``,
-    from one stacked ``eigvalsh``, and the ascending eigenvalues, one row per member."""
-    w = np.linalg.eigvalsh(h)
-    ends = zip(w[:, 0].tolist(), w[:, -1].tolist())  # the floor reads only the least and the greatest eigenvalue
-    return _leading([_psd_floor(pair, DEFAULT_TOLS.psd)[0] for pair in ends]), w
+    if a.ndim == 3 and a.shape[1] == a.shape[2] and a.size:
+        defect, h = _defect_and_part(a)  # h is finite only where a is finite and its sum does not overflow
+        if np.isfinite(h).all() and (defect <= DEFAULT_TOLS.hermiticity).all():
+            return h
+    return np.stack([require_hermitian(s) for s in a])
 
 
 def _density_stack(m: np.ndarray) -> np.ndarray:
-    """:func:`validate_density` of each member of a ``(k, d, d)`` stack, ``k >= 1``: the Hermitian parts as a stack.
+    """:func:`validate_density` of each member of a stack, as a stack of the Hermitian parts.
 
-    Each gate runs once over the stack, on the members that passed the gates before it.  A stack that fails
-    raises what ``for s in m: validate_density(s)`` raises: the scalar gates run on its first failing member."""
-    a, h, n = _gated_stack(m)
-    n = _leading([abs(tr - 1.0) <= DEFAULT_TOLS.trace for tr in h[:n].trace(axis1=1, axis2=2).real.tolist()])
-    n_psd, w = _psd_leading(h[:n])
-    if n_psd < n:
-        _require_psd_spectrum(w[n_psd])
-    if n < len(a):
-        _require_trace_one(a[n])
-    return h
+    The fast path is :func:`_hermitian_stack`'s, then the trace and the PSD floor, each once over the stack, the
+    floor on one stacked ``eigvalsh``.  If a member fails, the members are gated one by one, which raises the first
+    failing member's first error."""
+    try:
+        h = _hermitian_stack(m)
+        trace_ok = (abs(h.trace(axis1=1, axis2=2).real - 1.0) <= DEFAULT_TOLS.trace).all()
+        if trace_ok and _psd_floor(np.linalg.eigvalsh(h), DEFAULT_TOLS.psd)[0].all():
+            return h
+    except ValueError:  # the member loop below names the first failing member
+        pass
+    return np.stack([validate_density(s) for s in np.asarray(m, dtype=np.complex128)])
 
 
 def _require_psd_spectrum(w: np.ndarray) -> None:

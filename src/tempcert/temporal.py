@@ -42,6 +42,7 @@ eigenbasis.  Nothing below that boundary checks them again.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 
@@ -292,6 +293,15 @@ def _validated(tau: np.ndarray, dims: tuple[int, int]) -> tuple[np.ndarray, dict
     return t4, {side: _validated_marginal(t4, side) for side in "ab"}
 
 
+def _frobenius_scale(x: np.ndarray, name: str) -> float:
+    """``max(1, ||x||_F)``, the scale of the PSD floors, raising ``ValueError`` where the norm overflows a float:
+    an infinite scale would pass every floor.  ``np.vdot`` sums the squares with no warning, to inf or NaN."""
+    norm = math.sqrt(np.vdot(x, x).real)
+    if not math.isfinite(norm):
+        raise ValueError(f"{name} out of range: its Frobenius norm overflows a float")
+    return max(1.0, norm)
+
+
 def _cholesky_cp(a: np.ndarray, shift: float) -> bool:
     """True iff ``a + shift * 1`` has a Cholesky factorization.  ``a`` is shifted in place, with no copy,
     and its saved diagonal written back after, so the caller's array is left exactly as it was."""
@@ -320,7 +330,7 @@ def _side_report(validated: tuple, side: str, tol: float, ppt: bool | None = Non
     # is never above the zone.  A faithful side of a non-PPT state mostly reads below the zone, so it is
     # probed there first; the order sets how many probes run, not what any of them returns.
     block = _support_block(x4, s)
-    scale = max(1.0, float(np.linalg.norm(block)))  # bounds max(1, lambda_max) from above
+    scale = _frobenius_scale(block, f"side {side}: test matrix")  # bounds max(1, lambda_max) from above
     zone = (10 * tol + _ZONE_ROUNDING * m * n * _EPS) * scale  # the floor keeps an exact zero in it at tol=0
     if faithful and ppt is False:
         cleared = _cholesky_cp(block, zone)
@@ -424,7 +434,7 @@ def certify(tau: np.ndarray, dims: tuple[int, int], tol: float = DEFAULT_TOLS.ps
     t4 = validated[0]
     t = t4.reshape(t4.shape[0] * t4.shape[1], -1)
     pt = t4.transpose(2, 1, 0, 3)  # a view; each factorization shifts a fresh copy of it
-    ppt = _cholesky_cp(pt.copy().reshape(t.shape), tol * max(1.0, float(np.linalg.norm(t))))
+    ppt = _cholesky_cp(pt.copy().reshape(t.shape), tol * _frobenius_scale(t, "tau"))
     side_a, side_b = (_side_report(validated, side, tol, ppt) for side in "ab")
     suspects = [report for report in (side_a, side_b) if not report.compatible and not report.boundary]
     if ppt and suspects and _cholesky_cp(pt.copy().reshape(t.shape), -10 * tol):

@@ -539,6 +539,15 @@ class TestCertifyCommand:
         assert main(["certify", path]) == 1
         assert capsys.readouterr().err == "error: matrix[0][1][0] is out of range for a float\n"
 
+    def test_overflowing_scale_exits_1_with_one_line(self, tmp_path, capsys):
+        # Hermitian, trace one, density marginals, but ||tau||_F overflows: before, certify's PPT scale was
+        # inf, and this non-PPT state printed "compatible in both directions" and exited 0.
+        tau = tc.random_density(4, seed=3)
+        tau[1, 2] = tau[2, 1] = 1e155
+        path = write(tmp_path, "wide.json", documents.state_document(tau, (2, 2)))
+        assert main(["certify", path]) == 1
+        assert capsys.readouterr().err == "error: tau out of range: its Frobenius norm overflows a float\n"
+
     def test_exit_code_is_reproducible(self, tmp_path):
         path = write(tmp_path, "bell.json", documents.state_document(bell_state(), (2, 2)))
         assert main(["certify", path, "--json", "--out", str(tmp_path / "r1.json")]) == main(

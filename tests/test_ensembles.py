@@ -368,6 +368,13 @@ class TestDiscriminationGates:
         with pytest.raises(ValueError, match="^matrix contains non-finite entries$"):
             tc.is_orthogonal_ensemble([proj(KET0), np.diag([np.nan, 1.0])])
 
+    def test_an_overflowing_overlap_is_named(self):
+        # Only Tr[m m] overflows, an overlap the verdict never reads; before, the table's matmul warned.
+        m = np.eye(2) / 2
+        m[0, 1] = m[1, 0] = 1e155
+        with pytest.raises(ValueError, match=r"^overlap out of range: Tr\[rho_s rho_t\] overflows a float$"):
+            tc.is_orthogonal_ensemble([m, np.eye(2) / 2])
+
     def test_povm_of_another_dimension_is_named(self):
         # Before, the identity-sum check raised numpy's broadcast error.
         message = r"^POVM elements of shape \(3, 3\) do not match states of shape \(2, 2\)$"

@@ -382,6 +382,27 @@ def test_entries_near_the_float_limit_are_named(gate, pair, message):
         OVERFLOW_GATES[gate](tau)
 
 
+@pytest.mark.parametrize("side", ["a", "b"])
+def test_an_overflowing_frobenius_scale_is_named(side):
+    # Finite entries off both marginals whose squares overflow ||.||_F.  Before, the scale max(1, ||.||_F) was
+    # inf, numpy warned, and with warnings ignored certify read this non-PPT tau as PPT.
+    tau = tc.random_density(4, seed=3)
+    tau[1, 2] = tau[2, 1] = 1e155
+    with pytest.raises(ValueError, match=r"^tau out of range: its Frobenius norm overflows a float$"):
+        tc.certify(tau, (2, 2))
+    message = rf"^side {side}: test matrix out of range: its Frobenius norm overflows a float$"
+    with pytest.raises(ValueError, match=message):
+        tc.compatibility_test(tau, (2, 2), side)
+    # Here ||tau||_F is finite, and the Cauchy weights 2 / (0.1 + 0.1) of the factor on ``side`` take its
+    # test matrix's norm past the limit, so certify names that side.
+    rho, dims = np.diag([0.1, 0.1, 0.8]), {"a": (3, 2), "b": (2, 3)}[side]
+    tau = tc.tensor(rho, np.eye(2) / 2) if side == "a" else tc.tensor(np.eye(2) / 2, rho)
+    far = dims[1] + 1  # the entry pair (0, 0; 1, 1), off both marginals
+    tau[0, far] = tau[far, 0] = 2e153
+    with pytest.raises(ValueError, match=message):
+        tc.certify(tau, dims)
+
+
 @pytest.mark.parametrize(
     "call",
     [tc.is_psd, tc.correlation_matrix_check, lambda m: tc.observable(m).eigenspaces],
@@ -500,6 +521,106 @@ def test_density_stack_is_the_member_loop(k, d, faults, seed):
     expected = outcome(lambda: np.stack([tc.validate_density(s) for s in members]))
     assert outcome(lambda: np.stack([scalar_gates(s) for s in members])) == expected
     assert outcome(lambda: _density_stack(np.stack(members))) == expected
+
+
+def _outcome(gate):
+    """The bytes of a gate's result, or the type and message of the ``ValueError`` it raises."""
+    try:
+        return gate().tobytes()
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    k=st.integers(1, 6),
+    d=st.integers(1, 4),
+    faults=st.lists(st.tuples(st.integers(0, 5), st.sampled_from(FAULTS + ["shift"])), max_size=2),
+    state_dim=st.sampled_from(["same", "other"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(k=3, d=2, faults=[(0, "shift"), (1, "shift")], state_dim="same", seed=0)
+def test_povm_gate_is_the_member_loop(k, d, faults, state_dim, seed):
+    # The stacked POVM gate against its oracle: require_hermitian member by member, then the shape and
+    # identity-sum checks, then the PSD floor's message for the first element below it, else bitwise the
+    # stacked Hermitian parts.  A "shift" moves a Hermitian H from one element to the next, so the elements
+    # still sum to the identity and both may fall below the floor.
+    rng = np.random.default_rng(seed)
+    povm = tc.random_povm(d, k, seed=rng)
+    for t, fault in faults:
+        if fault != "shift":
+            povm[t % k] = _with_fault(povm[t % k], fault, rng)
+        elif k > 1:
+            h = random_hermitian(d, rng)
+            povm[t % k], povm[(t + 1) % k] = povm[t % k] + h, povm[(t + 1) % k] - h
+    ds = d if state_dim == "same" else d + 1
+
+    def oracle():
+        parts = np.stack([require_hermitian(e) for e in povm])
+        if parts.shape[1:] != (ds, ds):
+            raise ValueError(f"POVM elements of shape {parts.shape[1:]} do not match states of shape {(ds, ds)}")
+        if tc.max_abs(parts.sum(axis=0) - np.eye(ds)) > tc.DEFAULT_TOLS.trace:
+            raise ValueError("POVM elements do not sum to the identity")
+        for e in parts:
+            ok, lam_min = tc.is_psd(e)
+            if not ok:
+                raise ValueError(f"POVM element has negative eigenvalue {lam_min:.3e}")
+        return parts
+
+    def instance():
+        return tc.DiscriminationInstance([1.0], [np.eye(ds) / ds], povm, (0,) * k).povm
+
+    assert _outcome(instance) == _outcome(oracle)
+
+
+def _adversarial_member(kind: str, d: int, seed: int, plants: tuple) -> object:
+    """A member of kind "density" (``random_density(d, seed=seed)``) or "mixed" (``1/d``) with the entries
+    ``plants``, each ``(i, j, value, mirrored)``, written in; or a non-square, empty or ragged member."""
+    if kind == "non_square":
+        return np.eye(d, d + 1) / d
+    if kind == "empty":
+        return np.zeros((0, 0))
+    if kind == "ragged":
+        return [[0.5] * d, [0.5]]
+    m = tc.random_density(d, seed=seed) if kind == "density" else np.eye(d, dtype=complex) / d
+    for i, j, value, mirrored in plants:
+        m[i % d, j % d] = value
+        if mirrored:
+            m[j % d, i % d] = value
+    return m
+
+
+ADVERSARIAL_ENTRIES = [np.nan, np.inf, 1e308, -1e308, 1e155, 5e-324]
+ADVERSARIAL_CALLS = {
+    "validate_density": lambda ms: tc.validate_density(ms[0]),
+    "Process": lambda ms: tc.Process(tc.identity_channel(2), ms[0]),
+    "ProductEnsemble": lambda ms: tc.ProductEnsemble(np.full(len(ms), 1 / len(ms)), ms, ms[::-1]),
+    "DiscriminationInstance": lambda ms: tc.DiscriminationInstance([1.0], ms[:1], ms, (0,) * len(ms)),
+    "is_orthogonal_ensemble": tc.is_orthogonal_ensemble,
+    "discrimination_povm": lambda ms: tc.discrimination_povm(np.full(len(ms), 1 / len(ms)), ms),
+    "certify": lambda ms: tc.certify(ms[0], (2, 2)),
+    "compatibility_test": lambda ms: tc.compatibility_test(ms[0], (2, 2), "b"),
+}
+_ADVERSARIAL_MEMBER = st.tuples(
+    st.sampled_from(["density", "density", "mixed", "non_square", "empty", "ragged"]),
+    st.integers(1, 4),
+    st.integers(0, 2**32 - 1),
+    st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3), st.sampled_from(ADVERSARIAL_ENTRIES), st.booleans()),
+             max_size=2).map(tuple),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(call=st.sampled_from(list(ADVERSARIAL_CALLS)), members=st.lists(_ADVERSARIAL_MEMBER, min_size=1, max_size=3))
+@example(call="certify", members=[("density", 4, 3, ((1, 2, 1e155, True),))])
+@example(call="is_orthogonal_ensemble", members=[("mixed", 2, 0, ((0, 1, 1e155, True),)), ("mixed", 2, 0, ())])
+def test_gated_constructors_raise_only_value_errors(call, members):
+    # Entries at and past the float limits, subnormals, non-square, empty, ragged and mixed-shape members:
+    # each gate either accepts its input or names what is wrong with a ValueError; warnings are errors.
+    try:
+        ADVERSARIAL_CALLS[call]([_adversarial_member(*m) for m in members])
+    except ValueError:
+        pass
 
 
 def _imaginary_two_time_expectation():
