@@ -159,7 +159,7 @@ class CptpReport:
     """Diagnostics of a complete-positivity / trace-preservation check.
 
     ``choi_min_eigenvalue`` is read from ``_least_eigenvalue`` on first access: :func:`is_cptp` hands
-    over the eigenvalue it solved, and ``certify`` a function that solves the test matrix's support block.
+    over the eigenvalue it solved, and ``certify`` a function that solves the Choi matrix it returns.
     """
 
     cp: bool
@@ -235,7 +235,11 @@ def compose(f: SuperOp, e: SuperOp) -> SuperOp:
     """The composite ``F o E`` (apply ``E`` first): ``F`` applied to the output factor of ``E``'s Choi matrix."""
     if e.dim_out != f.dim_in:
         raise ValueError(f"cannot compose: inner dims {e.dim_out} vs {f.dim_in}")
-    return SuperOp(e.dim_in, f.dim_out, apply_to_factor(f, e.choi, (e.dim_in, e.dim_out), "b"))
+    with np.errstate(over="ignore", invalid="ignore"):  # near the float limit the products overflow; named below
+        c = apply_to_factor(f, e.choi, (e.dim_in, e.dim_out), "b")
+    if np.count_nonzero(np.isfinite(c)) != c.size:
+        raise ValueError("composite out of range: its Choi matrix overflows a float")
+    return SuperOp(e.dim_in, f.dim_out, c)
 
 
 def hs_adjoint(e: SuperOp) -> SuperOp:

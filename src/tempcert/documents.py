@@ -152,12 +152,7 @@ def decode_matrix(obj: Any, dim: int, what: str = "matrix") -> np.ndarray:
 
 
 def state_document(tau: np.ndarray, dims: tuple[int, int]) -> dict[str, Any]:
-    return _document(
-        "state",
-        dim_a=dims[0],
-        dim_b=dims[1],
-        matrix=encode_matrix(tau),
-    )
+    return _document("state", dim_a=dims[0], dim_b=dims[1], matrix=encode_matrix(tau))
 
 
 def parse_state_document(doc: dict[str, Any]) -> tuple[np.ndarray, tuple[int, int]]:
@@ -229,11 +224,7 @@ def parse_ensemble_document(doc: dict[str, Any]) -> ProductEnsemble:
 
 
 def correlations_document(corr: CorrelationTable) -> dict[str, Any]:
-    return _document(
-        "correlations",
-        qubits=corr.qubits,
-        table=corr.table.tolist(),
-    )
+    return _document("correlations", qubits=corr.qubits, table=corr.table.tolist())
 
 
 def parse_correlations_document(doc: dict[str, Any]) -> CorrelationTable:

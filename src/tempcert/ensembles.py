@@ -12,8 +12,8 @@ import numpy as np
 
 from .channels import SuperOp, from_kraus
 from .operators import (
-    DEFAULT_TOLS, Spectrum, _check_tol, _density_spectrum, _density_stack, _hermitian_stack, _pairings, _psd_floor,
-    as_complex_matrix, max_abs,
+    DEFAULT_TOLS, Spectrum, _check_tol, _complex_array, _density_spectrum, _density_stack, _hermitian_stack, _pairings,
+    _psd_floor, as_complex_matrix, max_abs,
 )
 from .sot import observable
 
@@ -40,14 +40,13 @@ def _rng(seed: Seed) -> np.random.Generator:
 
 
 def _members(matrices: object, name: str) -> np.ndarray:
-    """The members of the field ``name`` as one complex array; a ``ValueError`` names their shapes if they differ."""
+    """The members of the field ``name`` as one complex array.  A ``ValueError`` names the first member that is
+    ragged or holds a non-number, or else the members' shapes, which then differ."""
     try:
         return np.asarray(matrices, dtype=np.complex128)
     except ValueError:
-        shapes = list(dict.fromkeys(map(np.shape, matrices)))
-        if len(shapes) > 1:
-            raise ValueError(f"the members of {name} must share one shape, got shapes {shapes}") from None
-        raise
+        shapes = dict.fromkeys(_complex_array(m, f"member {i} of {name}").shape for i, m in enumerate(matrices))
+        raise ValueError(f"the members of {name} must share one shape, got shapes {list(shapes)}") from None
 
 
 @dataclass(frozen=True)

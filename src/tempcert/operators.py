@@ -76,12 +76,20 @@ def as_complex_matrix(m: np.ndarray) -> np.ndarray:
     The entries are checked before any arithmetic: a NaN passes every comparison-based
     gate, and a Cholesky factorization of a NaN matrix does not fail.
     """
-    a = np.asarray(m, dtype=np.complex128)
+    a = _complex_array(m)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
         raise ValueError(f"expected a nonempty square matrix, got shape {a.shape}")
     if np.count_nonzero(np.isfinite(a)) != a.size:  # half the cost of .all() on small matrices
         raise ValueError("matrix contains non-finite entries")
     return a
+
+
+def _complex_array(m: object, what: str = "matrix") -> np.ndarray:
+    """``m`` as a complex array; on a ragged or non-numeric ``m``, a ``ValueError`` that names ``what``."""
+    try:
+        return np.asarray(m, dtype=np.complex128)
+    except ValueError:
+        raise ValueError(f"{what} is ragged or holds a non-number: expected an array of numbers") from None
 
 
 def max_abs(m: np.ndarray) -> float:

@@ -12,7 +12,9 @@ from __future__ import annotations
 import numpy as np
 
 from .channels import Process, SuperOp, apply, compose, from_kraus, hs_adjoint
-from .operators import DEFAULT_TOLS, Spectrum, _density_spectrum, _hermitian_part, _oriented, _spectrum, max_abs
+from .operators import (
+    DEFAULT_TOLS, Spectrum, _density_spectrum, _hermitian_part, _in_range, _oriented, _spectrum, max_abs,
+)
 from .sot import star_product
 from .temporal import (
     CompatibilityReport,
@@ -41,8 +43,9 @@ def petz_recovery(e: SuperOp, prior: np.ndarray) -> SuperOp:
     s = _density_spectrum(prior)
     if len(s.p) != e.dim_in:
         raise ValueError(f"prior dim {len(s.p)} does not match channel input dim {e.dim_in}")
-    sigma = apply(e, s.matrix)
-    return _petz(e, s, _spectrum(_hermitian_part(sigma)))
+    with np.errstate(over="ignore", invalid="ignore"):  # near the float limit E(rho) overflows; _in_range names it
+        sigma = _hermitian_part(apply(e, s.matrix))
+    return _petz(e, s, _spectrum(_in_range(sigma)))
 
 
 def _petz(e: SuperOp, prior: Spectrum, sigma: Spectrum) -> SuperOp:

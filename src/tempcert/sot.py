@@ -19,15 +19,7 @@ import numpy as np
 
 from .channels import Process, SuperOp, apply
 from .operators import (
-    _HALF,
-    DEFAULT_TOLS,
-    Spectrum,
-    _check_tol,
-    _pairings,
-    _spectrum,
-    require_hermitian,
-    swap_factors,
-    tensor,
+    _HALF, DEFAULT_TOLS, Spectrum, _check_tol, _pairings, _spectrum, require_hermitian, swap_factors, tensor,
 )
 
 __all__ = [

@@ -26,12 +26,12 @@ by the reconstruction residual ``max|E * rho_a - tau|``.  The two paths run one
 algorithm on different data: the probes read the array before the rotation, the
 cross-check the matrix that is returned.
 
-:func:`certify` runs both directions and adds the plain PPT flag, one shifted Cholesky
-factorization of the partial transpose (a second checks its ``10 tol`` clearance only when
-a side of a PPT state reads incompatible), so a certification makes no full-size eigensolve.
-The flag orders the probes: a faithful side of a non-PPT state is probed below the zone first.
-The least eigenvalues it reports are solved when first read: a side's test-matrix and Choi
-minima share one eigensolve of its support block, re-derived from ``tau``'s Hermitian part.
+:func:`certify` runs both directions and adds the plain PPT flag, one shifted Cholesky factorization of the
+partial transpose (a second checks its ``10 tol`` clearance only when a side of a PPT state reads incompatible),
+so a certification makes no full-size eigensolve.  The flag orders the probes: a faithful side of a non-PPT state
+is probed below the zone first.  A side's test-matrix and Choi minima are solved when first read, by one
+eigensolve of the Choi matrix it returns, whose spectrum is ``X``'s plus ``1/n`` on a marginal's kernel.  Only a
+:class:`VerdictMismatchError` re-derives ``X`` from ``tau``, so that its message quotes each path's own minimum.
 
 Each call gates its outside input once, in :func:`_validated` or :func:`_measured`: ``tau``
 (finite, Hermitian, trace one), then ``dims``, then each marginal, then ``tol``.  A marginal is
@@ -127,9 +127,9 @@ def _support_block(x4: np.ndarray, s: Spectrum) -> np.ndarray:
     return (x4 if r == m else x4[s.mask][:, :, s.mask]).reshape(r * n, r * n)
 
 
-def _least_support_eigenvalue(t4: np.ndarray, s: Spectrum) -> float:
-    """The least eigenvalue of the support block of an oriented ``t4``, re-derived and solved in full."""
-    return float(np.linalg.eigvalsh(_support_block(_eigenbasis_array(t4, s), s))[0])
+def _least_eigenvalue(a: np.ndarray) -> float:
+    """The least eigenvalue of an exactly Hermitian ``a``, solved in full."""
+    return float(np.linalg.eigvalsh(a)[0])
 
 
 def _choi_from_eigenbasis(s: Spectrum, x4: np.ndarray) -> SuperOp:
@@ -260,10 +260,10 @@ class CompatibilityReport:
     factorization of the returned ``channel``'s Choi matrix gated on ``cptp.hermiticity_defect``
     as in ``is_cptp``, together with the reconstruction residual ``max|tau - E * rho|``.
 
-    ``test_min_eigenvalue`` and ``cptp.choi_min_eigenvalue`` are solved on first read, by
-    one eigensolve of ``X`` that they share: the Choi matrix is ``X`` up to a unitary
-    rotation (plus ``1/n`` on the kernel of a rank-deficient marginal, where the test
-    matrix has zero eigenvalues).
+    ``cptp.choi_min_eigenvalue`` is solved on first read, by one eigensolve of the returned
+    Choi matrix, and ``test_min_eigenvalue`` reads it: the Choi matrix is ``X`` up to a unitary
+    rotation (plus ``1/n`` on the kernel of a rank-deficient marginal, where the test matrix
+    has zero eigenvalues instead).
     """
 
     side: str
@@ -275,10 +275,10 @@ class CompatibilityReport:
     boundary: bool
     tolerance: float
 
-    @cached_property
+    @property
     def test_min_eigenvalue(self) -> float:
         """The smallest eigenvalue of the test matrix."""
-        lam = self.cptp.choi_min_eigenvalue  # the block's, at most 1/n: its partial trace is the identity
+        lam = self.cptp.choi_min_eigenvalue  # X's, at most 1/n (its partial trace is the identity): below the kernel's
         return lam if self.faithful_marginal else min(lam, 0.0)
 
 
@@ -358,15 +358,16 @@ def _side_report(validated: tuple, side: str, tol: float, ppt: bool | None = Non
             tp=tp,
             trace_residual=trace_residual,
             hermiticity_defect=herm,
-            _least_eigenvalue=partial(_least_support_eigenvalue, t4, s),
+            _least_eigenvalue=partial(_least_eigenvalue, channel.choi),
         ),
         faithful_marginal=faithful,
         boundary=boundary,
         tolerance=tol,
     )
-    if test_ok != cp and not boundary:
+    if test_ok != cp and not boundary:  # each path's own least eigenvalue: X's, re-derived, and the Choi matrix's
+        block_min = _least_eigenvalue(_support_block(_eigenbasis_array(t4, s), s))
         raise VerdictMismatchError(
-            f"side {side}: test-matrix verdict {test_ok} (min eig {report.test_min_eigenvalue:.3e}) disagrees "
+            f"side {side}: test-matrix verdict {test_ok} (min eig {block_min:.3e}) disagrees "
             f"with channel CP verdict {cp} (choi min eig {report.cptp.choi_min_eigenvalue:.3e})"
         )
     return report

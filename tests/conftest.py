@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import tracemalloc
+
 import numpy as np
 
 import tempcert as tc
@@ -32,6 +35,22 @@ def count_factorizations(monkeypatch, shapes: bool = False) -> dict[str, list]:
 
         monkeypatch.setattr(np.linalg, name, counted)
     return sizes
+
+
+def retained_input_sizes(call, tau: np.ndarray, *args) -> float:
+    """The memory that the result of ``call(tau, *args)`` keeps alive, in units of ``tau.nbytes``: the traced
+    allocations that survive the call and a ``gc.collect()``, while the result is still held."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = call(tau, *args)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    del result
+    return retained / tau.nbytes
 
 
 def proj(vec: np.ndarray) -> np.ndarray:

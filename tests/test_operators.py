@@ -575,13 +575,15 @@ def test_povm_gate_is_the_member_loop(k, d, faults, state_dim, seed):
 
 def _adversarial_member(kind: str, d: int, seed: int, plants: tuple) -> object:
     """A member of kind "density" (``random_density(d, seed=seed)``) or "mixed" (``1/d``) with the entries
-    ``plants``, each ``(i, j, value, mirrored)``, written in; or a non-square, empty or ragged member."""
+    ``plants``, each ``(i, j, value, mirrored)``, written in; or a non-square, empty, ragged or non-numeric member."""
     if kind == "non_square":
         return np.eye(d, d + 1) / d
     if kind == "empty":
         return np.zeros((0, 0))
     if kind == "ragged":
         return [[0.5] * d, [0.5]]
+    if kind == "non_numeric":
+        return [["x"] * d] * d
     m = tc.random_density(d, seed=seed) if kind == "density" else np.eye(d, dtype=complex) / d
     for i, j, value, mirrored in plants:
         m[i % d, j % d] = value
@@ -590,6 +592,8 @@ def _adversarial_member(kind: str, d: int, seed: int, plants: tuple) -> object:
     return m
 
 
+# numpy's own errors on arrays it cannot build or combine, which name neither the input nor the field
+NUMPY_MESSAGES = r"inhomogeneous|setting an array element|complex\(\) arg|could not convert|broadcast|input arrays"
 ADVERSARIAL_ENTRIES = [np.nan, np.inf, 1e308, -1e308, 1e155, 5e-324]
 ADVERSARIAL_CALLS = {
     "validate_density": lambda ms: tc.validate_density(ms[0]),
@@ -602,7 +606,7 @@ ADVERSARIAL_CALLS = {
     "compatibility_test": lambda ms: tc.compatibility_test(ms[0], (2, 2), "b"),
 }
 _ADVERSARIAL_MEMBER = st.tuples(
-    st.sampled_from(["density", "density", "mixed", "non_square", "empty", "ragged"]),
+    st.sampled_from(["density", "density", "mixed", "non_square", "empty", "ragged", "non_numeric"]),
     st.integers(1, 4),
     st.integers(0, 2**32 - 1),
     st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3), st.sampled_from(ADVERSARIAL_ENTRIES), st.booleans()),
@@ -615,12 +619,13 @@ _ADVERSARIAL_MEMBER = st.tuples(
 @example(call="certify", members=[("density", 4, 3, ((1, 2, 1e155, True),))])
 @example(call="is_orthogonal_ensemble", members=[("mixed", 2, 0, ((0, 1, 1e155, True),)), ("mixed", 2, 0, ())])
 def test_gated_constructors_raise_only_value_errors(call, members):
-    # Entries at and past the float limits, subnormals, non-square, empty, ragged and mixed-shape members:
-    # each gate either accepts its input or names what is wrong with a ValueError; warnings are errors.
+    # Entries at and past the float limits, subnormals, non-square, empty, ragged, non-numeric and mixed-shape
+    # members: each gate either accepts its input or names what is wrong with a ValueError of its own, not one
+    # of numpy's; warnings are errors.
     try:
         ADVERSARIAL_CALLS[call]([_adversarial_member(*m) for m in members])
-    except ValueError:
-        pass
+    except ValueError as exc:
+        assert not re.search(NUMPY_MESSAGES, str(exc)), str(exc)
 
 
 def _imaginary_two_time_expectation():
@@ -675,6 +680,34 @@ RARE_INPUT_CHECKS = {
     "two-time-imaginary": (
         _imaginary_two_time_expectation,
         r"^two-time expectation has imaginary residue 1\.000e\+00$",
+    ),
+    "ragged-matrix": (
+        lambda: tc.validate_density([[0.5, 0.5], [0.5]]),
+        r"^matrix is ragged or holds a non-number: expected an array of numbers$",
+    ),
+    "ragged-member": (
+        lambda: tc.ProductEnsemble([0.5, 0.5], [np.eye(2) / 2] * 2, [np.eye(2) / 2, [[0.5, 0.5], [0.5]]]),
+        r"^member 1 of states_b is ragged or holds a non-number: expected an array of numbers$",
+    ),
+    "non-numeric-member": (
+        lambda: tc.ProductEnsemble([1.0], [[["a", "b"], ["c", "d"]]], [np.eye(2) / 2]),
+        r"^member 0 of states_a is ragged or holds a non-number: expected an array of numbers$",
+    ),
+    "ragged-povm-member": (
+        lambda: tc.DiscriminationInstance([1.0], [np.eye(2) / 2], [np.eye(2), [[1.0, 0.0], [0.0]]], (0, 0)),
+        r"^member 1 of povm is ragged or holds a non-number: expected an array of numbers$",
+    ),
+    "ragged-orthogonal-member": (
+        lambda: tc.is_orthogonal_ensemble([np.eye(2) / 2, [[0.5, 0.5], [0.5]]]),
+        r"^member 1 of states is ragged or holds a non-number: expected an array of numbers$",
+    ),
+    "non-numeric-povm-state": (
+        lambda: tc.discrimination_povm([0.5, 0.5], [[["x", 0.5], [0.5, 0.5]], np.eye(2) / 2]),
+        r"^member 0 of states is ragged or holds a non-number: expected an array of numbers$",
+    ),
+    "mixed-shape-members": (
+        lambda: tc.discrimination_povm([0.5, 0.5], [np.eye(2) / 2, np.eye(3) / 3]),
+        r"^the members of states must share one shape, got shapes \[\(2, 2\), \(3, 3\)\]$",
     ),
 }
 

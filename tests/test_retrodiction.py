@@ -76,6 +76,18 @@ class TestPetzRecovery:
         with pytest.raises(ValueError, match="dim"):
             tc.petz_recovery(tc.identity_channel(2), np.eye(3) / 3)
 
+    def test_channel_out_of_range_is_named(self):
+        # Finite Choi entries near the float limit overflow in the composition, or already in E(prior); warnings
+        # are errors, so numpy's overflow warning would fail this test before the ValueError.
+        c = tc.identity_channel(2).choi.copy()
+        c[1, 2] = c[2, 1] = 1e308
+        with pytest.raises(ValueError, match=r"^composite out of range: its Choi matrix overflows a float$"):
+            tc.petz_recovery(tc.SuperOp(2, 2, c), np.eye(2) / 2)
+        c = tc.identity_channel(2).choi.copy()
+        c[0, 1:] = c[1:, 0] = 1.5e308
+        with pytest.raises(ValueError, match=r"^hermitian part out of range: \(M \+ M\^dag\) / 2 overflows a float$"):
+            tc.petz_recovery(tc.SuperOp(2, 2, c), np.full((2, 2), 0.5))
+
 
 class TestBayesianInverse:
     def test_replace_channel(self):

@@ -17,6 +17,7 @@ from conftest import (
     random_faithful_separable,
     random_trace_one_hermitian,
     rank_deficient_separable,
+    retained_input_sizes,
     werner,
 )
 from hypothesis import given, settings
@@ -588,18 +589,29 @@ class TestEigenbasisKernel:
         assert side.cptp.choi_min_eigenvalue == result.side_b.cptp.choi_min_eigenvalue
         assert checked.choi_min_eigenvalue == cptp.choi_min_eigenvalue
 
+    def test_retained_reports_hold_no_copy_of_tau(self):
+        # A side report holds its Choi matrix, the size of tau, and nothing else of that size: its lazy minima
+        # read that matrix.  A certify result holds two Choi matrices and tau's Hermitian part, which its lazy
+        # ppt_min_eigenvalue reads.
+        tau = tc.random_density(256, seed=3)
+        assert retained_input_sizes(tc.compatibility_test, tau, (16, 16), "a") <= 1.05
+        assert retained_input_sizes(tc.certify, tau, (16, 16)) == pytest.approx(3.0, abs=0.05)
+
     @pytest.mark.parametrize("field", ["test_min_eigenvalue", "choi_min_eigenvalue"])
     def test_side_minima_share_one_solve_on_first_read(self, monkeypatch, field):
-        # Either field, read first, solves the side's support block once; the other then reads it.
+        # Either field, read first, solves the side's returned Choi matrix once, at m n = 12 also on the
+        # rank-3 side a; the other then reads it.  No read rebuilds the test matrix from tau.
         rank_deficient = tc.assemble_state(rank_deficient_separable((4, 3), 3, 7, np.random.default_rng(2)))
         result = tc.certify(rank_deficient, (4, 3))
         sizes = count_factorizations(monkeypatch)
-        for report, block in ((result.side_a, 9), (result.side_b, 12)):
+        for name in ("_eigenbasis_array", "_conjugate_first"):
+            monkeypatch.setattr(tc.temporal, name, lambda *args, _name=name: pytest.fail(f"{_name} was called"))
+        for report in (result.side_a, result.side_b):
             first = report.test_min_eigenvalue if field == "test_min_eigenvalue" else report.cptp.choi_min_eigenvalue
             assert isinstance(first, float)
-            assert sizes == {"eigh": [], "eigvalsh": [block], "cholesky": []}
+            assert sizes == {"eigh": [], "eigvalsh": [12], "cholesky": []}
             assert first in (report.test_min_eigenvalue, report.cptp.choi_min_eigenvalue)
-            assert sizes == {"eigh": [], "eigvalsh": [block], "cholesky": []}
+            assert sizes == {"eigh": [], "eigvalsh": [12], "cholesky": []}
             sizes["eigvalsh"].clear()
 
     @pytest.mark.parametrize(
@@ -710,7 +722,8 @@ class TestEigenbasisKernel:
 
     def test_cholesky_path_reads_the_returned_choi(self, monkeypatch):
         # Negating a support-diagonal block of the eigenbasis array leaves path 1's spectrum
-        # untouched but makes the returned Choi matrix negative on that block.
+        # untouched but makes the returned Choi matrix negative on that block.  On side a the
+        # support block is 1/3 and the Choi matrix's least eigenvalue -1/3: the message quotes both.
         original = tc.temporal._choi_from_eigenbasis
 
         def negated(s, x4):
@@ -721,7 +734,11 @@ class TestEigenbasisKernel:
         tau = tc.tensor(np.diag([0.6, 0.4]).astype(complex), np.eye(3) / 3)
         assert tc.certify(tau, (2, 3)).compatible_both
         monkeypatch.setattr(tc.temporal, "_choi_from_eigenbasis", negated)
-        with pytest.raises(tc.VerdictMismatchError, match="side a: test-matrix verdict True"):
+        with pytest.raises(
+            tc.VerdictMismatchError,
+            match=r"^side a: test-matrix verdict True \(min eig 3\.333e-01\) disagrees with channel CP verdict "
+            r"False \(choi min eig -3\.333e-01\)$",
+        ):
             tc.certify(tau, (2, 3))
         with pytest.raises(tc.VerdictMismatchError, match="side b: test-matrix verdict True"):
             tc.compatibility_test(tau, (2, 3), "b")
@@ -1061,6 +1078,38 @@ class TestProbeOrder:
                 below_first, above_first = (tc.temporal._side_report(validated, side, tol, p) for p in (False, None))
                 assert _report_bytes(below_first) == _report_bytes(above_first)
                 assert below_first.channel.choi.tobytes() == tc.temporal_channel(tau, dims, side).choi.tobytes()
+
+
+class TestSideMinima:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        kind=st.sampled_from(["density", "separable", "separable_rank_deficient", "non_positive"]),
+        dims=st.sampled_from(INVARIANCE_DIMS),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_minima_are_read_off_the_returned_choi(self, kind, dims, seed):
+        # A side's minima are one eigensolve of the Choi matrix it returns, whose spectrum is its support block
+        # X's, plus 1/n on a marginal's kernel, where the test matrix has zeros; they agree with a solve of X
+        # rebuilt from tau up to rounding.
+        rng = np.random.default_rng(seed)
+        if kind == "separable":
+            tau = tc.assemble_state(random_faithful_separable(dims, rng))
+        else:
+            tau = _kernel_case(kind, dims, rng)
+        validated = tc.temporal._validated(tau, dims)
+        result = tc.certify(tau, dims)
+        for report in (result.side_a, result.side_b):
+            s = validated[1][report.side]
+            choi_min = float(np.linalg.eigvalsh(report.channel.choi)[0])
+            assert float.hex(report.cptp.choi_min_eigenvalue) == float.hex(choi_min)
+            test_min = choi_min if report.faithful_marginal else min(choi_min, 0.0)
+            assert float.hex(report.test_min_eigenvalue) == float.hex(test_min)
+            x4 = tc.temporal._eigenbasis_array(tc.temporal._oriented(validated[0], report.side), s)
+            block = tc.temporal._support_block(x4, s)
+            block_min = float(np.linalg.eigvalsh(block)[0])
+            allowance = 1e-12 * max(1.0, float(np.linalg.norm(block)))
+            assert abs(choi_min - block_min) <= allowance
+            assert abs(test_min - (block_min if s.rank == len(s.p) else min(block_min, 0.0))) <= allowance
 
 
 class TestIsPpt:
