@@ -24,8 +24,8 @@ from functools import cached_property, partial
 import numpy as np
 
 from .operators import (
-    DEFAULT_TOLS, _check_tol, _defect, _hermitian_part, _in_range, _is_positive_int, _oriented, _psd_floor, _split,
-    _trace_out, as_complex_matrix, partial_transpose, swap_factors, tensor, validate_density,
+    DEFAULT_TOLS, _check_tol, _defect_and_part, _in_range, _is_positive_int, _oriented, _psd_floor, _split,
+    _trace_out, as_complex_matrix, hermiticity_defect, partial_transpose, swap_factors, tensor, validate_density,
 )
 
 __all__ = [
@@ -160,6 +160,7 @@ class CptpReport:
 
     ``choi_min_eigenvalue`` is read from ``_least_eigenvalue`` on first access: :func:`is_cptp` hands
     over the eigenvalue it solved, and ``certify`` a function that solves the Choi matrix it returns.
+    ``hermiticity_defect`` is ``max|C - C^dag|``: 0.0 on a ``certify`` side, whose Choi matrix is exactly Hermitian.
     """
 
     cp: bool
@@ -183,8 +184,8 @@ _EPS = float(np.finfo(float).eps)
 # well-conditioned states at dims (2,2) to (64,64) and on 240 random CPTP maps; the gate's
 # floor allows 64 of those units.
 _TRACE_ROUNDING = 64
-# Hermiticity defects stay below 1.2 * eps * max|C| on 400 random CPTP maps at dims (2,2) to
-# (16,16) built by from_kraus; the gate's floor allows 8 of those units.
+# Hermiticity defects stay below 1.2 * eps * max|C| on 400 random CPTP maps at dims (2,2) to (16,16) built by
+# from_kraus; the gate of is_cptp and is_hptp, max|C - C^dag| <= tol + 8 eps max|C|, allows 8 of those units.
 _HERMITICITY_ROUNDING = 8
 # Exact zero Choi eigenvalues of 1,572 from_kraus maps of Kraus rank below full, at dims (2,2) to (16,16),
 # round to above -0.35 d eps max(1, lambda_max), d = dim_in dim_out.  is_cptp's PSD floor,
@@ -192,43 +193,38 @@ _HERMITICITY_ROUNDING = 8
 _CHOI_ROUNDING = 4
 
 
-def _hptp_gates(e: SuperOp, tol: float) -> tuple[bool, float, bool, float]:
-    """At a checked ``tol``, the gates ``max|C - C^dag| <= tol + _HERMITICITY_ROUNDING eps max|C|`` and
-    ``max|Tr_out C - 1| <= tol + _TRACE_ROUNDING dim_out eps max|C|``, and their residuals.
-    The second terms are rounding floors: ``tol=0`` accepts a map HPTP up to rounding."""
-    c = e.choi
-    unit = _EPS * float(np.abs(c).max())
-    with np.errstate(over="ignore"):  # near the float limit C - C^dag overflows, and the gate fails
-        herm = float(_defect(c))
-    gap = _trace_out(c.reshape(e.dim_in, e.dim_out, e.dim_in, e.dim_out), "b")
+def _tp_gate(e: SuperOp, tol: float) -> tuple[bool, float, float]:
+    """At a checked ``tol``, ``max|Tr_out C - 1| <= tol + _TRACE_ROUNDING dim_out eps max|C|``, its residual and the
+    unit ``eps max|C|``.  The second term is a rounding floor: ``tol=0`` accepts a map TP up to rounding."""
+    unit = _EPS * float(np.abs(e.choi).max())
+    gap = _trace_out(e.choi.reshape(e.dim_in, e.dim_out, e.dim_in, e.dim_out), "b")
     gap.flat[:: e.dim_in + 1] -= 1.0
     residual = float(np.abs(gap).max())
-    tp = residual <= tol + _TRACE_ROUNDING * e.dim_out * unit
-    return herm <= tol + _HERMITICITY_ROUNDING * unit, herm, tp, residual
+    return residual <= tol + _TRACE_ROUNDING * e.dim_out * unit, residual, unit
 
 
 def is_cptp(e: SuperOp, tol: float = DEFAULT_TOLS.psd) -> CptpReport:
-    """Check Choi positivity and trace preservation, returning full diagnostics."""
+    """Check Choi positivity and trace preservation, returning full diagnostics; ``cp`` includes Hermiticity."""
     _check_tol(tol)
-    herm_ok, herm, tp, trace_residual = _hptp_gates(e, tol)
-    with np.errstate(over="ignore", invalid="ignore"):  # near the float limit the part overflows; _in_range names it
-        h = _hermitian_part(e.choi)
+    tp, trace_residual, unit = _tp_gate(e, tol)
+    herm, h = _defect_and_part(e.choi)  # near the float limit the defect overflows, and the gate fails; so may the part
+    herm_ok = float(herm) <= tol + _HERMITICITY_ROUNDING * unit
     w = np.linalg.eigvalsh(_in_range(h))
     _, lam_min, scale = map(float, _psd_floor(w, tol))
     return CptpReport(
         cp=herm_ok and lam_min >= -(tol + _CHOI_ROUNDING * len(w) * _EPS) * scale,
         tp=tp,
         trace_residual=trace_residual,
-        hermiticity_defect=herm,
+        hermiticity_defect=float(herm),
         _least_eigenvalue=partial(float, lam_min),  # a partial, not a lambda, so that the report pickles
     )
 
 
 def is_hptp(e: SuperOp, tol: float = DEFAULT_TOLS.psd) -> bool:
-    """True iff the map is Hermitian-preserving and trace-preserving."""
+    """True iff the map is Hermitian-preserving and trace-preserving, by the gates of :func:`is_cptp`."""
     _check_tol(tol)
-    herm_ok, _, tp, _ = _hptp_gates(e, tol)
-    return herm_ok and tp
+    tp, _, unit = _tp_gate(e, tol)
+    return tp and hermiticity_defect(e.choi) <= tol + _HERMITICITY_ROUNDING * unit  # inf fails, near the float limit
 
 
 def compose(f: SuperOp, e: SuperOp) -> SuperOp:

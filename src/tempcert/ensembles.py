@@ -12,8 +12,8 @@ import numpy as np
 
 from .channels import SuperOp, from_kraus
 from .operators import (
-    DEFAULT_TOLS, Spectrum, _check_tol, _complex_array, _density_spectrum, _density_stack, _hermitian_stack, _pairings,
-    _psd_floor, as_complex_matrix, max_abs,
+    DEFAULT_TOLS, Spectrum, _check_tol, _density_spectrum, _density_stack, _hermitian_stack, _numeric_array,
+    _pairings, _psd_floor, as_complex_matrix, max_abs,
 )
 from .sot import observable
 
@@ -44,8 +44,8 @@ def _members(matrices: object, name: str) -> np.ndarray:
     ragged or holds a non-number, or else the members' shapes, which then differ."""
     try:
         return np.asarray(matrices, dtype=np.complex128)
-    except ValueError:
-        shapes = dict.fromkeys(_complex_array(m, f"member {i} of {name}").shape for i, m in enumerate(matrices))
+    except (ValueError, TypeError):
+        shapes = dict.fromkeys(_numeric_array(m, f"member {i} of {name}").shape for i, m in enumerate(matrices))
         raise ValueError(f"the members of {name} must share one shape, got shapes {list(shapes)}") from None
 
 
@@ -64,7 +64,7 @@ class ProductEnsemble:
     states_b: tuple[np.ndarray, ...]
 
     def __post_init__(self) -> None:
-        w = np.asarray(self.weights, dtype=float).ravel()
+        w = _numeric_array(self.weights, "weights", float).ravel()
         if w.size == 0 or w.size != len(self.states_a) or w.size != len(self.states_b):
             raise ValueError("weights and the two state lists must be nonempty and of equal length")
         if not np.isfinite(w).all():
@@ -197,7 +197,7 @@ class DiscriminationInstance:
     assignment: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        w = np.asarray(self.weights, dtype=float).ravel()
+        w = _numeric_array(self.weights, "weights", float).ravel()
         if w.size == 0 or w.size != len(self.states):
             raise ValueError(f"need one weight per state of a nonempty ensemble, got {w.size} for {len(self.states)}")
         if not (np.all(w >= 0) and abs(w.sum() - 1.0) <= DEFAULT_TOLS.weight_sum):  # NaN fails both

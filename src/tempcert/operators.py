@@ -76,7 +76,7 @@ def as_complex_matrix(m: np.ndarray) -> np.ndarray:
     The entries are checked before any arithmetic: a NaN passes every comparison-based
     gate, and a Cholesky factorization of a NaN matrix does not fail.
     """
-    a = _complex_array(m)
+    a = _numeric_array(m)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
         raise ValueError(f"expected a nonempty square matrix, got shape {a.shape}")
     if np.count_nonzero(np.isfinite(a)) != a.size:  # half the cost of .all() on small matrices
@@ -84,11 +84,11 @@ def as_complex_matrix(m: np.ndarray) -> np.ndarray:
     return a
 
 
-def _complex_array(m: object, what: str = "matrix") -> np.ndarray:
-    """``m`` as a complex array; on a ragged or non-numeric ``m``, a ``ValueError`` that names ``what``."""
+def _numeric_array(m: object, what: str = "matrix", dtype: type = np.complex128) -> np.ndarray:
+    """``m`` as an array of ``dtype``; on a ragged or non-numeric ``m``, a ``ValueError`` that names ``what``."""
     try:
-        return np.asarray(m, dtype=np.complex128)
-    except ValueError:
+        return np.asarray(m, dtype=dtype)
+    except (ValueError, TypeError):  # numpy raises TypeError on an entry that is neither a number nor a string
         raise ValueError(f"{what} is ragged or holds a non-number: expected an array of numbers") from None
 
 
@@ -100,9 +100,11 @@ def max_abs(m: np.ndarray) -> float:
 
 def _hermitian_part(a: np.ndarray) -> np.ndarray:
     """``(a + a^dag) / 2`` over the last two axes, summed and halved in place on a C-ordered copy of ``a^dag``;
-    ``a`` is not written."""
+    ``a`` is not written.  A 4-axis ``a`` is an ``(m, n, m, n)`` operator, strided or not, whose dagger exchanges
+    the index pairs, ``transpose(2, 3, 0, 1)``; its part comes back C-ordered, so it reshapes to ``(m n, m n)``."""
+    operand, a = a, a.transpose(2, 3, 1, 0) if a.ndim == 4 else a  # so that a.swapaxes(-1, -2) is a^dag's layout
     h = np.conj(a.swapaxes(-1, -2), order="C")
-    h += a
+    h += operand
     return np.multiply(h, _HALF, out=h)
 
 

@@ -76,11 +76,7 @@ def star_product(e: SuperOp, rho: np.ndarray) -> np.ndarray:
     r = require_hermitian(rho)
     if r.shape[0] != e.dim_in:
         raise ValueError(f"state dim {r.shape[0]} does not match channel input dim {e.dim_in}")
-    return _star(e, r)
-
-
-def _star(e: SuperOp, r: np.ndarray) -> np.ndarray:
-    """:func:`star_product` of a validated ``r``: ``(r (x) 1) J`` and ``J (r (x) 1)`` as one matmul each."""
+    # (r (x) 1) J and J (r (x) 1) as one matmul each
     m, n = e.dim_in, e.dim_out
     j = e.choi.reshape(m, n, m, n).transpose(2, 1, 0, 3)  # J[E], the Choi matrix transposed on the input
     s = (r @ j.reshape(m, n * m * n)).reshape(m, n, m, n)

@@ -21,10 +21,10 @@ of the boundary zone and by the PSD floor ``tol * scale``, ``scale = max(1, ||X|
 The same array, rotated back to the computational basis, is the Choi matrix of
 ``E``.  The verdict is cross-checked on the returned Choi matrix by a Cholesky
 factorization shifted by ``5 tol * scale``, which succeeds iff ``E`` is completely
-positive outside the boundary zone, gated on the matrix's Hermiticity defect, and
-by the reconstruction residual ``max|E * rho_a - tau|``.  The two paths run one
-algorithm on different data: the probes read the array before the rotation, the
-cross-check the matrix that is returned.
+positive outside the boundary zone, and by the reconstruction residual ``max|E * rho_a - tau|``,
+from one matmul.  The returned matrix is exactly Hermitian by construction, so no Hermiticity gate
+runs on it.  The two paths run one algorithm on different data: the probes read the array before the
+rotation, the cross-check the matrix that is returned.
 
 :func:`certify` runs both directions and adds the plain PPT flag, one shifted Cholesky factorization of the
 partial transpose (a second checks its ``10 tol`` clearance only when a side of a PPT state reads incompatible),
@@ -48,13 +48,12 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .channels import _EPS, CptpReport, SuperOp, _hptp_gates, compose
+from .channels import _EPS, CptpReport, SuperOp, _tp_gate, compose
 from .operators import (
     DEFAULT_TOLS, Spectrum, _check_tol, _density_spectrum, _gated_psd, _hermitian_part, _oriented,
     _require_psd_spectrum, _require_trace_one, _require_unit_trace, _spectrum, _split, _trace_out,
     as_complex_matrix, max_abs, partial_transpose, require_hermitian, tensor,
 )
-from .sot import _star
 
 __all__ = [
     "VerdictMismatchError",
@@ -135,14 +134,21 @@ def _least_eigenvalue(a: np.ndarray) -> float:
 def _choi_from_eigenbasis(s: Spectrum, x4: np.ndarray) -> SuperOp:
     """The temporal channel from ``x4 = _eigenbasis_array(t4, s)``; overwrites kernel blocks of ``x4``.
 
-    The rotated Choi matrix is Hermitian only up to rounding, which the Cauchy
-    weights amplify; it is returned exactly Hermitian, ``(c + c^dag) / 2``.
+    The rotated Choi matrix is Hermitian only up to rounding, which the Cauchy weights amplify; it is returned
+    exactly Hermitian, ``(c + c^dag) / 2``, formed straight from the rotation's strided ``(m, n, m, n)`` output.
     """
     m, n = x4.shape[:2]
     if s.rank < m:
         x4[~s.mask, :, ~s.mask, :] = np.eye(n) / n
-    c = _conjugate_first(x4, s.u.T).reshape(m * n, m * n)
-    return SuperOp(m, n, _hermitian_part(c))
+    return SuperOp(m, n, _hermitian_part(_conjugate_first(x4, s.u.T)).reshape(m * n, m * n))
+
+
+def _reconstruction_residual(choi: np.ndarray, r: np.ndarray, t4: np.ndarray) -> float:
+    """``max|E * r - tau|``, ``tau`` as ``t4``, in the computational basis.  As ``r`` and ``E``'s Choi matrix ``C`` are
+    exactly Hermitian, ``E * r = (B + B^dag) / 2`` with ``B[a, x, b, y] = G[b, x, a, y]``, ``G = conj(r) C = r^T C``."""
+    m, n = t4.shape[:2]
+    star = _hermitian_part((r.T @ choi.reshape(m, n * m * n)).reshape(m, n, m, n).transpose(2, 1, 0, 3))
+    return max_abs(np.subtract(star, t4, out=star))
 
 
 def temporal_channel(tau: np.ndarray, dims: tuple[int, int], side: str = "a") -> SuperOp:
@@ -257,8 +263,9 @@ class CompatibilityReport:
     block ``X``: its least eigenvalue clears the PSD floor ``-tol * scale``, with
     ``scale = max(1, ||X||_F)``.  ``boundary`` flags a least eigenvalue within
     ``(10 tol + 64 m n eps) * scale`` of zero.  The cross-check is ``cptp.cp``, a Cholesky
-    factorization of the returned ``channel``'s Choi matrix gated on ``cptp.hermiticity_defect``
-    as in ``is_cptp``, together with the reconstruction residual ``max|tau - E * rho|``.
+    factorization of the returned ``channel``'s Choi matrix, with the reconstruction residual
+    ``max|tau - E * rho|`` and ``is_cptp``'s trace gate ``cptp.tp``.  That matrix is exactly Hermitian
+    by construction: no Hermiticity gate runs, and ``cptp.hermiticity_defect``, its defect, is 0.0.
 
     ``cptp.choi_min_eigenvalue`` is solved on first read, by one eigensolve of the returned
     Choi matrix, and ``test_min_eigenvalue`` reads it: the Choi matrix is ``X`` up to a unitary
@@ -343,32 +350,31 @@ def _side_report(validated: tuple, side: str, tol: float, ppt: bool | None = Non
 
     # Path 2: a Cholesky factorization of the returned Choi matrix, shifted to the middle of
     # the (tol, 10 tol) * scale band, so it succeeds iff the channel is CP outside the boundary zone.
-    # The factorization reads only the lower triangle, so Hermiticity is gated separately, as in is_cptp.
+    # The factorization reads only the lower triangle; the matrix is exactly Hermitian and finite.
     channel = _choi_from_eigenbasis(s, x4)
     del x4  # one full-size array fewer held through the checks below, where a certify peaks
-    herm_ok, herm, tp, trace_residual = _hptp_gates(channel, tol)
-    cp = herm_ok and _cholesky_cp(channel.choi, 5 * tol * scale)  # the choi is exactly Hermitian and finite
+    tp, trace_residual, _ = _tp_gate(channel, tol)
     report = CompatibilityReport(
         side=side,
         compatible=test_ok,
         channel=channel,
-        reconstruction_residual=max_abs(_star(channel, s.matrix).reshape(t4.shape) - t4),
+        reconstruction_residual=_reconstruction_residual(channel.choi, s.matrix, t4),
         cptp=CptpReport(
-            cp=cp,
+            cp=_cholesky_cp(channel.choi, 5 * tol * scale),
             tp=tp,
             trace_residual=trace_residual,
-            hermiticity_defect=herm,
+            hermiticity_defect=0.0,
             _least_eigenvalue=partial(_least_eigenvalue, channel.choi),
         ),
         faithful_marginal=faithful,
         boundary=boundary,
         tolerance=tol,
     )
-    if test_ok != cp and not boundary:  # each path's own least eigenvalue: X's, re-derived, and the Choi matrix's
+    if test_ok != report.cptp.cp and not boundary:  # each path's own minimum: X's, re-derived, and the Choi matrix's
         block_min = _least_eigenvalue(_support_block(_eigenbasis_array(t4, s), s))
         raise VerdictMismatchError(
             f"side {side}: test-matrix verdict {test_ok} (min eig {block_min:.3e}) disagrees "
-            f"with channel CP verdict {cp} (choi min eig {report.cptp.choi_min_eigenvalue:.3e})"
+            f"with channel CP verdict {report.cptp.cp} (choi min eig {report.cptp.choi_min_eigenvalue:.3e})"
         )
     return report
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -575,7 +576,8 @@ def test_povm_gate_is_the_member_loop(k, d, faults, state_dim, seed):
 
 def _adversarial_member(kind: str, d: int, seed: int, plants: tuple) -> object:
     """A member of kind "density" (``random_density(d, seed=seed)``) or "mixed" (``1/d``) with the entries
-    ``plants``, each ``(i, j, value, mirrored)``, written in; or a non-square, empty, ragged or non-numeric member."""
+    ``plants``, each ``(i, j, value, mirrored)``, written in; or a non-square, empty, ragged or non-numeric member,
+    the last of strings or of ``object()`` entries, which numpy rejects with ``ValueError`` and ``TypeError``."""
     if kind == "non_square":
         return np.eye(d, d + 1) / d
     if kind == "empty":
@@ -584,6 +586,8 @@ def _adversarial_member(kind: str, d: int, seed: int, plants: tuple) -> object:
         return [[0.5] * d, [0.5]]
     if kind == "non_numeric":
         return [["x"] * d] * d
+    if kind == "object":
+        return [[object()] * d] * d
     m = tc.random_density(d, seed=seed) if kind == "density" else np.eye(d, dtype=complex) / d
     for i, j, value, mirrored in plants:
         m[i % d, j % d] = value
@@ -606,7 +610,7 @@ ADVERSARIAL_CALLS = {
     "compatibility_test": lambda ms: tc.compatibility_test(ms[0], (2, 2), "b"),
 }
 _ADVERSARIAL_MEMBER = st.tuples(
-    st.sampled_from(["density", "density", "mixed", "non_square", "empty", "ragged", "non_numeric"]),
+    st.sampled_from(["density", "density", "mixed", "non_square", "empty", "ragged", "non_numeric", "object"]),
     st.integers(1, 4),
     st.integers(0, 2**32 - 1),
     st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3), st.sampled_from(ADVERSARIAL_ENTRIES), st.booleans()),
@@ -618,6 +622,8 @@ _ADVERSARIAL_MEMBER = st.tuples(
 @given(call=st.sampled_from(list(ADVERSARIAL_CALLS)), members=st.lists(_ADVERSARIAL_MEMBER, min_size=1, max_size=3))
 @example(call="certify", members=[("density", 4, 3, ((1, 2, 1e155, True),))])
 @example(call="is_orthogonal_ensemble", members=[("mixed", 2, 0, ((0, 1, 1e155, True),)), ("mixed", 2, 0, ())])
+@example(call="validate_density", members=[("object", 2, 0, ())])
+@example(call="ProductEnsemble", members=[("mixed", 2, 0, ()), ("object", 2, 0, ())])
 def test_gated_constructors_raise_only_value_errors(call, members):
     # Entries at and past the float limits, subnormals, non-square, empty, ragged, non-numeric and mixed-shape
     # members: each gate either accepts its input or names what is wrong with a ValueError of its own, not one
@@ -709,6 +715,33 @@ RARE_INPUT_CHECKS = {
         lambda: tc.discrimination_povm([0.5, 0.5], [np.eye(2) / 2, np.eye(3) / 3]),
         r"^the members of states must share one shape, got shapes \[\(2, 2\), \(3, 3\)\]$",
     ),
+    "object-matrix": (
+        lambda: tc.validate_density([[object()]]),
+        r"^matrix is ragged or holds a non-number: expected an array of numbers$",
+    ),
+    "object-choi": (
+        lambda: tc.SuperOp(1, 1, [[object()]]),
+        r"^matrix is ragged or holds a non-number: expected an array of numbers$",
+    ),
+    "object-tau": (
+        lambda: tc.certify(np.full((4, 4), object()), (2, 2)),
+        r"^matrix is ragged or holds a non-number: expected an array of numbers$",
+    ),
+    "object-member": (
+        lambda: tc.ProductEnsemble([0.5, 0.5], [np.eye(2) / 2] * 2, [np.eye(2) / 2, [[object(), 0], [0, 1]]]),
+        r"^member 1 of states_b is ragged or holds a non-number: expected an array of numbers$",
+    ),
+    **{
+        f"{kind}-weights-{name}": (
+            partial(make, weights),
+            r"^weights is ragged or holds a non-number: expected an array of numbers$",
+        )
+        for kind, weights in (("ragged", [[1.0], [0.5, 0.5]]), ("string", ["a"]), ("object", [object()]))
+        for name, make in (
+            ("product", lambda w: tc.ProductEnsemble(w, [np.eye(2) / 2] * len(w), [np.eye(2) / 2] * len(w))),
+            ("discrimination", lambda w: tc.DiscriminationInstance(w, [np.eye(2) / 2], [np.eye(2)], (0,))),
+        )
+    },
 }
 
 
