@@ -24,7 +24,7 @@ from functools import cached_property, partial
 import numpy as np
 
 from .operators import (
-    DEFAULT_TOLS, _check_tol, _defect_and_part, _in_range, _is_positive_int, _oriented, _psd_floor, _split,
+    DEFAULT_TOLS, _check_tol, _defect_and_part, _finite, _in_range, _is_positive_int, _oriented, _psd_floor, _split,
     _trace_out, as_complex_matrix, hermiticity_defect, partial_transpose, swap_factors, tensor, validate_density,
 )
 
@@ -233,9 +233,7 @@ def compose(f: SuperOp, e: SuperOp) -> SuperOp:
         raise ValueError(f"cannot compose: inner dims {e.dim_out} vs {f.dim_in}")
     with np.errstate(over="ignore", invalid="ignore"):  # near the float limit the products overflow; named below
         c = apply_to_factor(f, e.choi, (e.dim_in, e.dim_out), "b")
-    if np.count_nonzero(np.isfinite(c)) != c.size:
-        raise ValueError("composite out of range: its Choi matrix overflows a float")
-    return SuperOp(e.dim_in, f.dim_out, c)
+    return SuperOp(e.dim_in, f.dim_out, _finite(c, "composite out of range: its Choi matrix overflows a float"))
 
 
 def hs_adjoint(e: SuperOp) -> SuperOp:

@@ -64,7 +64,7 @@ class ProductEnsemble:
     states_b: tuple[np.ndarray, ...]
 
     def __post_init__(self) -> None:
-        w = _numeric_array(self.weights, "weights", float).ravel()
+        w = _numeric_array(self.weights, "weights", real=True).ravel()
         if w.size == 0 or w.size != len(self.states_a) or w.size != len(self.states_b):
             raise ValueError("weights and the two state lists must be nonempty and of equal length")
         if not np.isfinite(w).all():
@@ -197,7 +197,7 @@ class DiscriminationInstance:
     assignment: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        w = _numeric_array(self.weights, "weights", float).ravel()
+        w = _numeric_array(self.weights, "weights", real=True).ravel()
         if w.size == 0 or w.size != len(self.states):
             raise ValueError(f"need one weight per state of a nonempty ensemble, got {w.size} for {len(self.states)}")
         if not (np.all(w >= 0) and abs(w.sum() - 1.0) <= DEFAULT_TOLS.weight_sum):  # NaN fails both

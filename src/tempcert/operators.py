@@ -9,6 +9,7 @@ the convention of ``numpy.kron``.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,17 +80,28 @@ def as_complex_matrix(m: np.ndarray) -> np.ndarray:
     a = _numeric_array(m)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
         raise ValueError(f"expected a nonempty square matrix, got shape {a.shape}")
-    if np.count_nonzero(np.isfinite(a)) != a.size:  # half the cost of .all() on small matrices
-        raise ValueError("matrix contains non-finite entries")
+    return _finite(a, "matrix contains non-finite entries")
+
+
+def _finite(a: np.ndarray, message: str) -> np.ndarray:
+    """``a``, raising ``ValueError(message)`` unless every entry is finite.  A finite ``np.vdot(a, a)``, the sum of
+    ``|a_ij|^2`` in one BLAS pass, proves them all finite; only a sum that is not is settled by counting entries."""
+    x = a.ravel("K")  # a view of a C- or Fortran-ordered a, so that no copy precedes the pass
+    if not math.isfinite(np.vdot(x, x).real) and np.count_nonzero(np.isfinite(a)) != a.size:
+        raise ValueError(message)
     return a
 
 
-def _numeric_array(m: object, what: str = "matrix", dtype: type = np.complex128) -> np.ndarray:
-    """``m`` as an array of ``dtype``; on a ragged or non-numeric ``m``, a ``ValueError`` that names ``what``."""
+def _numeric_array(m: object, what: str = "matrix", real: bool = False) -> np.ndarray:
+    """``m`` as a complex array, or a float one if ``real``; on a ragged or non-numeric ``m``, or if ``real`` on a
+    nonzero imaginary part, which a cast would drop with only a warning, a ``ValueError`` that names ``what``."""
     try:
-        return np.asarray(m, dtype=dtype)
+        a = np.asarray(m, dtype=np.complex128)
     except (ValueError, TypeError):  # numpy raises TypeError on an entry that is neither a number nor a string
         raise ValueError(f"{what} is ragged or holds a non-number: expected an array of numbers") from None
+    if real and np.count_nonzero(a.imag):
+        raise ValueError(f"{what} must be real, got a nonzero imaginary part")
+    return a.real if real else a
 
 
 def max_abs(m: np.ndarray) -> float:
@@ -119,9 +131,7 @@ def _defect_and_part(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _in_range(h: np.ndarray) -> np.ndarray:
-    if np.count_nonzero(np.isfinite(h)) != h.size:
-        raise ValueError("hermitian part out of range: (M + M^dag) / 2 overflows a float")
-    return h
+    return _finite(h, "hermitian part out of range: (M + M^dag) / 2 overflows a float")
 
 
 def hermiticity_defect(m: np.ndarray) -> float:
@@ -153,9 +163,9 @@ def _require_unit_trace(a: np.ndarray) -> np.ndarray:
 
 
 def _check_tol(tol: float) -> float:
-    """The per-call ``tol``, raising ``ValueError`` unless it is finite and nonnegative."""
-    if not (math.isfinite(tol) and tol >= 0):
-        raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
+    """The per-call ``tol``, raising ``ValueError`` unless it is a real number, not a ``bool``, finite and ``>= 0``."""
+    if not (isinstance(tol, numbers.Real) and type(tol) is not bool and math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and >= 0 (a real number, not a bool), got {tol!r}")
     return tol
 
 

@@ -14,10 +14,11 @@ is positive semidefinite, where ``D`` is the generalized dephasing channel of
 ``rho_a`` and ``T`` the transpose in an eigenbasis of ``rho_a``.  In that
 eigenbasis the test matrix is ``tau`` with the first factor transposed and
 weighted entrywise by the Cauchy matrix ``2 / (p_i + p_j)``, zero on blocks
-touching the kernel.  The verdict needs only where the least eigenvalue of its
-support block ``X`` lies, so it is read off inertia probes: Cholesky factorizations
-of ``X``, shifted in place and restored, by the edges ``+-(10 tol + 64 m n eps) * scale``
-of the boundary zone and by the PSD floor ``tol * scale``, ``scale = max(1, ||X||_F)``.
+touching the kernel.  The verdict needs only where the least eigenvalue of its support block ``X`` lies, so it is
+read off inertia probes: Cholesky factorizations of ``X``, shifted in place and restored, by the edges
+``+-(10 tol + 64 m n eps) * scale`` of the boundary zone and by the PSD floor ``tol * scale``, where
+``scale = max(1, ||X||_F)``.  Each factorization calls numpy's LAPACK gufunc ``_umath_linalg.cholesky_lo`` (in
+``numpy.linalg``) on a Fortran-ordered view: ``np.linalg.cholesky`` adds two copies at a stride of ``m n`` entries.
 The same array, rotated back to the computational basis, is the Choi matrix of
 ``E``.  The verdict is cross-checked on the returned Choi matrix by a Cholesky
 factorization shifted by ``5 tol * scale``, which succeeds iff ``E`` is completely
@@ -47,6 +48,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, partial
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .channels import _EPS, CptpReport, SuperOp, _tp_gate, compose
 from .operators import (
@@ -215,8 +217,8 @@ def _dephasing(s: Spectrum) -> SuperOp:
 def correlation_matrix_check(c: np.ndarray, tol: float = DEFAULT_TOLS.psd) -> tuple[bool, bool]:
     """Check for a correlation matrix (PSD, unit diagonal); also report strictness."""
     a = require_hermitian(c)
+    psd_ok, lam_min = _gated_psd(a, tol)  # gates tol before its first use
     diag_ok = max_abs(np.diag(a) - 1.0) <= tol
-    psd_ok, lam_min = _gated_psd(a, tol)
     valid = diag_ok and psd_ok
     return valid, valid and lam_min > tol
 
@@ -310,13 +312,17 @@ def _frobenius_scale(x: np.ndarray, name: str) -> float:
 
 
 def _cholesky_cp(a: np.ndarray, shift: float) -> bool:
-    """True iff ``a + shift * 1`` has a Cholesky factorization.  ``a`` is shifted in place, with no copy,
-    and its saved diagonal written back after, so the caller's array is left exactly as it was."""
+    """True iff ``a + shift * 1`` has a Cholesky factorization.  ``a`` is shifted in place, with no copy, and its
+    saved diagonal written back after, so the caller's array is left exactly as it was.  The gufunc factors the
+    Fortran-ordered view ``a.T``, ``conj(a)`` for a Hermitian ``a``, of the same inertia, into a Fortran-ordered output:
+    it reads ``a``'s upper triangle, and neither of its copies strides a row apart.  It flags a failure as invalid,
+    which numpy's wrapper turns into ``LinAlgError``."""
     diagonal = a.flat[:: a.shape[0] + 1]  # a copy of the diagonal
     a.flat[:: a.shape[0] + 1] += shift
     try:
-        np.linalg.cholesky(a)
-    except np.linalg.LinAlgError:
+        with np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore"):  # the wrapper's
+            _umath_linalg.cholesky_lo(a.T, out=np.empty_like(a).T, signature="D->D")
+    except FloatingPointError:
         return False
     finally:
         a.flat[:: a.shape[0] + 1] = diagonal
@@ -350,7 +356,7 @@ def _side_report(validated: tuple, side: str, tol: float, ppt: bool | None = Non
 
     # Path 2: a Cholesky factorization of the returned Choi matrix, shifted to the middle of
     # the (tol, 10 tol) * scale band, so it succeeds iff the channel is CP outside the boundary zone.
-    # The factorization reads only the lower triangle; the matrix is exactly Hermitian and finite.
+    # The factorization reads only the upper triangle; the matrix is exactly Hermitian and finite.
     channel = _choi_from_eigenbasis(s, x4)
     del x4  # one full-size array fewer held through the checks below, where a certify peaks
     tp, trace_residual, _ = _tp_gate(channel, tol)

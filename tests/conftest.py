@@ -6,6 +6,7 @@ import gc
 import tracemalloc
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 import tempcert as tc
 
@@ -24,16 +25,19 @@ SIGMA_Z = tc.PAULIS[3]
 def count_factorizations(monkeypatch, shapes: bool = False) -> dict[str, list]:
     """Record the size of every ``eigh``, ``eigvalsh`` and ``cholesky`` call, by function.
 
-    With ``shapes``, record the full shape of each argument, so a stack of ``k`` matrices reads ``(k, d, d)``."""
+    ``eigh`` and ``eigvalsh`` are counted at ``np.linalg``; ``cholesky`` at numpy's LAPACK gufunc
+    ``_umath_linalg.cholesky_lo``, which ``temporal._cholesky_cp`` calls directly.  With ``shapes``, record the
+    full shape of each argument, so a stack of ``k`` matrices reads ``(k, d, d)``."""
     sizes = {"eigh": [], "eigvalsh": [], "cholesky": []}
-    for name, calls in sizes.items():
-        original = getattr(np.linalg, name)
+    for module, name, key in ((np.linalg, "eigh", "eigh"), (np.linalg, "eigvalsh", "eigvalsh"),
+                              (_umath_linalg, "cholesky_lo", "cholesky")):
+        original = getattr(module, name)
 
-        def counted(a, *args, _original=original, _calls=calls, **kwargs):
+        def counted(a, *args, _original=original, _calls=sizes[key], **kwargs):
             _calls.append(np.shape(a) if shapes else np.shape(a)[-1])
             return _original(a, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, name, counted)
+        monkeypatch.setattr(module, name, counted)
     return sizes
 
 

@@ -12,10 +12,12 @@ import pytest
 from conftest import rank_deficient_separable
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from numpy.linalg import _umath_linalg
 
 import tempcert as tc
 from tempcert.cli import _bloch_points
-from tempcert.operators import _pairings
+from tempcert.operators import _finite, _pairings
+from tempcert.temporal import _cholesky_cp
 
 DIMS = st.tuples(st.integers(1, 5), st.integers(1, 5)).filter(lambda d: d[0] != d[1])
 SEEDS = st.integers(0, 2**32 - 1)
@@ -178,3 +180,84 @@ def test_kernels_make_no_multi_operand_einsum(monkeypatch):
         _bloch_points(tc.random_density(4, seed=rng), (2, 2), stage, 8, 0)
     assert calls == []
 
+
+
+def _hermitian_of_kind(kind: str, d: int, rng: np.random.Generator) -> tuple[np.ndarray, float]:
+    """An exactly Hermitian ``(d, d)`` matrix and a probe shift: positive definite, indefinite, singular (rank
+    ``d // 2``, its zero eigenvalues known only up to rounding), or shifted to a few ``d eps ||h||_F`` of its least
+    eigenvalue, the edge of a boundary zone, where rounding decides the factorization."""
+    g = complex_normal(rng, (d, d))
+    if kind == "singular":
+        g[:, d // 2:] = 0.0
+    h = g @ g.conj().T if kind in ("positive", "singular") else g + g.conj().T
+    h = (h + h.conj().T) / 2  # exactly Hermitian: entry (j, i) is the conjugate of entry (i, j), bit for bit
+    if kind == "positive":
+        return h, 0.0
+    if kind == "edge":
+        unit = d * float(np.finfo(float).eps) * np.linalg.norm(h)
+        return h, -float(np.linalg.eigvalsh(h)[0]) + unit * float(rng.integers(-64, 65))
+    return h, 0.0 if kind == "singular" else float(rng.uniform(-1.0, 1.0))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(d=st.sampled_from([*range(1, 41), 192, 256]),
+       kind=st.sampled_from(["positive", "indefinite", "singular", "edge"]), seed=SEEDS)
+@example(d=256, kind="edge", seed=0)
+@example(d=256, kind="indefinite", seed=1)
+@example(d=192, kind="singular", seed=2)
+@example(d=192, kind="positive", seed=3)
+def test_cholesky_probe_agrees_with_numpy_cholesky(d, kind, seed):
+    # temporal._cholesky_cp calls numpy's LAPACK gufunc on a.T = conj(a); public np.linalg.cholesky of the same
+    # shifted matrix is the reference, for the verdict, and the probe leaves its input as it found it.
+    h, shift = _hermitian_of_kind(kind, d, np.random.default_rng(seed))
+    shifted = h.copy()
+    shifted.flat[:: d + 1] += shift  # the probe's own in-place shift
+    try:
+        np.linalg.cholesky(shifted)
+        expected = True
+    except np.linalg.LinAlgError:
+        expected = False
+    a = h.copy()
+    assert _cholesky_cp(a, shift) == expected
+    assert a.tobytes() == h.tobytes()
+
+
+def test_cholesky_gufunc_signals_failure_by_the_invalid_flag():
+    # _cholesky_cp reads a failed factorization off this private numpy gufunc, as np.linalg.cholesky does:
+    # the output is filled with NaN and the invalid flag set.  A numpy release that changes either fails here.
+    assert "D->D" in _umath_linalg.cholesky_lo.types and _umath_linalg.cholesky_lo.signature == "(m,m)->(m,m)"
+    indefinite = np.diag([2.0, -1.0, 3.0]).astype(complex)
+    out = np.empty_like(indefinite).T
+    with np.errstate(invalid="ignore"):
+        _umath_linalg.cholesky_lo(indefinite.T, out=out, signature="D->D")
+    assert np.isnan(out).all()
+    with pytest.raises(FloatingPointError), np.errstate(invalid="raise"):
+        _umath_linalg.cholesky_lo(indefinite.T, out=np.empty_like(indefinite).T, signature="D->D")
+    # On success it writes the factor of its Fortran-ordered input, to the bit, and raises nothing.
+    g = complex_normal(np.random.default_rng(5), (6, 6))
+    positive = g @ g.conj().T + np.eye(6)
+    out = np.empty_like(positive).T
+    with np.errstate(invalid="raise"):
+        _umath_linalg.cholesky_lo(positive.T, out=out, signature="D->D")
+    assert np.array_equal(out, np.linalg.cholesky(positive.T))
+
+
+@pytest.mark.parametrize("part", ["real", "imag"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e155, -1e155, 1.4e154, 1e308, 5e-324])
+def test_finiteness_gate_agrees_with_the_exact_count(part, value):
+    # operators._finite reads finiteness off the BLAS sum of |a_ij|^2 and counts the entries only when that sum is
+    # not finite: a planted entry in either part, at every position of each BLAS tail, in C and Fortran order.
+    # Entries near 1e155 overflow the sum but are finite, so the count must accept them.
+    rng = np.random.default_rng(int(abs(value)) % 97 if np.isfinite(value) else 7)
+    for d in range(1, 18):
+        base = complex_normal(rng, (d, d))
+        for k in sorted({0, *range(max(0, d * d - 16), d * d)}):
+            a = base.copy()
+            a.flat[k] = complex(value, a.flat[k].imag) if part == "real" else complex(a.flat[k].real, value)
+            for layout in (a, a.T):
+                finite = np.count_nonzero(np.isfinite(layout)) == layout.size
+                if finite:
+                    assert _finite(layout, "planted") is layout
+                else:
+                    with pytest.raises(ValueError, match="^planted$"):
+                        _finite(layout, "planted")

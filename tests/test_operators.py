@@ -128,10 +128,11 @@ def test_package_checks_the_side_in_one_place():
 def test_package_makes_one_cholesky_call():
     # The PPT flag and the Choi cross-check share _cholesky_cp, so a failed factorization means one thing.
     sources = {path.name: path.read_text(encoding="utf-8") for path in Path(tc.__file__).parent.glob("*.py")}
-    calls = {name: text.count("np.linalg.cholesky(") for name, text in sources.items()}
+    calls = {name: text.count("cholesky_lo(") for name, text in sources.items()}
     assert {name: k for name, k in calls.items() if k} == {"temporal.py": 1}
     body = sources["temporal.py"].split("def _cholesky_cp(")[1].split("\ndef ")[0]
-    assert "np.linalg.cholesky(" in body
+    assert "_umath_linalg.cholesky_lo(" in body
+    assert not any("np.linalg.cholesky(" in text for text in sources.values())
 
 
 class TestIsPsd:
@@ -599,15 +600,18 @@ def _adversarial_member(kind: str, d: int, seed: int, plants: tuple) -> object:
 # numpy's own errors on arrays it cannot build or combine, which name neither the input nor the field
 NUMPY_MESSAGES = r"inhomogeneous|setting an array element|complex\(\) arg|could not convert|broadcast|input arrays"
 ADVERSARIAL_ENTRIES = [np.nan, np.inf, 1e308, -1e308, 1e155, 5e-324]
+# tol kinds that are not a finite real number >= 0; a bool is refused as it is in dims
+ADVERSARIAL_TOLS = ["1e-9", None, 1 + 0j, np.array([1e-9, 1e-9]), True, np.nan, -1.0]
 ADVERSARIAL_CALLS = {
-    "validate_density": lambda ms: tc.validate_density(ms[0]),
-    "Process": lambda ms: tc.Process(tc.identity_channel(2), ms[0]),
-    "ProductEnsemble": lambda ms: tc.ProductEnsemble(np.full(len(ms), 1 / len(ms)), ms, ms[::-1]),
-    "DiscriminationInstance": lambda ms: tc.DiscriminationInstance([1.0], ms[:1], ms, (0,) * len(ms)),
+    "validate_density": lambda ms, tol: tc.validate_density(ms[0]),
+    "Process": lambda ms, tol: tc.Process(tc.identity_channel(2), ms[0]),
+    "ProductEnsemble": lambda ms, tol: tc.ProductEnsemble(np.full(len(ms), 1 / len(ms)), ms, ms[::-1]),
+    "DiscriminationInstance": lambda ms, tol: tc.DiscriminationInstance([1.0], ms[:1], ms, (0,) * len(ms)),
     "is_orthogonal_ensemble": tc.is_orthogonal_ensemble,
-    "discrimination_povm": lambda ms: tc.discrimination_povm(np.full(len(ms), 1 / len(ms)), ms),
-    "certify": lambda ms: tc.certify(ms[0], (2, 2)),
-    "compatibility_test": lambda ms: tc.compatibility_test(ms[0], (2, 2), "b"),
+    "discrimination_povm": lambda ms, tol: tc.discrimination_povm(np.full(len(ms), 1 / len(ms)), ms, tol),
+    "certify": lambda ms, tol: tc.certify(ms[0], (2, 2), tol),
+    "compatibility_test": lambda ms, tol: tc.compatibility_test(ms[0], (2, 2), "b", tol),
+    "correlation_matrix_check": lambda ms, tol: tc.correlation_matrix_check(ms[0], tol),
 }
 _ADVERSARIAL_MEMBER = st.tuples(
     st.sampled_from(["density", "density", "mixed", "non_square", "empty", "ragged", "non_numeric", "object"]),
@@ -619,19 +623,29 @@ _ADVERSARIAL_MEMBER = st.tuples(
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(call=st.sampled_from(list(ADVERSARIAL_CALLS)), members=st.lists(_ADVERSARIAL_MEMBER, min_size=1, max_size=3))
-@example(call="certify", members=[("density", 4, 3, ((1, 2, 1e155, True),))])
-@example(call="is_orthogonal_ensemble", members=[("mixed", 2, 0, ((0, 1, 1e155, True),)), ("mixed", 2, 0, ())])
-@example(call="validate_density", members=[("object", 2, 0, ())])
-@example(call="ProductEnsemble", members=[("mixed", 2, 0, ()), ("object", 2, 0, ())])
-def test_gated_constructors_raise_only_value_errors(call, members):
+@given(
+    call=st.sampled_from(list(ADVERSARIAL_CALLS)),
+    members=st.lists(_ADVERSARIAL_MEMBER, min_size=1, max_size=3),
+    tol=st.one_of(st.just(tc.DEFAULT_TOLS.psd), st.sampled_from(ADVERSARIAL_TOLS)),
+)
+@example(call="certify", members=[("density", 4, 3, ((1, 2, 1e155, True),))], tol=tc.DEFAULT_TOLS.psd)
+@example(call="is_orthogonal_ensemble", members=[("mixed", 2, 0, ((0, 1, 1e155, True),)), ("mixed", 2, 0, ())],
+         tol=tc.DEFAULT_TOLS.psd)
+@example(call="validate_density", members=[("object", 2, 0, ())], tol=tc.DEFAULT_TOLS.psd)
+@example(call="ProductEnsemble", members=[("mixed", 2, 0, ()), ("object", 2, 0, ())], tol=tc.DEFAULT_TOLS.psd)
+@example(call="correlation_matrix_check", members=[("mixed", 2, 0, ())], tol="1e-9")
+@example(call="certify", members=[("mixed", 4, 0, ())], tol=True)
+def test_gated_constructors_raise_only_value_errors(call, members, tol):
     # Entries at and past the float limits, subnormals, non-square, empty, ragged, non-numeric and mixed-shape
-    # members: each gate either accepts its input or names what is wrong with a ValueError of its own, not one
-    # of numpy's; warnings are errors.
+    # members, and tol kinds that are not a real number: each gate either accepts its input or names what is
+    # wrong with a ValueError of its own, not one of numpy's; warnings are errors.  A bad tol is never accepted.
     try:
-        ADVERSARIAL_CALLS[call]([_adversarial_member(*m) for m in members])
+        ADVERSARIAL_CALLS[call]([_adversarial_member(*m) for m in members], tol)
     except ValueError as exc:
         assert not re.search(NUMPY_MESSAGES, str(exc)), str(exc)
+    else:
+        assert tol is tc.DEFAULT_TOLS.psd or call in ("validate_density", "Process", "ProductEnsemble",
+                                                      "DiscriminationInstance"), tol
 
 
 def _imaginary_two_time_expectation():
@@ -726,6 +740,14 @@ RARE_INPUT_CHECKS = {
     "object-tau": (
         lambda: tc.certify(np.full((4, 4), object()), (2, 2)),
         r"^matrix is ragged or holds a non-number: expected an array of numbers$",
+    ),
+    "complex-weights-product": (
+        lambda: tc.ProductEnsemble(np.array([1 + 1j]), [np.eye(2) / 2], [np.eye(2) / 2]),
+        r"^weights must be real, got a nonzero imaginary part$",
+    ),
+    "complex-weights-discrimination": (
+        lambda: tc.DiscriminationInstance(np.array([1 + 0.5j]), [np.eye(2) / 2], [np.eye(2)], (0,)),
+        r"^weights must be real, got a nonzero imaginary part$",
     ),
     "object-member": (
         lambda: tc.ProductEnsemble([0.5, 0.5], [np.eye(2) / 2] * 2, [np.eye(2) / 2, [[object(), 0], [0, 1]]]),

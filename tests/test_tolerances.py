@@ -12,7 +12,8 @@ from conftest import bell_state, count_factorizations, random_faithful_separable
 import tempcert as tc
 from tempcert import channels, operators, sot, temporal
 
-BAD_TOLS = [math.nan, -1.0, math.inf, -math.inf]
+# the last five are not a real number; a bool is refused as it is in dims
+BAD_TOLS = [math.nan, -1.0, math.inf, -math.inf, "1e-9", None, 1 + 0j, np.array([1e-9, 1e-9]), True]
 
 
 def test_only_tolerance_knob_is_tol_at_the_record_default():
