@@ -333,7 +333,10 @@ def _split(t: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
     The entries are not checked: the index reshuffles built on this are linear, and run
     mostly on matrices that a gate such as :func:`require_hermitian` has already checked.
     """
-    da, db = dims if len(dims) == 2 else (0, 0)
+    try:
+        da, db = dims if len(dims) == 2 else (0, 0)
+    except TypeError:  # no len(): None, an int
+        da = db = 0
     if not (_is_positive_int(da) and _is_positive_int(db)):
         raise ValueError(f"dims must be two positive ints, got {dims!r}")
     a = np.asarray(t, dtype=np.complex128)

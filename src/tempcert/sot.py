@@ -19,7 +19,8 @@ import numpy as np
 
 from .channels import Process, SuperOp, apply
 from .operators import (
-    _HALF, DEFAULT_TOLS, Spectrum, _check_tol, _pairings, _spectrum, require_hermitian, swap_factors, tensor,
+    _HALF, DEFAULT_TOLS, Spectrum, _check_tol, _is_positive_int, _numeric_array, _pairings, _spectrum,
+    require_hermitian, swap_factors, tensor,
 )
 
 __all__ = [
@@ -154,7 +155,14 @@ class CorrelationTable:
     table: np.ndarray
 
     def __post_init__(self) -> None:
-        t = np.asarray(self.table, dtype=float)
+        if not _is_positive_int(self.qubits):
+            raise ValueError(f"qubits must be a positive int, got {self.qubits!r}")
+        t = self.table
+        if isinstance(t, np.ndarray) and t.dtype.kind in "biuf":
+            t = np.asarray(t, dtype=float)
+        else:  # the complex gate, so that a nonzero imaginary part is refused rather than dropped
+            t = _numeric_array(t, "table", real=True)
+        # Counted in place: correlations_from_process passes a strided table.real, which _finite would copy.
         if np.count_nonzero(np.isfinite(t)) != t.size:
             raise ValueError("correlation table contains non-finite entries")
         size = 4**self.qubits

@@ -4,11 +4,19 @@ from __future__ import annotations
 
 import gc
 import tracemalloc
+from collections.abc import Sequence
+from typing import NamedTuple
 
 import numpy as np
+from hypothesis import settings
+from hypothesis import strategies as st
 from numpy.linalg import _umath_linalg
 
 import tempcert as tc
+
+# Every property runs the same examples on every run, with no per-example deadline.
+DERANDOMIZED = settings(deadline=None, derandomize=True)
+DEFAULT_TOL = tc.DEFAULT_TOLS.psd
 
 KET0 = np.array([1, 0], dtype=complex)
 KET1 = np.array([0, 1], dtype=complex)
@@ -152,3 +160,102 @@ def rank_deficient_separable(
     states_b = tuple(tc.random_density(n, seed=rng) for _ in range(n_terms))
     weights = rng.dirichlet(np.ones(n_terms))
     return tc.ProductEnsemble(weights=weights, states_a=tuple(states_a), states_b=states_b)
+
+
+# The family registry: every certify property in test_temporal.py draws tau from ``family``, through ``cases``.
+class Case(NamedTuple):
+    """One drawn instance: ``truth`` is the known verdict, or None; ``rng`` continues after the family's draws."""
+
+    kind: str
+    tau: np.ndarray
+    dims: tuple[int, int]
+    tol: float
+    rng: np.random.Generator
+    truth: bool | tc.SuperOp | None
+
+
+def _noisy(state: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """``state`` mixed with white noise at a uniform weight."""
+    f = rng.uniform()
+    return f * state + (1 - f) * np.eye(len(state)) / len(state)
+
+
+def _isotropic(m: int, c: float) -> np.ndarray:
+    """``c |Phi><Phi| + (1 - c) 1/d`` on ``m x m`` levels: its marginals are ``1/m``, and its partial transpose has
+    least eigenvalue ``-c / m + (1 - c) / d``."""
+    phi = np.eye(m).ravel() / np.sqrt(m)
+    return c * proj(phi) + (1 - c) * np.eye(m * m) / (m * m)
+
+
+def family(kind: str, dims: tuple[int, int], rng: np.random.Generator, offset: float = 0.0, tol: float = DEFAULT_TOL):
+    """``(tau, dims, truth)`` of the family ``kind``, drawn from ``rng``; ``wide_pt`` and ``zone`` live on ``(m, m)``.
+    ``truth`` is True for a tau known compatible both ways and PPT, the channel ``E`` of ``tau = E * rho_a``, or
+    None where no verdict is known.
+
+    The README admits {faithful, rank-deficient} x {PSD, non-positive} x {well-, ill-conditioned} inputs.  The
+    families cover faithful PSD, rank-deficient PSD (separable_rank_deficient) and faithful non-positive
+    (non_positive, wide_non_positive, wide_pt, star_mixture) inputs, all well conditioned.  Two cells have no
+    family yet, each to land with its fix: rank-deficient non-positive, where the returned channel misses tau
+    (ROADMAP item 10), and ill-conditioned, where sides report tp = False (item 2).  A new family is one more
+    branch here; every property that lists its name then draws it.
+    """
+    m, n = dims
+    if kind == "density":
+        return tc.random_density(m * n, seed=rng), dims, None
+    if kind == "faithful_separable":  # both marginals' least eigenvalues above 1e-3
+        return tc.assemble_state(random_faithful_separable(dims, rng)), dims, True
+    if kind == "separable":
+        return tc.assemble_state(tc.random_separable(m, n, m + n, seed=rng)), dims, True
+    if kind == "separable_rank_deficient":  # the side-a marginal has rank m - 1
+        return tc.assemble_state(rank_deficient_separable(dims, m - 1, m + n, rng)), dims, True
+    if kind == "non_positive":
+        return random_trace_one_hermitian(dims, rng), dims, None
+    if kind == "wide_non_positive":
+        # ||tau||_F up to about 4, mixed toward white noise so that the partial transpose's least eigenvalue sweeps
+        # through 0.
+        return _noisy(random_trace_one_hermitian(dims, rng, strength=rng.uniform(0.5, 8.0)), rng), dims, None
+    if kind == "noisy_pure":
+        return _noisy(tc.random_density(m * n, rank=1, seed=rng), rng), dims, None
+    if kind == "noisy_max_entangled":
+        # Maximally entangled on min(m, n) levels, so each marginal has a degenerate spectrum; isotropic if m = n.
+        psi = np.zeros(m * n, dtype=complex)
+        psi[[i * n + i for i in range(min(m, n))]] = 1 / np.sqrt(min(m, n))
+        return _noisy(proj(psi), rng), dims, None
+    if kind == "wide_pt":
+        # tau's partial transpose is the isotropic operator at c > 1, of least eigenvalue -(c - 1) / d and greatest
+        # c (d - 1) / d + 1 / d > 1, so the two PSD floors are far apart.
+        return tc.partial_transpose(_isotropic(m, rng.uniform(1.0, 4.0)), (m, m), "a"), (m, m), None
+    if kind == "zone":
+        # The test matrix is m times the partial transpose, of least eigenvalue -c + (1 - c) / m, here offset * tol:
+        # in or near the zone.
+        return _isotropic(m, (1 - m * offset * tol) / (m + 1)), (m, m), None
+    if kind == "ppt_mixed":
+        # A state of rank 1-25 mixed with white noise a fraction f < 0.95 of the way to its PPT boundary: its
+        # partial transpose has least eigenvalue at least (1 - f) / d, far outside the zone.
+        d = m * n
+        state = tc.random_density(d, rank=min(int(rng.integers(1, 26)), d), seed=rng)
+        lam = float(np.linalg.eigvalsh(tc.partial_transpose(state, dims, "a"))[0])
+        toward_boundary = rng.uniform(0.0, 0.95)
+        f = toward_boundary * (1.0 if lam >= 0 else (1 / d) / (1 / d - lam))
+        tau = f * state + (1 - f) * np.eye(d) / d
+        assert float(np.linalg.eigvalsh(tc.partial_transpose(tau, dims, "a"))[0]) >= (1 - toward_boundary) / d - 1e-12
+        return tau, dims, True
+    if kind == "star_mixture":
+        # weight E1 * rho + (1 - weight) E2 * rho is the state over time of the CPTP mixture of E1 and E2.
+        rho = tc.random_density(m, seed=rng)
+        e1, e2 = (tc.random_cptp(m, n, -(-m // n) + int(rng.integers(0, 2)), seed=rng) for _ in range(2))
+        w = rng.uniform()
+        tau = w * tc.star_product(e1, rho) + (1 - w) * tc.star_product(e2, rho)
+        return tau, dims, tc.SuperOp(m, n, w * e1.choi + (1 - w) * e2.choi)
+    raise ValueError(f"unknown family {kind!r}")
+
+
+@st.composite
+def cases(draw, kinds: Sequence[str], dims: Sequence[tuple[int, int]], tols: Sequence[float] = (DEFAULT_TOL,)) -> Case:
+    """A :class:`Case` of one of ``kinds`` at one of ``dims`` and ``tols``.  The zone's ``offset`` in [-15, 15]
+    is a hypothesis draw, so it keeps hypothesis's edge values and shrinks."""
+    kind, dims, tol = draw(st.sampled_from(kinds)), draw(st.sampled_from(dims)), draw(st.sampled_from(tols))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    offset = draw(st.floats(-15.0, 15.0)) if kind == "zone" else 0.0
+    tau, dims, truth = family(kind, dims, rng, offset, tol)
+    return Case(kind, tau, dims, tol, rng, truth)

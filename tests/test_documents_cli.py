@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import bell_state, count_factorizations, octahedral_ensemble, random_faithful_separable
+from conftest import DERANDOMIZED, bell_state, count_factorizations, octahedral_ensemble, random_faithful_separable
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -276,7 +276,7 @@ def _at(field: list, path: tuple[int, ...]) -> list:
 
 class TestFirstBadEntry:
     @pytest.mark.parametrize("field", list(FIELD_DOCUMENTS))
-    @settings(max_examples=40, deadline=None, derandomize=True)
+    @settings(DERANDOMIZED, max_examples=40)
     @given(picks=PICKS)
     @example(picks=[(0, "bool"), (1, "short")])  # a shortened list is named before its first entry
     def test_the_first_corrupted_entry_is_named(self, field, picks):
@@ -302,7 +302,7 @@ class TestFirstBadEntry:
         with pytest.raises(ValueError, match=f"^{re.escape(named[min(named)])}$"):
             parse(doc)
 
-    @settings(max_examples=30, deadline=None, derandomize=True)
+    @settings(DERANDOMIZED, max_examples=30)
     @given(weights=NOT_A_LIST)
     @example(weights=[])
     @example(weights={"0": 1.0})

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import SIGMA_X, SIGMA_Z, bell_state, proj, random_hermitian, random_trace_one_hermitian
+from conftest import DERANDOMIZED, SIGMA_X, SIGMA_Z, bell_state, proj, random_hermitian, random_trace_one_hermitian
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -435,20 +435,28 @@ def test_complex_input_is_not_written(call):
     assert tau.tobytes() == before
 
 
-@pytest.mark.parametrize("dims", [(-2, -3), (2.0, 3.0), (6,), (0, 6), (2, 3, 1), (True, 6), (2, False)], ids=str)
+DIMS_CALLS = (
+    tc.certify, tc.compatibility_test, tc.temporal_channel, tc.pgm_map, tc.sylvester_oracle, tc.verify_decomposition,
+    tc.verify_dfed, tc.is_ppt, tc.partial_trace, tc.partial_transpose, tc.swap_factors,
+)
+
+
+@pytest.mark.parametrize(
+    "dims", [(-2, -3), (2.0, 3.0), (6,), (0, 6), (2, 3, 1), (True, 6), (2, False), None, 6], ids=str
+)
 def test_bad_dims_are_named(dims):
+    # Every public function that takes dims, on a valid tau; dims with no len() are refused as well.
     tau6 = tc.random_density(6, seed=7)
-    with pytest.raises(ValueError, match=r"^dims must be two positive ints, got \("):
-        tc.certify(tau6, dims)
-    for call in (tc.partial_trace, tc.partial_transpose, tc.swap_factors):
-        with pytest.raises(ValueError, match="dims must be two positive ints"):
+    message = f"^dims must be two positive ints, got {re.escape(repr(dims))}$"
+    for call in DIMS_CALLS:
+        with pytest.raises(ValueError, match=message):
             call(tau6, dims)
     for side in "ab":  # dims are checked before they are unpacked or compared with the channel's
-        with pytest.raises(ValueError, match=r"^dims must be two positive ints, got \("):
+        with pytest.raises(ValueError, match=message):
             tc.apply_to_factor(tc.identity_channel(2), tau6, dims, side)
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
+@settings(DERANDOMIZED, max_examples=200)
 @given(
     dims=st.tuples(st.integers(1, 6), st.integers(1, 6)),
     kind=st.sampled_from(["density", "non_positive", "skewed"]),
@@ -491,7 +499,7 @@ def _with_fault(m: np.ndarray, fault: str, rng: np.random.Generator) -> np.ndarr
 FAULTS = ["non_hermitian", "trace", "negative", "nan", "inf", "overflow"]
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(DERANDOMIZED, max_examples=300)
 @given(
     k=st.integers(1, 6),
     d=st.integers(1, 5),
@@ -533,7 +541,7 @@ def _outcome(gate):
         return type(exc), str(exc)
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
+@settings(DERANDOMIZED, max_examples=200)
 @given(
     k=st.integers(1, 6),
     d=st.integers(1, 4),
@@ -622,7 +630,7 @@ _ADVERSARIAL_MEMBER = st.tuples(
 )
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(DERANDOMIZED, max_examples=300)
 @given(
     call=st.sampled_from(list(ADVERSARIAL_CALLS)),
     members=st.lists(_ADVERSARIAL_MEMBER, min_size=1, max_size=3),
@@ -749,6 +757,20 @@ RARE_INPUT_CHECKS = {
         lambda: tc.DiscriminationInstance(np.array([1 + 0.5j]), [np.eye(2) / 2], [np.eye(2)], (0,)),
         r"^weights must be real, got a nonzero imaginary part$",
     ),
+    "complex-table": (
+        lambda: tc.CorrelationTable(1, np.diag([1.0, 0.5j, 0.0, 0.0])),
+        r"^table must be real, got a nonzero imaginary part$",
+    ),
+    **{
+        f"{kind}-table": (partial(tc.CorrelationTable, 1, table), r"^table is ragged or holds a non-number: expected")
+        for kind, table in (("object", [[object()]]), ("ragged", [[1.0], [0.5, 0.5]]), ("string", [["a"]]))
+    },
+    **{
+        f"qubits-{qubits}": (
+            partial(tc.CorrelationTable, qubits, np.eye(4)), rf"^qubits must be a positive int, got {qubits!r}$"
+        )
+        for qubits in (1.5, -1, True, 0, None)
+    },
     "object-member": (
         lambda: tc.ProductEnsemble([0.5, 0.5], [np.eye(2) / 2] * 2, [np.eye(2) / 2, [[object(), 0], [0, 1]]]),
         r"^member 1 of states_b is ragged or holds a non-number: expected an array of numbers$",

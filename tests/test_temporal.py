@@ -8,10 +8,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from conftest import (
+    DEFAULT_TOL,
+    DERANDOMIZED,
     KET0,
     KET1,
     bell_state,
+    cases,
     count_factorizations,
+    family,
     octahedral_ensemble,
     proj,
     random_faithful_separable,
@@ -478,23 +482,7 @@ def test_invalid_marginal_error_names_the_side(func, side):
 
 
 KERNEL_DIMS = [(m, n) for m in (2, 3, 4) for n in (2, 3)]
-
-
-def _kernel_case(kind: str, dims: tuple[int, int], rng: np.random.Generator) -> np.ndarray:
-    m, n = dims
-    if kind == "density":
-        return tc.random_density(m * n, seed=rng)
-    if kind == "separable_rank_deficient":
-        return tc.assemble_state(rank_deficient_separable(dims, m - 1, m + n, rng))
-    if kind == "non_positive":
-        return random_trace_one_hermitian(dims, rng)
-    # isotropic: maximally entangled on min(m, n) levels mixed with white noise,
-    # so each marginal has a degenerate spectrum
-    k = min(m, n)
-    psi = np.zeros(m * n, dtype=complex)
-    psi[[i * n + i for i in range(k)]] = 1 / np.sqrt(k)
-    f = rng.uniform()
-    return f * proj(psi) + (1 - f) * np.eye(m * n) / (m * n)
+KERNEL_KINDS = ["density", "separable_rank_deficient", "non_positive", "noisy_max_entangled"]
 
 
 def _composed_test_min(tau: np.ndarray, dims: tuple[int, int], side: str) -> float:
@@ -515,30 +503,14 @@ def _pure_product_mixture() -> np.ndarray:
 
 
 class TestEigenbasisKernel:
-    @settings(max_examples=80, deadline=None, derandomize=True)
-    @given(
-        kind=st.sampled_from(["density", "separable_rank_deficient", "non_positive", "isotropic"]),
-        dims=st.sampled_from(KERNEL_DIMS),
-        side=st.sampled_from(["a", "b"]),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    def test_test_matrix_matches_stagewise_composition(self, kind, dims, side, seed):
-        tau = _kernel_case(kind, dims, np.random.default_rng(seed))
-        report = tc.compatibility_test(tau, dims, side)
-        assert abs(report.test_min_eigenvalue - _composed_test_min(tau, dims, side)) < 1e-10
-
-    @settings(max_examples=80, deadline=None, derandomize=True)
-    @given(
-        kind=st.sampled_from(["density", "separable_rank_deficient", "non_positive", "isotropic"]),
-        dims=st.sampled_from(KERNEL_DIMS),
-        side=st.sampled_from(["a", "b"]),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    def test_report_matches_public_cptp_oracle(self, kind, dims, side, seed):
-        # The report reads the Choi spectrum off path 1 and decides CP by a Cholesky
-        # factorization; the public is_cptp runs eigvalsh on the returned matrix.
-        tau = _kernel_case(kind, dims, np.random.default_rng(seed))
-        report = tc.compatibility_test(tau, dims, side)
+    @settings(DERANDOMIZED, max_examples=80)
+    @given(case=cases(KERNEL_KINDS, KERNEL_DIMS), side=st.sampled_from(["a", "b"]))
+    def test_report_matches_public_cptp_oracle(self, case, side):
+        # The test matrix's least eigenvalue is the stage-by-stage composition's.  The report reads the Choi
+        # spectrum off path 1 and decides CP by a Cholesky factorization; the public is_cptp runs eigvalsh on
+        # the returned matrix.
+        report = tc.compatibility_test(case.tau, case.dims, side)
+        assert abs(report.test_min_eigenvalue - _composed_test_min(case.tau, case.dims, side)) < 1e-10
         oracle = tc.is_cptp(report.channel, report.tolerance)
         lam = oracle.choi_min_eigenvalue
         assert abs(report.cptp.choi_min_eigenvalue - lam) <= 1e-12 * max(1.0, abs(lam))
@@ -648,11 +620,11 @@ class TestEigenbasisKernel:
         assert sizes["cholesky"] == [12] * (1 + 2 * (1 + 1) + ppt)
         assert sizes["eigvalsh"] == [12] * clearance
 
-    @pytest.mark.parametrize("kind", ["density", "separable_rank_deficient", "non_positive", "isotropic"])
+    @pytest.mark.parametrize("kind", KERNEL_KINDS)
     def test_certify_returns_exactly_hermitian_choi_matrices(self, kind):
         rng = np.random.default_rng(12)
         for dims in KERNEL_DIMS + [(8, 6)]:
-            result = tc.certify(_kernel_case(kind, dims, rng), dims)
+            result = tc.certify(family(kind, dims, rng)[0], dims)
             for report in (result.side_a, result.side_b):
                 c = report.channel.choi
                 assert np.array_equal(c, c.conj().T)
@@ -743,32 +715,6 @@ class TestEigenbasisKernel:
         with pytest.raises(tc.VerdictMismatchError, match="side b: test-matrix verdict True"):
             tc.compatibility_test(tau, (2, 3), "b")
 
-    @settings(max_examples=120, deadline=None, derandomize=True)
-    @given(
-        kind=st.sampled_from(["density", "separable", "separable_rank_deficient", "non_positive"]),
-        dims=st.sampled_from([(m, n) for m in range(2, 6) for n in range(2, 6)]),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    def test_side_reports_need_no_hermiticity_gate(self, kind, dims, seed):
-        # Each side's Choi matrix is returned exactly Hermitian, so its defect is 0.0 and path 2 gates nothing
-        # on it; its reconstruction residual, formed from one matmul, agrees with star_product's (reverse_star's
-        # on side b).  On 8,000 sides of these families the two differed by at most 0.5 eps max(1, max|C|).
-        rng = np.random.default_rng(seed)
-        if kind == "separable":
-            tau = tc.assemble_state(random_faithful_separable(dims, rng))
-        else:
-            tau = _kernel_case(kind, dims, rng)
-        result = tc.certify(tau, dims)
-        for report in (result.side_a, result.side_b):
-            c = report.channel.choi
-            assert np.array_equal(c, c.conj().T)
-            assert report.cptp.hermiticity_defect == 0.0
-            rho = tc.partial_trace(tau, dims, "b" if report.side == "a" else "a")
-            star = tc.star_product if report.side == "a" else tc.reverse_star
-            reference = tc.max_abs(star(report.channel, rho) - tau)
-            unit = float(np.finfo(float).eps) * max(1.0, tc.max_abs(c))
-            assert abs(report.reconstruction_residual - reference) <= 4 * unit
-
     def test_side_report_runs_only_the_gates_its_outputs_need(self, monkeypatch):
         # The one Hermiticity defect is tau's, in its gate; each side runs the TP gate on its Choi matrix and
         # builds its residual with no star product.
@@ -807,182 +753,90 @@ class TestEigenbasisKernel:
         assert shapes == [(6, 6)] + [(2, 3, 2, 3)] * 2 + [(3, 2, 3, 2)] * 2
 
 
-INVARIANCE_DIMS = [(m, n) for m in range(2, 6) for n in range(2, 6)]
-DEFAULT_TOL = tc.DEFAULT_TOLS.psd
+DIMS = [(m, n) for m in range(2, 6) for n in range(2, 6)]
+TOLS = [DEFAULT_TOL, 1e-3, 5e-2]
 # Rounding allowance of a threshold comparison, in units of dim * eps * scale, as in the boundary zone.
 ROUNDING = tc.temporal._ZONE_ROUNDING * float(np.finfo(float).eps)
 
 
-def _invariance_case(kind: str, dims: tuple[int, int], rng: np.random.Generator) -> np.ndarray:
-    m, n = dims
-    if kind == "noisy":
-        f = rng.uniform()
-        return f * tc.random_density(m * n, rank=1, seed=rng) + (1 - f) * np.eye(m * n) / (m * n)
-    if kind == "separable_rank_deficient":
-        return tc.assemble_state(rank_deficient_separable(dims, m - 1, m + n, rng))
-    return random_trace_one_hermitian(dims, rng)
-
-
 class TestInvariances:
-    @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(
-        kind=st.sampled_from(["noisy", "separable_rank_deficient", "non_positive"]),
-        dims=st.sampled_from(INVARIANCE_DIMS),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    def test_factor_swap_exchanges_the_sides(self, kind, dims, seed):
-        # Side a of the swapped operator is side b of the original, to the last bit.
-        tau = _invariance_case(kind, dims, np.random.default_rng(seed))
+    @settings(DERANDOMIZED, max_examples=60)
+    @given(case=cases(["noisy_pure", "separable_rank_deficient", "non_positive"], DIMS))
+    def test_local_unitaries_keep_the_verdicts(self, case):
+        # Factor swap, local unitaries and complex conjugation, each checked against one certification of tau.
+        tau, dims, rng = case.tau, case.dims, case.rng
         original = tc.certify(tau, dims)
+        # Side a of the swapped operator is side b of the original, to the last bit.
         swapped = tc.certify(tc.swap_factors(tau, dims), dims[::-1])
         for mine, theirs in ((swapped.side_a, original.side_b), (swapped.side_b, original.side_a)):
             assert (mine.compatible, mine.boundary) == (theirs.compatible, theirs.boundary)
             assert mine.test_min_eigenvalue == theirs.test_min_eigenvalue
-
-    @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(
-        kind=st.sampled_from(["noisy", "separable_rank_deficient", "non_positive"]),
-        dims=st.sampled_from(INVARIANCE_DIMS),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    def test_local_unitaries_keep_the_verdicts(self, kind, dims, seed):
-        rng = np.random.default_rng(seed)
-        tau = _invariance_case(kind, dims, rng)
+        # Local unitaries keep every spectrum, and so does conj(tau) = tau^T, which has the conjugated marginals
+        # and channels.
         local = tc.tensor(tc.random_unitary(dims[0], seed=rng), tc.random_unitary(dims[1], seed=rng))
-        original = tc.certify(tau, dims)
         rotated = tc.certify(local @ tau @ local.conj().T, dims)
-        for mine, theirs in ((rotated.side_a, original.side_a), (rotated.side_b, original.side_b)):
-            # The test matrix's spectrum is the Choi matrix's, up to 1/n <= 1 on a kernel.
-            scale = max(1.0, float(np.linalg.eigvalsh(theirs.channel.choi)[-1]))
-            assert abs(mine.test_min_eigenvalue - theirs.test_min_eigenvalue) <= 1e-12 * scale
-            if not (mine.boundary or theirs.boundary):
-                assert mine.compatible == theirs.compatible
-
-    @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(
-        kind=st.sampled_from(["noisy", "separable_rank_deficient", "non_positive"]),
-        dims=st.sampled_from(INVARIANCE_DIMS),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    def test_complex_conjugation_keeps_the_verdicts(self, kind, dims, seed):
-        # conj(tau) = tau^T has the conjugated marginals and channels, so every spectrum is kept.
-        tau = _invariance_case(kind, dims, np.random.default_rng(seed))
-        original = tc.certify(tau, dims)
         conjugated = tc.certify(tau.conj(), dims)
-        for mine, theirs in ((conjugated.side_a, original.side_a), (conjugated.side_b, original.side_b)):
-            scale = max(1.0, float(np.linalg.eigvalsh(theirs.channel.choi)[-1]))
-            assert abs(mine.test_min_eigenvalue - theirs.test_min_eigenvalue) <= 1e-12 * scale
-            if not (mine.boundary or theirs.boundary):
-                assert mine.compatible == theirs.compatible
+        for changed in (rotated, conjugated):
+            for mine, theirs in ((changed.side_a, original.side_a), (changed.side_b, original.side_b)):
+                # The test matrix's spectrum is the Choi matrix's, up to 1/n <= 1 on a kernel.
+                scale = max(1.0, float(np.linalg.eigvalsh(theirs.channel.choi)[-1]))
+                assert abs(mine.test_min_eigenvalue - theirs.test_min_eigenvalue) <= 1e-12 * scale
+                if not (mine.boundary or theirs.boundary):
+                    assert mine.compatible == theirs.compatible
         lam, scale = original.ppt_min_eigenvalue, max(1.0, float(np.linalg.norm(tau)))
         assert abs(conjugated.ppt_min_eigenvalue - lam) <= 1e-12 * scale
         # Both flags compare the same spectrum with the same threshold, -tol * scale.
         if abs(lam + DEFAULT_TOL * scale) > ROUNDING * tau.shape[0] * scale:
             assert conjugated.ppt == original.ppt
 
-    @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(dims=st.sampled_from(INVARIANCE_DIMS), weight=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
-    def test_convexity_at_a_fixed_marginal(self, dims, weight, seed):
+    @settings(DERANDOMIZED, max_examples=60)
+    @given(case=cases(["star_mixture"], DIMS))
+    def test_convexity_at_a_fixed_marginal(self, case):
         # At a fixed marginal the test matrix is linear in tau, and weight E1 * rho + (1 - weight) E2 * rho
         # is the state over time of the CPTP mixture: compatible on side a, whose unique temporal
         # channel on a faithful rho is that mixture.
-        rng = np.random.default_rng(seed)
-        m, n = dims
-        rho = tc.random_density(m, seed=rng)
-        e1, e2 = (tc.random_cptp(m, n, -(-m // n) + int(rng.integers(0, 2)), seed=rng) for _ in range(2))
-        tau = weight * tc.star_product(e1, rho) + (1 - weight) * tc.star_product(e2, rho)
-        report = tc.compatibility_test(tau, dims, "a")
+        tau, (m, _), rng = case.tau, case.dims, case.rng
+        report = tc.compatibility_test(tau, case.dims, "a")
         assert report.compatible or report.boundary
         assert report.reconstruction_residual <= 1e-12
         # The map is compared through its action, not by Choi convention.
         inputs = np.stack([tc.random_density(m, seed=rng) for _ in range(3)] + [tc.random_unitary(m, seed=rng)])
-        mixed = weight * tc.apply(e1, inputs) + (1 - weight) * tc.apply(e2, inputs)
-        p = np.linalg.eigvalsh(rho)
+        mixed = tc.apply(case.truth, inputs)  # the family's mixture channel
+        p = np.linalg.eigvalsh(tc.partial_trace(tau, case.dims, "b"))
         assert tc.max_abs(tc.apply(report.channel, inputs) - mixed) <= 1e-13 * p[-1] / p[0]
 
-    @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(
-        kind=st.sampled_from(["faithful", "rank_deficient"]),
-        dims=st.sampled_from(INVARIANCE_DIMS),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    def test_separable_states_are_compatible_both_ways(self, kind, dims, seed):
+    @settings(DERANDOMIZED, max_examples=60)
+    @given(case=cases(["faithful_separable", "separable_rank_deficient"], DIMS))
+    def test_separable_states_are_compatible_both_ways(self, case):
         # A separable tau is E * rho_a for a measure-and-prepare E on either side, so both verdicts hold
         # and both returned channels reproduce tau; separable states are PPT.
-        rng = np.random.default_rng(seed)
-        m, n = dims
-        if kind == "faithful":
-            tau = tc.assemble_state(random_faithful_separable(dims, rng))
-        else:
-            tau = tc.assemble_state(rank_deficient_separable(dims, m - 1, m + n, rng))
-        result = tc.certify(tau, dims)
+        result = tc.certify(case.tau, case.dims)
         for report in (result.side_a, result.side_b):
             assert report.compatible or report.boundary
             assert report.reconstruction_residual <= 1e-12
         assert result.ppt
 
-    @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(
-        dims=st.sampled_from(INVARIANCE_DIMS),
-        rank=st.integers(1, 25),
-        toward_boundary=st.floats(0.0, 0.95),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    def test_ppt_states_outside_the_zone_are_compatible(self, dims, rank, toward_boundary, seed):
-        # A state mixed with white noise to a fraction f of the way to its PPT boundary has a partial
-        # transpose of least eigenvalue at least (1 - f) / d, far outside the zone, so it is compatible
-        # in both directions, as a PPT state must be.
-        rng = np.random.default_rng(seed)
-        d = dims[0] * dims[1]
-        state = tc.random_density(d, rank=min(rank, d), seed=rng)
-        lam = float(np.linalg.eigvalsh(tc.partial_transpose(state, dims, "a"))[0])
-        f = toward_boundary * (1.0 if lam >= 0 else (1 / d) / (1 / d - lam))
-        tau = f * state + (1 - f) * np.eye(d) / d
-        least = float(np.linalg.eigvalsh(tc.partial_transpose(tau, dims, "a"))[0])
-        assert least >= (1 - toward_boundary) / d - 1e-12
-        result = tc.certify(tau, dims)
+    @settings(DERANDOMIZED, max_examples=60)
+    @given(case=cases(["ppt_mixed"], DIMS))
+    def test_ppt_states_outside_the_zone_are_compatible(self, case):
+        # The family's partial transpose has least eigenvalue at least (1 - f) / d, far outside the zone, so
+        # tau is compatible in both directions, as a PPT state must be.
+        result = tc.certify(case.tau, case.dims)
         assert result.ppt
         for report in (result.side_a, result.side_b):
             assert report.compatible and not report.boundary
             assert report.reconstruction_residual <= 1e-12
 
-def _ppt_case(kind: str, dims: tuple[int, int], rng: np.random.Generator) -> tuple[np.ndarray, tuple[int, int]]:
-    m, n = dims
-    if kind == "density":
-        return tc.random_density(m * n, seed=rng), dims
-    if kind == "separable":
-        return tc.assemble_state(tc.random_separable(m, n, m + n, seed=rng)), dims
-    if kind == "isotropic":
-        return _kernel_case(kind, dims, rng), dims
-    if kind == "non_positive":
-        # ||tau||_F up to about 4, mixed toward white noise so that the partial transpose's
-        # least eigenvalue sweeps through 0.
-        f = rng.uniform()
-        wide = random_trace_one_hermitian(dims, rng, strength=rng.uniform(0.5, 8.0))
-        return f * wide + (1 - f) * np.eye(m * n) / (m * n), dims
-    # The partial transpose of c |Phi><Phi| + (1 - c) 1/d with c > 1, on m x m levels: its
-    # marginals are 1/m, and its partial transpose has least eigenvalue -(c - 1) / d and
-    # greatest c (d - 1) / d + 1 / d > 1, so the two PSD floors are far apart.
-    d = m * m
-    phi = np.eye(m).ravel() / np.sqrt(m)
-    c = rng.uniform(1.0, 4.0)
-    return tc.partial_transpose(c * proj(phi) + (1 - c) * np.eye(d) / d, (m, m), "a"), (m, m)
-
 
 class TestPptFlag:
-    @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(
-        kind=st.sampled_from(["density", "non_positive", "separable", "isotropic", "wide_pt"]),
-        dims=st.sampled_from(INVARIANCE_DIMS),
-        seed=st.integers(0, 2**32 - 1),
-        tol=st.sampled_from([DEFAULT_TOL, 1e-3, 5e-2]),
-    )
-    def test_certify_flag_matches_is_ppt(self, kind, dims, seed, tol):
+    @settings(DERANDOMIZED, max_examples=300)
+    @given(case=cases(["density", "wide_non_positive", "separable", "noisy_max_entangled", "wide_pt"], DIMS, TOLS))
+    def test_certify_flag_matches_is_ppt(self, case):
         # certify factors the partial transpose at -10 tol, then at tol * max(1, ||tau||_F);
         # is_ppt solves it and applies -tol * max(1, lambda_max).  The Frobenius norm bounds
         # lambda_max, so the flags may differ only between the two floors, where a density
         # tau (||tau||_F <= 1) never is.
-        tau, dims = _ppt_case(kind, dims, np.random.default_rng(seed))
+        tau, dims, tol = case.tau, case.dims, case.tol
         ok, lam = tc.is_ppt(tau, dims, tol)
         result = tc.certify(tau, dims, tol)
         assert result.ppt_min_eigenvalue == lam
@@ -991,22 +845,6 @@ class TestPptFlag:
         rounding = ROUNDING * tau.shape[0] * scale
         if not -tol * scale - rounding <= lam <= -tol * max(1.0, lam_max) + rounding:
             assert result.ppt == ok
-
-
-def _side_case(
-    kind: str, dims: tuple[int, int], offset: float, tol: float, rng: np.random.Generator
-) -> tuple[np.ndarray, tuple[int, int]]:
-    if kind == "zone":
-        # c |Phi><Phi| + (1 - c) 1/d on m x m levels: its marginals are 1/m, so its test matrix is m times its
-        # partial transpose, of least eigenvalue -c + (1 - c) / m, here offset * tol: in or near the zone.
-        m = dims[0]
-        d = m * m
-        phi = np.eye(m).ravel() / np.sqrt(m)
-        c = (1 - m * offset * tol) / (m + 1)
-        return c * proj(phi) + (1 - c) * np.eye(d) / d, (m, m)
-    if kind == "non_positive":
-        return _ppt_case(kind, dims, rng)
-    return _kernel_case(kind, dims, rng), dims
 
 
 def _block_norms(report: tc.CompatibilityReport, rank: int) -> tuple[float, float]:
@@ -1020,21 +858,19 @@ def _block_norms(report: tc.CompatibilityReport, rank: int) -> tuple[float, floa
 
 
 class TestSideFlag:
-    @settings(max_examples=300, deadline=None, derandomize=True)
+    @settings(DERANDOMIZED, max_examples=300)
     @given(
-        kind=st.sampled_from(["density", "separable_rank_deficient", "non_positive", "isotropic", "zone"]),
-        dims=st.sampled_from(INVARIANCE_DIMS),
-        seed=st.integers(0, 2**32 - 1),
-        tol=st.sampled_from([DEFAULT_TOL, 1e-3, 5e-2]),
-        offset=st.floats(-15.0, 15.0),
+        case=cases(
+            ["density", "separable_rank_deficient", "wide_non_positive", "noisy_max_entangled", "zone"], DIMS, TOLS
+        )
     )
-    def test_side_flags_match_the_spectrum(self, kind, dims, seed, tol, offset):
+    def test_side_flags_match_the_spectrum(self, case):
         # Each side's flags come from Cholesky probes of its support block X at +-zone and tol * scale, with
         # scale = max(1, ||X||_F).  They must match the least eigenvalue lam, solved when read, against the
         # same thresholds, outside the rounding of the probe shifts.  The Frobenius norm bounds
         # lambda_max, so the flags may differ from the rule max(1, lambda_max) only between the two
         # scales' floors (compatible) or zone edges (boundary).
-        tau, dims = _side_case(kind, dims, offset, tol, np.random.default_rng(seed))
+        tau, dims, tol = case.tau, case.dims, case.tol
         result = tc.certify(tau, dims, tol)
         for report, kept in ((result.side_a, "b"), (result.side_b, "a")):
             rank = tc.observable(tc.partial_trace(tau, dims, kept)).rank
@@ -1072,24 +908,18 @@ def _report_bytes(report: tc.CompatibilityReport) -> tuple:
 
 
 class TestProbeOrder:
-    @settings(max_examples=200, deadline=None, derandomize=True)
+    @settings(DERANDOMIZED, max_examples=200)
     @given(
-        kind=st.sampled_from(["density", "separable", "separable_rank_deficient", "non_positive", "zone"]),
-        dims=st.sampled_from(INVARIANCE_DIMS),
-        seed=st.integers(0, 2**32 - 1),
-        tol=st.sampled_from([DEFAULT_TOL, 1e-3, 5e-2]),
-        offset=st.floats(-15.0, 15.0),
+        case=cases(
+            ["density", "faithful_separable", "separable_rank_deficient", "wide_non_positive", "zone"], DIMS, TOLS
+        )
     )
-    def test_probe_order_changes_no_report(self, kind, dims, seed, tol, offset):
+    def test_probe_order_changes_no_report(self, case):
         # certify probes a faithful side of a non-PPT state below the zone first, and any other side above it
         # first.  Each probe shifts its array in place and writes the saved diagonal back, so x4, from which
         # the Choi matrix is built after the probes, and the Choi matrix, probed after it is built, are left
         # as they were, and both orders give the same report to the bit.
-        rng = np.random.default_rng(seed)
-        if kind == "separable":
-            tau = tc.assemble_state(random_faithful_separable(dims, rng))
-        else:
-            tau, dims = _side_case(kind, dims, offset, tol, rng)
+        tau, dims, tol = case.tau, case.dims, case.tol
         validated = tc.temporal._validated(tau, dims)
         probe = tc.temporal._cholesky_cp
 
@@ -1108,24 +938,27 @@ class TestProbeOrder:
 
 
 class TestSideMinima:
-    @settings(max_examples=150, deadline=None, derandomize=True)
-    @given(
-        kind=st.sampled_from(["density", "separable", "separable_rank_deficient", "non_positive"]),
-        dims=st.sampled_from(INVARIANCE_DIMS),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    def test_minima_are_read_off_the_returned_choi(self, kind, dims, seed):
+    @settings(DERANDOMIZED, max_examples=150)
+    @given(case=cases(["density", "faithful_separable", "separable_rank_deficient", "non_positive"], DIMS))
+    def test_minima_are_read_off_the_returned_choi(self, case):
+        # Each side's Choi matrix is returned exactly Hermitian, so its defect is 0.0 and path 2 gates nothing
+        # on it; its reconstruction residual, formed from one matmul, agrees with star_product's (reverse_star's
+        # on side b).  On 8,000 sides of these families the two differed by at most 0.5 eps max(1, max|C|).
         # A side's minima are one eigensolve of the Choi matrix it returns, whose spectrum is its support block
         # X's, plus 1/n on a marginal's kernel, where the test matrix has zeros; they agree with a solve of X
         # rebuilt from tau up to rounding.
-        rng = np.random.default_rng(seed)
-        if kind == "separable":
-            tau = tc.assemble_state(random_faithful_separable(dims, rng))
-        else:
-            tau = _kernel_case(kind, dims, rng)
+        tau, dims = case.tau, case.dims
         validated = tc.temporal._validated(tau, dims)
         result = tc.certify(tau, dims)
         for report in (result.side_a, result.side_b):
+            c = report.channel.choi
+            assert np.array_equal(c, c.conj().T)
+            assert report.cptp.hermiticity_defect == 0.0
+            rho = tc.partial_trace(tau, dims, "b" if report.side == "a" else "a")
+            star = tc.star_product if report.side == "a" else tc.reverse_star
+            reference = tc.max_abs(star(report.channel, rho) - tau)
+            unit = float(np.finfo(float).eps) * max(1.0, tc.max_abs(c))
+            assert abs(report.reconstruction_residual - reference) <= 4 * unit
             s = validated[1][report.side]
             choi_min = float(np.linalg.eigvalsh(report.channel.choi)[0])
             assert float.hex(report.cptp.choi_min_eigenvalue) == float.hex(choi_min)
