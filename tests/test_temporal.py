@@ -795,14 +795,15 @@ class TestInvariances:
         # At a fixed marginal the test matrix is linear in tau, and weight E1 * rho + (1 - weight) E2 * rho
         # is the state over time of the CPTP mixture: compatible on side a, whose unique temporal
         # channel on a faithful rho is that mixture.
-        tau, (m, _), rng = case.tau, case.dims, case.rng
-        report = tc.compatibility_test(tau, case.dims, "a")
+        tau, dims, rng = case.tau, case.dims, case.rng
+        m = dims[0]
+        report = tc.compatibility_test(tau, dims, "a")
         assert report.compatible or report.boundary
         assert report.reconstruction_residual <= 1e-12
         # The map is compared through its action, not by Choi convention.
         inputs = np.stack([tc.random_density(m, seed=rng) for _ in range(3)] + [tc.random_unitary(m, seed=rng)])
         mixed = tc.apply(case.truth, inputs)  # the family's mixture channel
-        p = np.linalg.eigvalsh(tc.partial_trace(tau, case.dims, "b"))
+        p = np.linalg.eigvalsh(tc.partial_trace(tau, dims, "b"))
         assert tc.max_abs(tc.apply(report.channel, inputs) - mixed) <= 1e-13 * p[-1] / p[0]
 
     @settings(DERANDOMIZED, max_examples=60)
