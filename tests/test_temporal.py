@@ -483,6 +483,8 @@ def test_invalid_marginal_error_names_the_side(func, side):
 
 KERNEL_DIMS = [(m, n) for m in (2, 3, 4) for n in (2, 3)]
 KERNEL_KINDS = ["density", "separable_rank_deficient", "non_positive", "noisy_max_entangled"]
+DIMS = [(m, n) for m in range(2, 6) for n in range(2, 6)]
+SIDE_KINDS = ["density", "faithful_separable", "separable_rank_deficient", "non_positive"]
 
 
 def _composed_test_min(tau: np.ndarray, dims: tuple[int, int], side: str) -> float:
@@ -505,12 +507,16 @@ def _pure_product_mixture() -> np.ndarray:
 class TestEigenbasisKernel:
     @settings(DERANDOMIZED, max_examples=80)
     @given(case=cases(KERNEL_KINDS, KERNEL_DIMS), side=st.sampled_from(["a", "b"]))
-    def test_report_matches_public_cptp_oracle(self, case, side):
-        # The test matrix's least eigenvalue is the stage-by-stage composition's.  The report reads the Choi
-        # spectrum off path 1 and decides CP by a Cholesky factorization; the public is_cptp runs eigvalsh on
-        # the returned matrix.
+    def test_test_matrix_matches_stagewise_composition(self, case, side):
         report = tc.compatibility_test(case.tau, case.dims, side)
         assert abs(report.test_min_eigenvalue - _composed_test_min(case.tau, case.dims, side)) < 1e-10
+
+    @settings(DERANDOMIZED, max_examples=80)
+    @given(case=cases(KERNEL_KINDS, KERNEL_DIMS), side=st.sampled_from(["a", "b"]))
+    def test_report_matches_public_cptp_oracle(self, case, side):
+        # The report reads the Choi spectrum off path 1 and decides CP by a Cholesky factorization; the public
+        # is_cptp runs eigvalsh on the returned matrix.
+        report = tc.compatibility_test(case.tau, case.dims, side)
         oracle = tc.is_cptp(report.channel, report.tolerance)
         lam = oracle.choi_min_eigenvalue
         assert abs(report.cptp.choi_min_eigenvalue - lam) <= 1e-12 * max(1.0, abs(lam))
@@ -715,6 +721,24 @@ class TestEigenbasisKernel:
         with pytest.raises(tc.VerdictMismatchError, match="side b: test-matrix verdict True"):
             tc.compatibility_test(tau, (2, 3), "b")
 
+    @settings(DERANDOMIZED, max_examples=120)
+    @given(case=cases(SIDE_KINDS, DIMS))
+    def test_side_reports_need_no_hermiticity_gate(self, case):
+        # Each side's Choi matrix is returned exactly Hermitian, so its defect is 0.0 and path 2 gates nothing
+        # on it; its reconstruction residual, formed from one matmul, agrees with star_product's (reverse_star's
+        # on side b).  On 8,000 sides of these families the two differed by at most 0.5 eps max(1, max|C|).
+        tau, dims = case.tau, case.dims
+        result = tc.certify(tau, dims)
+        for report in (result.side_a, result.side_b):
+            c = report.channel.choi
+            assert np.array_equal(c, c.conj().T)
+            assert report.cptp.hermiticity_defect == 0.0
+            rho = tc.partial_trace(tau, dims, "b" if report.side == "a" else "a")
+            star = tc.star_product if report.side == "a" else tc.reverse_star
+            reference = tc.max_abs(star(report.channel, rho) - tau)
+            unit = float(np.finfo(float).eps) * max(1.0, tc.max_abs(c))
+            assert abs(report.reconstruction_residual - reference) <= 4 * unit
+
     def test_side_report_runs_only_the_gates_its_outputs_need(self, monkeypatch):
         # The one Hermiticity defect is tau's, in its gate; each side runs the TP gate on its Choi matrix and
         # builds its residual with no star product.
@@ -753,36 +777,50 @@ class TestEigenbasisKernel:
         assert shapes == [(6, 6)] + [(2, 3, 2, 3)] * 2 + [(3, 2, 3, 2)] * 2
 
 
-DIMS = [(m, n) for m in range(2, 6) for n in range(2, 6)]
 TOLS = [DEFAULT_TOL, 1e-3, 5e-2]
 # Rounding allowance of a threshold comparison, in units of dim * eps * scale, as in the boundary zone.
 ROUNDING = tc.temporal._ZONE_ROUNDING * float(np.finfo(float).eps)
+INVARIANCE_KINDS = ["noisy_pure", "separable_rank_deficient", "non_positive"]
 
 
 class TestInvariances:
     @settings(DERANDOMIZED, max_examples=60)
-    @given(case=cases(["noisy_pure", "separable_rank_deficient", "non_positive"], DIMS))
-    def test_local_unitaries_keep_the_verdicts(self, case):
-        # Factor swap, local unitaries and complex conjugation, each checked against one certification of tau.
-        tau, dims, rng = case.tau, case.dims, case.rng
-        original = tc.certify(tau, dims)
+    @given(case=cases(INVARIANCE_KINDS, DIMS))
+    def test_factor_swap_exchanges_the_sides(self, case):
         # Side a of the swapped operator is side b of the original, to the last bit.
+        tau, dims = case.tau, case.dims
+        original = tc.certify(tau, dims)
         swapped = tc.certify(tc.swap_factors(tau, dims), dims[::-1])
         for mine, theirs in ((swapped.side_a, original.side_b), (swapped.side_b, original.side_a)):
             assert (mine.compatible, mine.boundary) == (theirs.compatible, theirs.boundary)
             assert mine.test_min_eigenvalue == theirs.test_min_eigenvalue
-        # Local unitaries keep every spectrum, and so does conj(tau) = tau^T, which has the conjugated marginals
-        # and channels.
+
+    @settings(DERANDOMIZED, max_examples=60)
+    @given(case=cases(INVARIANCE_KINDS, DIMS))
+    def test_local_unitaries_keep_the_verdicts(self, case):
+        tau, dims, rng = case.tau, case.dims, case.rng
         local = tc.tensor(tc.random_unitary(dims[0], seed=rng), tc.random_unitary(dims[1], seed=rng))
+        original = tc.certify(tau, dims)
         rotated = tc.certify(local @ tau @ local.conj().T, dims)
+        for mine, theirs in ((rotated.side_a, original.side_a), (rotated.side_b, original.side_b)):
+            # The test matrix's spectrum is the Choi matrix's, up to 1/n <= 1 on a kernel.
+            scale = max(1.0, float(np.linalg.eigvalsh(theirs.channel.choi)[-1]))
+            assert abs(mine.test_min_eigenvalue - theirs.test_min_eigenvalue) <= 1e-12 * scale
+            if not (mine.boundary or theirs.boundary):
+                assert mine.compatible == theirs.compatible
+
+    @settings(DERANDOMIZED, max_examples=60)
+    @given(case=cases(INVARIANCE_KINDS, DIMS))
+    def test_complex_conjugation_keeps_the_verdicts(self, case):
+        # conj(tau) = tau^T has the conjugated marginals and channels, so every spectrum is kept.
+        tau, dims = case.tau, case.dims
+        original = tc.certify(tau, dims)
         conjugated = tc.certify(tau.conj(), dims)
-        for changed in (rotated, conjugated):
-            for mine, theirs in ((changed.side_a, original.side_a), (changed.side_b, original.side_b)):
-                # The test matrix's spectrum is the Choi matrix's, up to 1/n <= 1 on a kernel.
-                scale = max(1.0, float(np.linalg.eigvalsh(theirs.channel.choi)[-1]))
-                assert abs(mine.test_min_eigenvalue - theirs.test_min_eigenvalue) <= 1e-12 * scale
-                if not (mine.boundary or theirs.boundary):
-                    assert mine.compatible == theirs.compatible
+        for mine, theirs in ((conjugated.side_a, original.side_a), (conjugated.side_b, original.side_b)):
+            scale = max(1.0, float(np.linalg.eigvalsh(theirs.channel.choi)[-1]))
+            assert abs(mine.test_min_eigenvalue - theirs.test_min_eigenvalue) <= 1e-12 * scale
+            if not (mine.boundary or theirs.boundary):
+                assert mine.compatible == theirs.compatible
         lam, scale = original.ppt_min_eigenvalue, max(1.0, float(np.linalg.norm(tau)))
         assert abs(conjugated.ppt_min_eigenvalue - lam) <= 1e-12 * scale
         # Both flags compare the same spectrum with the same threshold, -tol * scale.
@@ -940,11 +978,8 @@ class TestProbeOrder:
 
 class TestSideMinima:
     @settings(DERANDOMIZED, max_examples=150)
-    @given(case=cases(["density", "faithful_separable", "separable_rank_deficient", "non_positive"], DIMS))
+    @given(case=cases(SIDE_KINDS, DIMS))
     def test_minima_are_read_off_the_returned_choi(self, case):
-        # Each side's Choi matrix is returned exactly Hermitian, so its defect is 0.0 and path 2 gates nothing
-        # on it; its reconstruction residual, formed from one matmul, agrees with star_product's (reverse_star's
-        # on side b).  On 8,000 sides of these families the two differed by at most 0.5 eps max(1, max|C|).
         # A side's minima are one eigensolve of the Choi matrix it returns, whose spectrum is its support block
         # X's, plus 1/n on a marginal's kernel, where the test matrix has zeros; they agree with a solve of X
         # rebuilt from tau up to rounding.
@@ -952,14 +987,6 @@ class TestSideMinima:
         validated = tc.temporal._validated(tau, dims)
         result = tc.certify(tau, dims)
         for report in (result.side_a, result.side_b):
-            c = report.channel.choi
-            assert np.array_equal(c, c.conj().T)
-            assert report.cptp.hermiticity_defect == 0.0
-            rho = tc.partial_trace(tau, dims, "b" if report.side == "a" else "a")
-            star = tc.star_product if report.side == "a" else tc.reverse_star
-            reference = tc.max_abs(star(report.channel, rho) - tau)
-            unit = float(np.finfo(float).eps) * max(1.0, tc.max_abs(c))
-            assert abs(report.reconstruction_residual - reference) <= 4 * unit
             s = validated[1][report.side]
             choi_min = float(np.linalg.eigvalsh(report.channel.choi)[0])
             assert float.hex(report.cptp.choi_min_eigenvalue) == float.hex(choi_min)
