@@ -276,7 +276,7 @@ def _at(field: list, path: tuple[int, ...]) -> list:
 
 class TestFirstBadEntry:
     @pytest.mark.parametrize("field", list(FIELD_DOCUMENTS))
-    @settings(DERANDOMIZED, max_examples=40)
+    @settings(**DERANDOMIZED, max_examples=40)
     @given(picks=PICKS)
     @example(picks=[(0, "bool"), (1, "short")])  # a shortened list is named before its first entry
     def test_the_first_corrupted_entry_is_named(self, field, picks):
@@ -302,7 +302,7 @@ class TestFirstBadEntry:
         with pytest.raises(ValueError, match=f"^{re.escape(named[min(named)])}$"):
             parse(doc)
 
-    @settings(DERANDOMIZED, max_examples=30)
+    @settings(**DERANDOMIZED, max_examples=30)
     @given(weights=NOT_A_LIST)
     @example(weights=[])
     @example(weights={"0": 1.0})

@@ -39,7 +39,7 @@ def kraus_sum(ops: list[np.ndarray], x: np.ndarray) -> np.ndarray:
 
 
 class TestKernelProperties:
-    @settings(DERANDOMIZED, max_examples=60)
+    @settings(**DERANDOMIZED, max_examples=60)
     @given(dims=DIMS, lead=LEADING, seed=SEEDS)
     def test_apply_is_the_kraus_sum(self, dims, lead, seed):
         dim_in, dim_out = dims
@@ -51,7 +51,7 @@ class TestKernelProperties:
         np.testing.assert_allclose(got, kraus_sum(ops, x), rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("side", ["a", "b"])
-    @settings(DERANDOMIZED, max_examples=60)
+    @settings(**DERANDOMIZED, max_examples=60)
     @given(dims=DIMS, other=st.integers(1, 4), seed=SEEDS)
     def test_apply_to_factor_is_the_kraus_sum_on_one_factor(self, side, dims, other, seed):
         dim_in, dim_out = dims
@@ -67,7 +67,7 @@ class TestKernelProperties:
             want = kraus_sum([np.kron(one, k) for k in ops], t)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
-    @settings(DERANDOMIZED, max_examples=60)
+    @settings(**DERANDOMIZED, max_examples=60)
     @given(dims=DIMS, dim_last=st.integers(1, 5), seed=SEEDS)
     def test_compose_is_the_product_kraus_set(self, dims, dim_last, seed):
         dim_in, dim_mid = dims
@@ -79,7 +79,7 @@ class TestKernelProperties:
         want = tc.from_kraus([f @ e for f in outer for e in inner])
         np.testing.assert_allclose(got.choi, want.choi, rtol=0, atol=1e-12)
 
-    @settings(DERANDOMIZED, max_examples=60)
+    @settings(**DERANDOMIZED, max_examples=60)
     @given(dims=DIMS, seed=SEEDS)
     def test_superoperator_matrix_acts_on_row_major_vectors(self, dims, seed):
         dim_in, dim_out = dims
@@ -90,7 +90,7 @@ class TestKernelProperties:
             tc.superoperator_matrix(e) @ x.ravel(), tc.apply(e, x).ravel(), rtol=0, atol=1e-12
         )
 
-    @settings(DERANDOMIZED, max_examples=60)
+    @settings(**DERANDOMIZED, max_examples=60)
     @given(k=st.integers(1, 4), l=st.integers(1, 4), d=st.integers(1, 5), hermitian=st.booleans(), seed=SEEDS)
     @example(k=1, l=1, d=3, hermitian=False, seed=0)
     def test_pairings_are_traces_of_products(self, k, l, d, hermitian, seed):
@@ -111,7 +111,7 @@ def _swap(t: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
     return t.reshape(da, db, da, db).transpose(1, 0, 3, 2).reshape(da * db, da * db)
 
 
-@settings(DERANDOMIZED, max_examples=80)
+@settings(**DERANDOMIZED, max_examples=80)
 @given(dims=st.tuples(st.integers(1, 5), st.integers(1, 5)), dim_out=st.integers(1, 4), seed=SEEDS)
 @example(dims=(1, 4), dim_out=3, seed=0)
 @example(dims=(5, 1), dim_out=1, seed=1)
@@ -199,7 +199,7 @@ def _hermitian_of_kind(kind: str, d: int, rng: np.random.Generator) -> tuple[np.
     return h, 0.0 if kind == "singular" else float(rng.uniform(-1.0, 1.0))
 
 
-@settings(DERANDOMIZED, max_examples=150)
+@settings(**DERANDOMIZED, max_examples=150)
 @given(d=st.sampled_from([*range(1, 41), 192, 256]),
        kind=st.sampled_from(["positive", "indefinite", "singular", "edge"]), seed=SEEDS)
 @example(d=256, kind="edge", seed=0)

@@ -456,7 +456,7 @@ def test_bad_dims_are_named(dims):
             tc.apply_to_factor(tc.identity_channel(2), tau6, dims, side)
 
 
-@settings(DERANDOMIZED, max_examples=200)
+@settings(**DERANDOMIZED, max_examples=200)
 @given(
     dims=st.tuples(st.integers(1, 6), st.integers(1, 6)),
     kind=st.sampled_from(["density", "non_positive", "skewed"]),
@@ -499,7 +499,7 @@ def _with_fault(m: np.ndarray, fault: str, rng: np.random.Generator) -> np.ndarr
 FAULTS = ["non_hermitian", "trace", "negative", "nan", "inf", "overflow"]
 
 
-@settings(DERANDOMIZED, max_examples=300)
+@settings(**DERANDOMIZED, max_examples=300)
 @given(
     k=st.integers(1, 6),
     d=st.integers(1, 5),
@@ -541,7 +541,7 @@ def _outcome(gate):
         return type(exc), str(exc)
 
 
-@settings(DERANDOMIZED, max_examples=200)
+@settings(**DERANDOMIZED, max_examples=200)
 @given(
     k=st.integers(1, 6),
     d=st.integers(1, 4),
@@ -630,7 +630,7 @@ _ADVERSARIAL_MEMBER = st.tuples(
 )
 
 
-@settings(DERANDOMIZED, max_examples=300)
+@settings(**DERANDOMIZED, max_examples=300)
 @given(
     call=st.sampled_from(list(ADVERSARIAL_CALLS)),
     members=st.lists(_ADVERSARIAL_MEMBER, min_size=1, max_size=3),

@@ -505,13 +505,13 @@ def _pure_product_mixture() -> np.ndarray:
 
 
 class TestEigenbasisKernel:
-    @settings(DERANDOMIZED, max_examples=80)
+    @settings(**DERANDOMIZED, max_examples=80)
     @given(case=cases(KERNEL_KINDS, KERNEL_DIMS), side=st.sampled_from(["a", "b"]))
     def test_test_matrix_matches_stagewise_composition(self, case, side):
         report = tc.compatibility_test(case.tau, case.dims, side)
         assert abs(report.test_min_eigenvalue - _composed_test_min(case.tau, case.dims, side)) < 1e-10
 
-    @settings(DERANDOMIZED, max_examples=80)
+    @settings(**DERANDOMIZED, max_examples=80)
     @given(case=cases(KERNEL_KINDS, KERNEL_DIMS), side=st.sampled_from(["a", "b"]))
     def test_report_matches_public_cptp_oracle(self, case, side):
         # The report reads the Choi spectrum off path 1 and decides CP by a Cholesky factorization; the public
@@ -721,7 +721,7 @@ class TestEigenbasisKernel:
         with pytest.raises(tc.VerdictMismatchError, match="side b: test-matrix verdict True"):
             tc.compatibility_test(tau, (2, 3), "b")
 
-    @settings(DERANDOMIZED, max_examples=120)
+    @settings(**DERANDOMIZED, max_examples=120)
     @given(case=cases(SIDE_KINDS, DIMS))
     def test_side_reports_need_no_hermiticity_gate(self, case):
         # Each side's Choi matrix is returned exactly Hermitian, so its defect is 0.0 and path 2 gates nothing
@@ -784,7 +784,7 @@ INVARIANCE_KINDS = ["noisy_pure", "separable_rank_deficient", "non_positive"]
 
 
 class TestInvariances:
-    @settings(DERANDOMIZED, max_examples=60)
+    @settings(**DERANDOMIZED, max_examples=60)
     @given(case=cases(INVARIANCE_KINDS, DIMS))
     def test_factor_swap_exchanges_the_sides(self, case):
         # Side a of the swapped operator is side b of the original, to the last bit.
@@ -795,7 +795,7 @@ class TestInvariances:
             assert (mine.compatible, mine.boundary) == (theirs.compatible, theirs.boundary)
             assert mine.test_min_eigenvalue == theirs.test_min_eigenvalue
 
-    @settings(DERANDOMIZED, max_examples=60)
+    @settings(**DERANDOMIZED, max_examples=60)
     @given(case=cases(INVARIANCE_KINDS, DIMS))
     def test_local_unitaries_keep_the_verdicts(self, case):
         tau, dims, rng = case.tau, case.dims, case.rng
@@ -809,7 +809,7 @@ class TestInvariances:
             if not (mine.boundary or theirs.boundary):
                 assert mine.compatible == theirs.compatible
 
-    @settings(DERANDOMIZED, max_examples=60)
+    @settings(**DERANDOMIZED, max_examples=60)
     @given(case=cases(INVARIANCE_KINDS, DIMS))
     def test_complex_conjugation_keeps_the_verdicts(self, case):
         # conj(tau) = tau^T has the conjugated marginals and channels, so every spectrum is kept.
@@ -827,7 +827,7 @@ class TestInvariances:
         if abs(lam + DEFAULT_TOL * scale) > ROUNDING * tau.shape[0] * scale:
             assert conjugated.ppt == original.ppt
 
-    @settings(DERANDOMIZED, max_examples=60)
+    @settings(**DERANDOMIZED, max_examples=60)
     @given(case=cases(["star_mixture"], DIMS))
     def test_convexity_at_a_fixed_marginal(self, case):
         # At a fixed marginal the test matrix is linear in tau, and weight E1 * rho + (1 - weight) E2 * rho
@@ -844,7 +844,7 @@ class TestInvariances:
         p = np.linalg.eigvalsh(tc.partial_trace(tau, dims, "b"))
         assert tc.max_abs(tc.apply(report.channel, inputs) - mixed) <= 1e-13 * p[-1] / p[0]
 
-    @settings(DERANDOMIZED, max_examples=60)
+    @settings(**DERANDOMIZED, max_examples=60)
     @given(case=cases(["faithful_separable", "separable_rank_deficient"], DIMS))
     def test_separable_states_are_compatible_both_ways(self, case):
         # A separable tau is E * rho_a for a measure-and-prepare E on either side, so both verdicts hold
@@ -855,7 +855,7 @@ class TestInvariances:
             assert report.reconstruction_residual <= 1e-12
         assert result.ppt
 
-    @settings(DERANDOMIZED, max_examples=60)
+    @settings(**DERANDOMIZED, max_examples=60)
     @given(case=cases(["ppt_mixed"], DIMS))
     def test_ppt_states_outside_the_zone_are_compatible(self, case):
         # The family's partial transpose has least eigenvalue at least (1 - f) / d, far outside the zone, so
@@ -868,7 +868,7 @@ class TestInvariances:
 
 
 class TestPptFlag:
-    @settings(DERANDOMIZED, max_examples=300)
+    @settings(**DERANDOMIZED, max_examples=300)
     @given(case=cases(["density", "wide_non_positive", "separable", "noisy_max_entangled", "wide_pt"], DIMS, TOLS))
     def test_certify_flag_matches_is_ppt(self, case):
         # certify factors the partial transpose at -10 tol, then at tol * max(1, ||tau||_F);
@@ -897,7 +897,7 @@ def _block_norms(report: tc.CompatibilityReport, rank: int) -> tuple[float, floa
 
 
 class TestSideFlag:
-    @settings(DERANDOMIZED, max_examples=300)
+    @settings(**DERANDOMIZED, max_examples=300)
     @given(
         case=cases(
             ["density", "separable_rank_deficient", "wide_non_positive", "noisy_max_entangled", "zone"], DIMS, TOLS
@@ -947,7 +947,7 @@ def _report_bytes(report: tc.CompatibilityReport) -> tuple:
 
 
 class TestProbeOrder:
-    @settings(DERANDOMIZED, max_examples=200)
+    @settings(**DERANDOMIZED, max_examples=200)
     @given(
         case=cases(
             ["density", "faithful_separable", "separable_rank_deficient", "wide_non_positive", "zone"], DIMS, TOLS
@@ -977,7 +977,7 @@ class TestProbeOrder:
 
 
 class TestSideMinima:
-    @settings(DERANDOMIZED, max_examples=150)
+    @settings(**DERANDOMIZED, max_examples=150)
     @given(case=cases(SIDE_KINDS, DIMS))
     def test_minima_are_read_off_the_returned_choi(self, case):
         # A side's minima are one eigensolve of the Choi matrix it returns, whose spectrum is its support block
