@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -328,15 +329,13 @@ def _is_positive_int(v: object) -> bool:
 
 
 def _split(t: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
-    """``t`` as an ``(da, db, da, db)`` array, for dims of two positive ints whose product is its size.
+    """``t`` as an ``(da, db, da, db)`` array, for dims of two positive ints, in order, whose product is its size.
 
     The entries are not checked: the index reshuffles built on this are linear, and run
     mostly on matrices that a gate such as :func:`require_hermitian` has already checked.
     """
-    try:
-        da, db = dims if len(dims) == 2 else (0, 0)
-    except TypeError:  # no len(): None, an int
-        da = db = 0
+    ordered = isinstance(dims, Sequence) or isinstance(dims, np.ndarray) and dims.ndim == 1  # not a set or a dict
+    da, db = dims if ordered and len(dims) == 2 else (0, 0)
     if not (_is_positive_int(da) and _is_positive_int(db)):
         raise ValueError(f"dims must be two positive ints, got {dims!r}")
     a = np.asarray(t, dtype=np.complex128)

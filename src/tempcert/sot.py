@@ -19,7 +19,7 @@ import numpy as np
 
 from .channels import Process, SuperOp, apply
 from .operators import (
-    _HALF, DEFAULT_TOLS, Spectrum, _check_tol, _is_positive_int, _numeric_array, _pairings, _spectrum,
+    _HALF, DEFAULT_TOLS, Spectrum, _check_tol, _hermitian_part, _is_positive_int, _numeric_array, _pairings, _spectrum,
     require_hermitian, swap_factors, tensor,
 )
 
@@ -157,6 +157,7 @@ class CorrelationTable:
     def __post_init__(self) -> None:
         if not _is_positive_int(self.qubits):
             raise ValueError(f"qubits must be a positive int, got {self.qubits!r}")
+        object.__setattr__(self, "qubits", int(self.qubits))  # an np.int64 would wrap 4**qubits below
         t = self.table
         if isinstance(t, np.ndarray) and t.dtype.kind in "biuf":
             t = np.asarray(t, dtype=float)
@@ -207,18 +208,18 @@ _cached_pauli_basis = functools.lru_cache(maxsize=4)(_build_pauli_basis)
 def correlations_from_process(process: Process, qubits: int) -> CorrelationTable:
     """Tabulate two-time expectation values over all Pauli pairs of ``m`` qubits.
 
-    Measuring the light-touch string ``s_a`` leaves ``P+ rho P+ - P- rho P-``
-    over its spectral projectors ``(1 +- s_a)/2``, which is the anticommutator
-    ``{s_a, rho} / 2`` (``rho`` itself for the identity string).  The channel is
-    applied once to the stack of all ``4^m`` anticommutators, and
-    ``table[a, b] = Tr[E({s_a, rho} / 2) s_b]`` is one readout matmul, as ``s_b^T = conj(s_b)``.
+    Measuring the light-touch string ``s_a`` leaves ``P+ rho P+ - P- rho P-`` over its spectral projectors
+    ``(1 +- s_a)/2``: the anticommutator ``{s_a, rho} / 2`` (``rho`` itself for the identity string), which is the
+    Hermitian part of ``s_a rho``, so the stack of all ``4^m`` comes from one matmul.  The channel is applied once
+    to that stack, and ``table[a, b] = Tr[E({s_a, rho} / 2) s_b]`` is one readout matmul, as ``s_b^T = conj(s_b)``.
     """
     d = 2**qubits
     e, rho = process.channel, process.input_state
     if e.dim_in != d or e.dim_out != d:
         raise ValueError(f"process dims ({e.dim_in}, {e.dim_out}) are not {qubits}-qubit algebras")
     strings, readout = _pauli_basis(qubits)
-    out = apply(e, (strings @ rho + rho @ strings) / 2)
+    # {s_a, rho} / 2 = Herm(s_a rho), since rho s_a = (s_a rho)^dag for Hermitian s_a and rho
+    out = apply(e, _hermitian_part((strings.reshape(-1, d) @ rho).reshape(strings.shape)))
     table = out.reshape(4**qubits, d * d) @ readout
     residue = np.max(np.abs(table.imag))
     if residue > DEFAULT_TOLS.imag:
@@ -229,12 +230,13 @@ def correlations_from_process(process: Process, qubits: int) -> CorrelationTable
 def pdm_from_correlations(corr: CorrelationTable) -> np.ndarray:
     """Pseudo-density matrix reproducing a Pauli correlation table.
 
-    Returns ``4^-m sum <s_a, s_b> s_a (x) s_b``: Hermitian with unit trace,
-    but not positive semidefinite in general.
+    Returns ``4^-m sum <s_a, s_b> s_a (x) s_b``: Hermitian with unit trace, but not positive semidefinite in
+    general.  The sum over ``b`` is one real matmul, of the table on the strings' float view.
     """
     strings, _ = _pauli_basis(corr.qubits)
     d = 2**corr.qubits
     flat = strings.reshape(4**corr.qubits, d * d)
     # out[(i, j), (x, y)] = sum_ab s_a[i, j] table[a, b] s_b[x, y], reordered to (i x, j y)
-    out = (flat.T @ (corr.table @ flat)).reshape(d, d, d, d).transpose(0, 2, 1, 3)
+    # a real table times a complex matrix is the table times its float view of (re, im) pairs
+    out = (flat.T @ (corr.table @ flat.view(np.float64)).view(np.complex128)).reshape(d, d, d, d).transpose(0, 2, 1, 3)
     return out.reshape(d * d, d * d) / 4**corr.qubits

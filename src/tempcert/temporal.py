@@ -19,13 +19,13 @@ read off inertia probes: Cholesky factorizations of ``X``, shifted in place and 
 ``+-(10 tol + 64 m n eps) * scale`` of the boundary zone and by the PSD floor ``tol * scale``, where
 ``scale = max(1, ||X||_F)``.  Each factorization calls numpy's LAPACK gufunc ``_umath_linalg.cholesky_lo`` (in
 ``numpy.linalg``) on a Fortran-ordered view: ``np.linalg.cholesky`` adds two copies at a stride of ``m n`` entries.
-The same array, rotated back to the computational basis, is the Choi matrix of
-``E``.  The verdict is cross-checked on the returned Choi matrix by a Cholesky
-factorization shifted by ``5 tol * scale``, which succeeds iff ``E`` is completely
-positive outside the boundary zone, and by the reconstruction residual ``max|E * rho_a - tau|``,
-from one matmul.  The returned matrix is exactly Hermitian by construction, so no Hermiticity gate
-runs on it.  The two paths run one algorithm on different data: the probes read the array before the
-rotation, the cross-check the matrix that is returned.
+``X`` is Hermitian only up to rounding; the probes read its upper triangle, so each verdict is that of ``X``'s
+Hermitian upper completion.  The same array, rotated back to the computational basis, is the Choi matrix of ``E``.
+The verdict is cross-checked on the returned Choi matrix by a Cholesky factorization shifted by ``5 tol * scale``,
+which succeeds iff ``E`` is completely positive outside the boundary zone, and by the reconstruction residual
+``max|E * rho_a - tau|``, from one matmul.  The returned matrix is exactly Hermitian by construction, so no
+Hermiticity gate runs on it.  The two paths run one algorithm on different data: the probes read the array before
+the rotation, the cross-check the matrix that is returned.
 
 :func:`certify` runs both directions and adds the plain PPT flag, one shifted Cholesky factorization of the
 partial transpose (a second checks its ``10 tol`` clearance only when a side of a PPT state reads incompatible),

@@ -222,6 +222,29 @@ def test_cholesky_probe_agrees_with_numpy_cholesky(d, kind, seed):
     assert a.tobytes() == h.tobytes()
 
 
+@pytest.mark.parametrize("dims", [(2, 2), (3, 5), (8, 8)], ids=str)
+@pytest.mark.parametrize("least", [-2.0, -0.5, -0.05, 0.5, 2.0])
+def test_cholesky_probe_reads_the_upper_triangle(dims, least):
+    # Path 1's block X is Hermitian only up to rounding, and the probes read its upper triangle: finite junk in the
+    # strict lower triangle leaves each verdict, at the zone edges and the PSD floor, that of the Hermitian upper
+    # completion.  ``least`` places X's least eigenvalue in units of the zone, so each shift is decided both ways.
+    rng = np.random.default_rng(29)
+    d, tol = dims[0] * dims[1], tc.DEFAULT_TOLS.psd
+    u, _ = np.linalg.qr(complex_normal(rng, (d, d)))
+    p = np.concatenate([[0.0], rng.uniform(0.1, 1.0, d - 1)])
+    scale = max(1.0, float(np.linalg.norm(p)))
+    zone = (10 * tol + tc.temporal._ZONE_ROUNDING * d * float(np.finfo(float).eps)) * scale
+    p[0] = least * zone
+    x = (u * p) @ u.conj().T
+    lower = np.tril_indices(d, -1)
+    x[lower] = 10 * complex_normal(rng, (lower[0].size,))
+    upper = np.triu(x) + np.triu(x, 1).conj().T
+    before = x.tobytes()
+    for shift in (zone, -zone, tol * scale):
+        assert _cholesky_cp(x, shift) == _cholesky_cp(upper, shift) == (p[0] + shift > 0)
+        assert x.tobytes() == before
+
+
 def test_cholesky_gufunc_signals_failure_by_the_invalid_flag():
     # _cholesky_cp reads a failed factorization off this private numpy gufunc, as np.linalg.cholesky does:
     # the output is filled with NaN and the invalid flag set.  A numpy release that changes either fails here.

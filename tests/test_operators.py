@@ -442,10 +442,14 @@ DIMS_CALLS = (
 
 
 @pytest.mark.parametrize(
-    "dims", [(-2, -3), (2.0, 3.0), (6,), (0, 6), (2, 3, 1), (True, 6), (2, False), None, 6], ids=str
+    "dims",
+    [(-2, -3), (2.0, 3.0), (6,), (0, 6), (2, 3, 1), (True, 6), (2, False), None, 6,
+     {3, 2}, frozenset({2, 3}), {2: 2, 3: 3}],
+    ids=str,
 )
 def test_bad_dims_are_named(dims):
-    # Every public function that takes dims, on a valid tau; dims with no len() are refused as well.
+    # Every public function that takes dims, on a valid tau; dims with no len() are refused as well, and so are
+    # unordered dims, a set or a dict, whose unpacking would not say which factor comes first.
     tau6 = tc.random_density(6, seed=7)
     message = f"^dims must be two positive ints, got {re.escape(repr(dims))}$"
     for call in DIMS_CALLS:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import re
 import weakref
 
 import numpy as np
@@ -263,6 +264,16 @@ class TestCorrelationTables:
         with pytest.raises(ValueError, match="\\[-1, 1\\]"):
             tc.CorrelationTable(qubits=1, table=out_of_range)
 
+    def test_numpy_int_qubits_are_stored_as_int(self):
+        # 4**np.int64(32) wraps to 0 in int64, so the shape gate would name (0, 0); an int names the true size.
+        with pytest.raises(ValueError, match=re.escape(f"expected shape {(4**32, 4**32)}, got (4, 4)")):
+            tc.CorrelationTable(qubits=np.int64(32), table=np.eye(4))
+        table = tc.correlations_from_process(tc.Process(tc.identity_channel(2), tc.random_density(2, seed=3)), 1).table
+        corr = tc.CorrelationTable(qubits=np.int64(1), table=table)
+        assert type(corr.qubits) is int
+        want = tc.pdm_from_correlations(tc.CorrelationTable(qubits=1, table=table))
+        assert tc.pdm_from_correlations(corr).tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("at", [(1, 2), (0, 0)], ids=["entry", "identity-pair"])
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_entries_are_named(self, at, value):
@@ -308,6 +319,16 @@ class TestCorrelationTables:
         expected = [[tc.two_time_expectation(s, t, p) for t in strings] for s in strings]
         corr = tc.correlations_from_process(p, m)
         np.testing.assert_allclose(corr.table, expected, rtol=0, atol=1e-13)
+
+    def test_matches_per_pair_expectations_at_four_qubits(self):
+        # The full m=4 oracle is 65,536 pairs; a fixed sample of 64 of them, drawn once from a seeded generator.
+        rng = np.random.default_rng(14)
+        p = tc.Process(tc.random_cptp(16, 16, 2, seed=rng), tc.random_density(16, seed=rng))
+        corr = tc.correlations_from_process(p, 4)
+        strings = list(itertools.product(range(4), repeat=4))
+        for a, b in rng.integers(0, len(strings), size=(64, 2)):
+            expected = tc.two_time_expectation(tc.pauli_string(strings[a]), tc.pauli_string(strings[b]), p)
+            assert abs(corr.table[a, b] - expected) <= 1e-13
 
     def test_mutating_results_leaves_the_next_call_unchanged(self):
         rng = np.random.default_rng(8)
