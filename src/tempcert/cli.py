@@ -3,8 +3,8 @@
 Commands
 --------
 certify   decide temporal compatibility of a bipartite state (exit 0 when
-          compatible in both directions, 2 otherwise, 1 on input errors,
-          3 when the two internal verdict paths disagree)
+          compatible in both directions, 2 otherwise, 1 on input and
+          usage errors, 3 when the two internal verdict paths disagree)
 channel   reconstruct the temporal channel of a state in one direction
 pdm       build the pseudo-density matrix of a Pauli correlation table
 expect    tabulate Pauli-pair two-time expectation values of a process
@@ -133,8 +133,19 @@ def _cmd_bloch(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):  # one line and exit 1, as for bad input; exit 2 is certify's verdict
+        self.exit(1, f"error: {message}\n")
+
+
+def _count(text: str) -> int:
+    if not text.isdecimal():  # argparse names the flag before this message
+        raise argparse.ArgumentTypeError(f"expected an int >= 0, got {text!r}")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tempcert",
         description="Certify whether bipartite quantum statistics admit a direct-cause explanation.",
     )
@@ -174,8 +185,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bloch = sub.add_parser("bloch", parents=[common], help="Bloch point clouds of a two-qubit state")
     p_bloch.add_argument("input", help="state or ensemble document")
     p_bloch.add_argument("--stage", choices=["input", "dephased", "output"], default="output")
-    p_bloch.add_argument("--samples", type=int, default=500)
-    p_bloch.add_argument("--seed", type=int, default=0)
+    p_bloch.add_argument("--samples", type=_count, default=500)
+    p_bloch.add_argument("--seed", type=_count, default=0)
     p_bloch.add_argument("--json", action="store_true", help="emit JSON instead of CSV")
     p_bloch.set_defaults(func=_cmd_bloch)
 

@@ -39,11 +39,11 @@ __all__ = [
 class Tolerances:
     """The numerical thresholds of the toolkit, one field per gate.
 
-    Every threshold reads a field of :data:`DEFAULT_TOLS`, so all verdicts
-    agree on what counts as zero.  No function takes this record or a
-    per-threshold argument; the one per-call setting is the ``tol`` argument
-    of the check and verdict functions (``certify``, ``is_psd``, ``is_cptp``,
-    ...), which defaults to ``psd`` and must be finite and ``>= 0``.
+    Every gate's tolerance reads a field of :data:`DEFAULT_TOLS`, so all verdicts agree on
+    what counts as zero.  No function takes this record or a per-threshold argument; the one
+    per-call setting is the ``tol`` argument of the check and verdict functions (``certify``,
+    ``is_cptp``, ...), finite and ``>= 0``, which defaults to ``psd``.  The rounding floors that
+    the checks add to it, in units of ``eps``, are ``channels``' and ``temporal``'s ``_*_ROUNDING``.
 
     hermiticity  : max-norm bound on ``M - M^dag`` (absolute).
     psd          : eigenvalue floor ``lambda_min >= -psd * max(1, lambda_max)``;

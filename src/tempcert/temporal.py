@@ -414,13 +414,13 @@ class CertificationResult:
     ``ppt`` is decided by one shifted Cholesky factorization of the partial transpose:
     ``lambda_min > -tol * max(1, ||tau||_F)``, the PSD floor of :func:`is_ppt` for any
     density ``tau``.  ``ppt_min_eigenvalue`` is computed on first access, by one
-    eigensolve of the partial transpose of ``tau``'s Hermitian part, which the result holds.
+    eigensolve of the partial transpose of ``tau``'s Hermitian part, held as a view of its buffer.
     """
 
     side_a: CompatibilityReport
     side_b: CompatibilityReport
     ppt: bool
-    _t: np.ndarray = field(repr=False, compare=False)
+    _pt: np.ndarray = field(repr=False, compare=False)
 
     @property
     def compatible_both(self) -> bool:
@@ -429,8 +429,7 @@ class CertificationResult:
     @cached_property
     def ppt_min_eigenvalue(self) -> float:
         """The smallest eigenvalue of the partial transpose on side a."""
-        dims = (self.side_a.channel.dim_in, self.side_a.channel.dim_out)
-        return float(np.linalg.eigvalsh(partial_transpose(self._t, dims, "a"))[0])
+        return _least_eigenvalue(self._pt.reshape(self._pt.shape[0] * self._pt.shape[1], -1))
 
 
 def certify(tau: np.ndarray, dims: tuple[int, int], tol: float = DEFAULT_TOLS.psd) -> CertificationResult:
@@ -455,4 +454,4 @@ def certify(tau: np.ndarray, dims: tuple[int, int], tol: float = DEFAULT_TOLS.ps
             f"PPT state (partial transpose > {10 * tol:.1e}) reported temporally incompatible on side "
             f"{suspects[0].side} (test min eig {suspects[0].test_min_eigenvalue:.3e})"
         )
-    return CertificationResult(side_a=side_a, side_b=side_b, ppt=ppt, _t=t)
+    return CertificationResult(side_a=side_a, side_b=side_b, ppt=ppt, _pt=pt)

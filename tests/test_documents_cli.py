@@ -741,8 +741,55 @@ class TestTolOption:
         path = write(tmp_path, "bell.json", documents.state_document(bell_state(), (2, 2)))
         with pytest.raises(SystemExit) as exit_info:
             main([command[0], path, *command[1:], f"--tol={value}"])
-        assert exit_info.value.code == 2
-        assert f"unrecognized arguments: --tol={value}" in capsys.readouterr().err
+        assert exit_info.value.code == 1
+        err = capsys.readouterr().err
+        assert f"unrecognized arguments: --tol={value}" in err
+        assert err.count("\n") == 1
+
+
+class TestUsageErrors:
+    # Exit 2 is certify's "incompatible" verdict, so a usage error exits 1, as bad input does.
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["nosuch"],
+            ["certify"],
+            ["certify", "s.json", "--tol", "abc"],
+            ["certify", "s.json", "--json", "--text"],
+            ["channel", "s.json", "--side", "C"],
+            ["channel", "s.json", "--bogus"],
+            ["pdm"],
+            ["pdm", "c.json", "extra.json"],
+            ["expect", "p.json"],
+            ["expect", "p.json", "--m", "z"],
+            ["bloch", "s.json", "--stage", "foo"],
+            ["bloch", "s.json", "--s", "3"],
+        ],
+    )
+    def test_bad_argv_exits_1_with_one_line(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("flag", ["--samples", "--seed"])
+    @pytest.mark.parametrize("value", ["-1", "abc", "1.5"])
+    def test_bloch_counts_name_the_flag(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["bloch", "never-read.json", flag, value])
+        assert exit_info.value.code == 1
+        assert capsys.readouterr().err == f"error: argument {flag}: expected an int >= 0, got {value!r}\n"
+
+    @pytest.mark.parametrize("argv", [["--help"], ["certify", "--help"], ["bloch", "--help"]])
+    def test_help_exits_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: tempcert")
 
 
 class TestMissingFile:
