@@ -97,7 +97,9 @@ def _cmd_pdm(args: argparse.Namespace) -> int:
 
 def _cmd_expect(args: argparse.Namespace) -> int:
     process = documents.parse_process_document(documents.load_document(args.input))
-    corr = correlations_from_process(process, args.m)
+    # read off dim_in when not given; a dim that is not a power of 2 is refused by correlations_from_process
+    qubits = int(process.channel.dim_in).bit_length() - 1 if args.m is None else args.m
+    corr = correlations_from_process(process, qubits)
     doc = documents.correlations_document(corr)
     _write_text(documents.dump_document(doc) + "\n", args.out)
     return 0
@@ -179,7 +181,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_expect = sub.add_parser("expect", parents=[common], help="Pauli correlation table of a process")
     p_expect.add_argument("input", help="process document")
-    p_expect.add_argument("--m", type=int, required=True, help="number of qubits per side")
+    p_expect.add_argument("--m", type=int, help="number of qubits per side (default: read off the process)")
     p_expect.set_defaults(func=_cmd_expect)
 
     p_bloch = sub.add_parser("bloch", parents=[common], help="Bloch point clouds of a two-qubit state")

@@ -12,15 +12,14 @@ values of light-touch observables (observables whose spectrum is ``{lam}`` or
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channels import Process, SuperOp, apply
 from .operators import (
-    _HALF, DEFAULT_TOLS, Spectrum, _check_tol, _hermitian_part, _is_positive_int, _numeric_array, _pairings, _spectrum,
-    require_hermitian, swap_factors, tensor,
+    _HALF, DEFAULT_TOLS, Spectrum, _check_tol, _is_positive_int, _numeric_array, _pairings, _spectrum, require_hermitian,
+    swap_factors, tensor,
 )
 
 __all__ = [
@@ -51,12 +50,21 @@ def observable(m: np.ndarray) -> Spectrum:
     return _spectrum(require_hermitian(m))
 
 
+def _pauli_digits(alpha: tuple[int, ...], qubits: int | None = None) -> tuple[int, ...]:
+    """The one gate on Pauli indices: nonempty, of ints in 0..3 (not bools), and ``qubits`` of them if given."""
+    digits = tuple(alpha) if isinstance(alpha, (tuple, list)) else ()
+    if not digits or not all(isinstance(a, (int, np.integer)) and type(a) is not bool and 0 <= a <= 3 for a in digits):
+        raise ValueError(f"Pauli indices must be in 0..3, got {alpha!r}")
+    if qubits is not None and len(digits) != qubits:
+        raise ValueError(f"expected {qubits} Pauli indices, got {alpha!r}")
+    return digits
+
+
 def pauli_string(alpha: tuple[int, ...]) -> Spectrum:
     """The multi-qubit Pauli observable ``sigma_a1 (x) ... (x) sigma_am``."""
-    if not alpha or any(a not in (0, 1, 2, 3) for a in alpha):
-        raise ValueError(f"Pauli indices must be in 0..3, got {alpha!r}")
-    mat = PAULIS[alpha[0]]
-    for a in alpha[1:]:
+    digits = _pauli_digits(alpha)
+    mat = PAULIS[digits[0]]
+    for a in digits[1:]:
         mat = np.kron(mat, PAULIS[a])
     return observable(mat)
 
@@ -64,9 +72,19 @@ def pauli_string(alpha: tuple[int, ...]) -> Spectrum:
 def pauli_index(alpha: tuple[int, ...]) -> int:
     """Base-4 row index of a Pauli string in a correlation table."""
     idx = 0
-    for a in alpha:
-        idx = 4 * idx + a
+    for a in _pauli_digits(alpha):
+        idx = 4 * idx + int(a)
     return idx
+
+
+def _star(e: SuperOp, r: np.ndarray) -> np.ndarray:
+    """``{r (x) 1, J[E]}`` as an ``(m, n, m, n)`` array, for a gated ``r`` of the input dim: twice ``E * r``."""
+    # (r (x) 1) J and J (r (x) 1) as one matmul each
+    m, n = e.dim_in, e.dim_out
+    j = e.choi.reshape(m, n, m, n).transpose(2, 1, 0, 3)  # J[E], the Choi matrix transposed on the input
+    s = (r @ j.reshape(m, n * m * n)).reshape(m, n, m, n)
+    s += (j.transpose(0, 1, 3, 2).reshape(m * n * n, m) @ r).reshape(m, n, n, m).transpose(0, 1, 3, 2)
+    return s
 
 
 def star_product(e: SuperOp, rho: np.ndarray) -> np.ndarray:
@@ -77,12 +95,8 @@ def star_product(e: SuperOp, rho: np.ndarray) -> np.ndarray:
     r = require_hermitian(rho)
     if r.shape[0] != e.dim_in:
         raise ValueError(f"state dim {r.shape[0]} does not match channel input dim {e.dim_in}")
-    # (r (x) 1) J and J (r (x) 1) as one matmul each
-    m, n = e.dim_in, e.dim_out
-    j = e.choi.reshape(m, n, m, n).transpose(2, 1, 0, 3)  # J[E], the Choi matrix transposed on the input
-    s = (r @ j.reshape(m, n * m * n)).reshape(m, n, m, n)
-    s += (j.transpose(0, 1, 3, 2).reshape(m * n * n, m) @ r).reshape(m, n, n, m).transpose(0, 1, 3, 2)
-    return np.multiply(s, _HALF, out=s).reshape(m * n, m * n)
+    s = _star(e, r)
+    return np.multiply(s, _HALF, out=s).reshape(e.dim_in * e.dim_out, -1)
 
 
 def reverse_star(f: SuperOp, rho_b: np.ndarray) -> np.ndarray:
@@ -163,65 +177,51 @@ class CorrelationTable:
             t = np.asarray(t, dtype=float)
         else:  # the complex gate, so that a nonzero imaginary part is refused rather than dropped
             t = _numeric_array(t, "table", real=True)
-        # Counted in place: correlations_from_process passes a strided table.real, which _finite would copy.
-        if np.count_nonzero(np.isfinite(t)) != t.size:
+        peak = np.abs(t).max(initial=0.0)
+        if not peak < np.inf:  # a NaN entry makes the peak NaN
             raise ValueError("correlation table contains non-finite entries")
         size = 4**self.qubits
         if t.shape != (size, size):
             raise ValueError(f"incomplete table: expected shape {(size, size)}, got {t.shape}")
         if abs(t[0, 0] - 1.0) > DEFAULT_TOLS.trace:
             raise ValueError(f"identity-pair entry must be 1, got {t[0, 0]!r}")
-        if np.max(np.abs(t)) > 1.0 + DEFAULT_TOLS.correlation:
+        if peak > 1.0 + DEFAULT_TOLS.correlation:
             raise ValueError("expectation values must lie in [-1, 1]")
         object.__setattr__(self, "table", t)
 
     def entry(self, alpha: tuple[int, ...], beta: tuple[int, ...]) -> float:
-        return float(self.table[pauli_index(alpha), pauli_index(beta)])
+        """The expectation value of the pair ``(sigma_alpha, sigma_beta)``, each a string of ``qubits`` indices."""
+        a, b = (_pauli_digits(x, self.qubits) for x in (alpha, beta))
+        return float(self.table[pauli_index(a), pauli_index(b)])
 
 
-def _pauli_basis(qubits: int) -> tuple[np.ndarray, np.ndarray]:
-    """All ``4^m`` Pauli strings as a ``(4^m, 2^m, 2^m)`` stack in :func:`pauli_index` order,
-    and the readout matrix whose column ``b`` is ``conj(s_b)`` flattened.
-
-    Both arrays are read-only.  They are built once per qubit count up to 4 qubits (1 MB each at
-    4) and kept; larger bases (16 MB each at 5 qubits, 256 MB at 6) are built per call and not kept.
-    """
-    return _cached_pauli_basis(qubits) if qubits <= 4 else _build_pauli_basis(qubits)
-
-
-def _build_pauli_basis(qubits: int) -> tuple[np.ndarray, np.ndarray]:
-    paulis = np.stack(PAULIS)
-    basis = np.ones((1, 1, 1), dtype=np.complex128)
-    for _ in range(qubits):
-        d = 2 * basis.shape[1]
-        outer = basis[:, None, :, None, :, None] * paulis[None, :, None, :, None, :]
-        basis = outer.reshape(4 * len(basis), d, d)
-    readout = np.ascontiguousarray(basis.conj().reshape(len(basis), -1).T)
-    basis.flags.writeable = False
-    readout.flags.writeable = False
-    return basis, readout
-
-
-_cached_pauli_basis = functools.lru_cache(maxsize=4)(_build_pauli_basis)
+# Two-qubit change of basis: row (a, b) of _FROM_PAULI is the string sigma_a (x) sigma_b / 4 flattened, and x.ravel()
+# @ _TO_PAULI is Tr[x (sigma_a (x) sigma_b)] for a 4 x 4 x; they are inverse, as Tr[s_a s_b] = 4 delta_ab.
+_FROM_PAULI = np.stack([np.kron(p, q).ravel() for p in PAULIS for q in PAULIS]) / 4
+_TO_PAULI = np.ascontiguousarray(4 * _FROM_PAULI.conj().T)
+_HALF_TO_PAULI = _TO_PAULI * _HALF  # the first step of a table, with the anticommutator's 1/2 folded in
 
 
 def correlations_from_process(process: Process, qubits: int) -> CorrelationTable:
     """Tabulate two-time expectation values over all Pauli pairs of ``m`` qubits.
 
-    Measuring the light-touch string ``s_a`` leaves ``P+ rho P+ - P- rho P-`` over its spectral projectors
-    ``(1 +- s_a)/2``: the anticommutator ``{s_a, rho} / 2`` (``rho`` itself for the identity string), which is the
-    Hermitian part of ``s_a rho``, so the stack of all ``4^m`` comes from one matmul.  The channel is applied once
-    to that stack, and ``table[a, b] = Tr[E({s_a, rho} / 2) s_b]`` is one readout matmul, as ``s_b^T = conj(s_b)``.
+    Pauli strings are light-touch, so ``table[a, b] = Tr[(E * rho)(s_a (x) s_b)]``, the Pauli expansion of the state
+    over time.  Its ``2m`` qubits, input first, fall into ``m`` pairs; one transpose of ``2 (E * rho)`` puts each
+    pair's row index next to its column index, and each of ``m`` matmuls by :data:`_TO_PAULI` takes the leading pair
+    to its 16 Pauli coefficients and moves them to the back, ending in :func:`pauli_index` order: ``O(m 16^m)`` work.
     """
+    if not _is_positive_int(qubits):
+        raise ValueError(f"qubits must be a positive int, got {qubits!r}")
     d = 2**qubits
     e, rho = process.channel, process.input_state
     if e.dim_in != d or e.dim_out != d:
         raise ValueError(f"process dims ({e.dim_in}, {e.dim_out}) are not {qubits}-qubit algebras")
-    strings, readout = _pauli_basis(qubits)
-    # {s_a, rho} / 2 = Herm(s_a rho), since rho s_a = (s_a rho)^dag for Hermitian s_a and rho
-    out = apply(e, _hermitian_part((strings.reshape(-1, d) @ rho).reshape(strings.shape)))
-    table = out.reshape(4**qubits, d * d) @ readout
-    residue = np.max(np.abs(table.imag))
+    pairs = sum(zip(range(qubits), range(qubits, 2 * qubits)), ())  # pair 1's row and column axes, then pair 2's...
+    x = _star(e, rho).reshape((4,) * 2 * qubits).transpose(pairs)  # rho is gated by Process
+    for factor in [_HALF_TO_PAULI] + [_TO_PAULI] * (qubits - 1):
+        x = x.reshape(16, -1).T @ factor
+    table = x.reshape(d * d, d * d)
+    residue = np.abs(table.imag).max()
     if residue > DEFAULT_TOLS.imag:
         raise ValueError(f"two-time expectation has imaginary residue {residue:.3e}")
     return CorrelationTable(qubits=qubits, table=table.real)
@@ -231,12 +231,11 @@ def pdm_from_correlations(corr: CorrelationTable) -> np.ndarray:
     """Pseudo-density matrix reproducing a Pauli correlation table.
 
     Returns ``4^-m sum <s_a, s_b> s_a (x) s_b``: Hermitian with unit trace, but not positive semidefinite in
-    general.  The sum over ``b`` is one real matmul, of the table on the strings' float view.
+    general.  It is :func:`correlations_from_process` run backwards, by :data:`_FROM_PAULI`.
     """
-    strings, _ = _pauli_basis(corr.qubits)
-    d = 2**corr.qubits
-    flat = strings.reshape(4**corr.qubits, d * d)
-    # out[(i, j), (x, y)] = sum_ab s_a[i, j] table[a, b] s_b[x, y], reordered to (i x, j y)
+    q, d = corr.qubits, 2**corr.qubits
     # a real table times a complex matrix is the table times its float view of (re, im) pairs
-    out = (flat.T @ (corr.table @ flat.view(np.float64)).view(np.complex128)).reshape(d, d, d, d).transpose(0, 2, 1, 3)
-    return out.reshape(d * d, d * d) / 4**corr.qubits
+    x = (corr.table.reshape(16, -1).T @ _FROM_PAULI.view(np.float64)).view(np.complex128)
+    for _ in range(q - 1):
+        x = x.reshape(16, -1).T @ _FROM_PAULI
+    return x.reshape((4,) * 2 * q).transpose([*range(0, 2 * q, 2), *range(1, 2 * q, 2)]).reshape(d * d, d * d)

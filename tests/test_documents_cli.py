@@ -661,6 +661,30 @@ class TestExpectCommand:
         expected = tc.star_product(proc.channel, proc.input_state)
         assert tc.max_abs(state - expected) < 1e-10
 
+    def test_qubits_are_read_off_the_process(self, tmp_path, capsys):
+        proc = tc.Process(channel=tc.random_cptp(4, 4, 2, seed=9), input_state=tc.random_density(4, seed=10))
+        path = write(tmp_path, "proc.json", documents.process_document(proc))
+        assert main(["expect", path]) == 0
+        corr = documents.parse_correlations_document(json.loads(capsys.readouterr().out))
+        assert corr.qubits == 2
+        assert corr.table.tobytes() == tc.correlations_from_process(proc, 2).table.tobytes()
+        assert main(["expect", path, "--m", "2"]) == 0
+        again = documents.parse_correlations_document(json.loads(capsys.readouterr().out))
+        assert again.table.tobytes() == corr.table.tobytes()
+
+    @pytest.mark.parametrize("m", ["1", "3"])
+    def test_mismatched_m_exits_1(self, tmp_path, capsys, m):
+        proc = tc.Process(channel=tc.identity_channel(4), input_state=np.eye(4) / 4)
+        path = write(tmp_path, "proc.json", documents.process_document(proc))
+        assert main(["expect", path, "--m", m]) == 1
+        assert capsys.readouterr().err == f"error: process dims (4, 4) are not {m}-qubit algebras\n"
+
+    def test_non_qubit_process_exits_1(self, tmp_path, capsys):
+        proc = tc.Process(channel=tc.identity_channel(3), input_state=np.eye(3) / 3)
+        path = write(tmp_path, "proc.json", documents.process_document(proc))
+        assert main(["expect", path]) == 1
+        assert capsys.readouterr().err == "error: process dims (3, 3) are not 1-qubit algebras\n"
+
 
 class TestBlochCommand:
     def test_maximally_mixed_marginal_dephased_equals_input(self, tmp_path):
@@ -761,7 +785,7 @@ class TestUsageErrors:
             ["channel", "s.json", "--bogus"],
             ["pdm"],
             ["pdm", "c.json", "extra.json"],
-            ["expect", "p.json"],
+            ["expect", "p.json", "--m"],
             ["expect", "p.json", "--m", "z"],
             ["bloch", "s.json", "--stage", "foo"],
             ["bloch", "s.json", "--s", "3"],
@@ -796,3 +820,12 @@ class TestMissingFile:
     def test_nonexistent_input(self, capsys):
         assert main(["certify", "/nonexistent/state.json"]) == 1
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_expect_without_m_reads_the_missing_file(self, tmp_path, monkeypatch, capsys):
+        # --m is optional, so this argv is no usage error: the exit 1 is returned, for the file that is not there.
+        monkeypatch.chdir(tmp_path)
+        assert main(["expect", "p.json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "p.json" in captured.err
+        assert captured.err.count("\n") == 1

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import itertools
 import re
-import weakref
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +18,7 @@ from conftest import (
 )
 
 import tempcert as tc
-from tempcert.sot import _pauli_basis
+from tempcert.sot import _FROM_PAULI, _TO_PAULI
 
 SWAP = np.array(
     [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
@@ -46,31 +46,38 @@ class TestPauliStrings:
         with pytest.raises(ValueError, match="0..3"):
             tc.pauli_string((4,))
 
-    @pytest.mark.parametrize("m", [1, 2, 3])
-    def test_basis_stack_matches_pauli_string(self, m):
-        basis, readout = _pauli_basis(m)
-        assert basis.shape == (4**m, 2**m, 2**m)
-        assert readout.shape == (4**m, 4**m)
-        for a in itertools.product(range(4), repeat=m):
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: tc.pauli_index((7,)),
+            lambda: tc.pauli_index(()),
+            lambda: tc.pauli_index(3),
+            lambda: tc.pauli_string((True,)),
+            lambda: tc.pauli_string((1.0,)),
+            lambda: tc.pauli_string((0, -1)),
+        ],
+        ids=["index-7", "index-empty", "index-not-a-tuple", "string-bool", "string-float", "string-negative"],
+    )
+    def test_indices_are_gated(self, call):
+        with pytest.raises(ValueError, match=r"^Pauli indices must be in 0\.\.3, got "):
+            call()
+
+    def test_numpy_int_indices_are_accepted(self):
+        assert tc.pauli_index((np.int64(1), np.int8(3))) == tc.pauli_index((1, 3)) == 7
+        assert type(tc.pauli_index((np.int64(1),))) is int
+        np.testing.assert_array_equal(tc.pauli_string((np.int64(2),)).matrix, tc.PAULIS[2])
+
+    def test_pair_factors_match_pauli_string(self):
+        # Row (a, b) of _FROM_PAULI is the two-qubit string s_ab / 4 flattened, and column (a, b) of _TO_PAULI reads
+        # Tr[x s_ab] off a flattened x: it is s_ab^T flattened, which is conj(s_ab) for a Hermitian string.
+        for a in itertools.product(range(4), repeat=2):
             s = tc.pauli_string(a).matrix
-            np.testing.assert_array_equal(basis[tc.pauli_index(a)], s)
-            np.testing.assert_array_equal(readout[:, tc.pauli_index(a)], s.conj().ravel())
+            np.testing.assert_array_equal(_FROM_PAULI[tc.pauli_index(a)], s.ravel() / 4)
+            np.testing.assert_array_equal(_TO_PAULI[:, tc.pauli_index(a)], s.T.ravel())
 
-    def test_bases_above_four_qubits_are_not_kept(self):
-        # A 5-qubit basis takes 16 MB per array; it is built per call and freed with its last user.
-        basis, readout = _pauli_basis(5)
-        assert basis.shape == (4**5, 2**5, 2**5)
-        assert not basis.flags.writeable and not readout.flags.writeable
-        kept = weakref.ref(basis)
-        del basis, readout
-        assert kept() is None
-        assert _pauli_basis(2)[0] is _pauli_basis(2)[0]
-
-    def test_cached_basis_is_read_only(self):
-        for array in _pauli_basis(2):
-            assert not array.flags.writeable
-            with pytest.raises(ValueError, match="read-only"):
-                array[0, 0] = 0
+    def test_pair_factors_invert_each_other(self):
+        np.testing.assert_array_equal(_FROM_PAULI @ _TO_PAULI, np.eye(16))
+        np.testing.assert_array_equal(_TO_PAULI @ _FROM_PAULI, np.eye(16))
 
 
 class TestStarProduct:
@@ -322,13 +329,23 @@ class TestCorrelationTables:
 
     def test_matches_per_pair_expectations_at_four_qubits(self):
         # The full m=4 oracle is 65,536 pairs; a fixed sample of 64 of them, drawn once from a seeded generator.
-        rng = np.random.default_rng(14)
-        p = tc.Process(tc.random_cptp(16, 16, 2, seed=rng), tc.random_density(16, seed=rng))
-        corr = tc.correlations_from_process(p, 4)
-        strings = list(itertools.product(range(4), repeat=4))
-        for a, b in rng.integers(0, len(strings), size=(64, 2)):
-            expected = tc.two_time_expectation(tc.pauli_string(strings[a]), tc.pauli_string(strings[b]), p)
-            assert abs(corr.table[a, b] - expected) <= 1e-13
+        _check_sampled_pairs(4, np.random.default_rng(14), 64)
+
+    def test_matches_per_pair_expectations_at_five_qubits(self):
+        # 16 of 1,048,576 pairs: each oracle call pushes a stack through the 1024 x 1024 Choi matrix.
+        _check_sampled_pairs(5, np.random.default_rng(15), 16)
+
+    @pytest.mark.parametrize(
+        "alpha, beta",
+        [((1,), (1,)), ((1, 0), (1,)), ((1, 0, 0), (1, 0)), ((1, 0), (1, 4)), ((), ())],
+        ids=["both-short", "beta-short", "alpha-long", "bad-index", "empty"],
+    )
+    def test_entry_takes_one_string_of_qubits_indices_per_side(self, alpha, beta):
+        # Unchecked, a 1-qubit pair on a 2-qubit table would read index 1, the (I (x) X, I (x) X) entry.
+        corr = tc.correlations_from_process(tc.Process(tc.identity_channel(4), np.eye(4) / 4), 2)
+        assert corr.entry((0, 1), (0, 1)) == 1.0
+        with pytest.raises(ValueError, match="Pauli indices"):
+            corr.entry(alpha, beta)
 
     def test_mutating_results_leaves_the_next_call_unchanged(self):
         rng = np.random.default_rng(8)
@@ -348,10 +365,28 @@ class TestCorrelationTables:
         with pytest.raises(ValueError, match="imaginary residue"):
             tc.correlations_from_process(p, 1)
 
+    @pytest.mark.parametrize("qubits", [0, -1, True, 1.0])
+    def test_qubit_count_is_gated(self, qubits):
+        # At qubits=0 a 1-dim process passes the dims check, and the transform would fail in numpy's reshape.
+        p = tc.Process(channel=tc.identity_channel(1), input_state=np.eye(1))
+        with pytest.raises(ValueError, match="^qubits must be a positive int, got "):
+            tc.correlations_from_process(p, qubits)
+
     def test_non_qubit_dims_rejected(self):
         p = tc.Process(channel=tc.identity_channel(3), input_state=np.eye(3) / 3)
         with pytest.raises(ValueError, match="qubit"):
             tc.correlations_from_process(p, 1)
+
+
+def _check_sampled_pairs(m: int, rng: np.random.Generator, samples: int) -> None:
+    """Sampled table entries of a random m-qubit process against the two-time expectation of their Pauli pair."""
+    d = 2**m
+    p = tc.Process(tc.random_cptp(d, d, 2, seed=rng), tc.random_density(d, seed=rng))
+    corr = tc.correlations_from_process(p, m)
+    strings = list(itertools.product(range(4), repeat=m))
+    for a, b in rng.integers(0, len(strings), size=(samples, 2)):
+        expected = tc.two_time_expectation(tc.pauli_string(strings[a]), tc.pauli_string(strings[b]), p)
+        assert abs(corr.table[a, b] - expected) <= 1e-13
 
 
 class TestPdm:
@@ -385,13 +420,26 @@ class TestPdm:
                 value = np.trace(r @ tc.tensor(tc.PAULIS[a], tc.PAULIS[b])).real
                 assert abs(value - corr.table[a, b]) < 1e-10
 
-    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
     def test_round_trip_equals_star_product(self, m):
         rng = np.random.default_rng(m)
         d = 2**m
-        for _ in range(3):
+        for _ in range(3 if m < 5 else 1):
             e = tc.random_cptp(d, d, 2, seed=rng)
             rho = tc.random_density(d, seed=rng)
             p = tc.Process(channel=e, input_state=rho)
             r = tc.pdm_from_correlations(tc.correlations_from_process(p, m))
-            assert tc.max_abs(r - tc.star_product(e, rho)) < 1e-10
+            assert tc.max_abs(r - tc.star_product(e, rho)) < 1e-12
+
+    def test_five_qubit_round_trip_peaks_below_four_state_sizes(self):
+        # The state over time, its paired copy and one matmul output are live at once: 3 sizes of the 1024 x 1024
+        # complex tau.
+        rng = np.random.default_rng(55)
+        p = tc.Process(tc.random_cptp(32, 32, 2, seed=rng), tc.random_density(32, seed=rng))
+        tracemalloc.start()
+        try:
+            tc.pdm_from_correlations(tc.correlations_from_process(p, 5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 1024**2 * 16
