@@ -160,13 +160,12 @@ class CptpReport:
 
     ``choi_min_eigenvalue`` is read from ``_least_eigenvalue`` on first access: :func:`is_cptp` hands
     over the eigenvalue it solved, and ``certify`` a function that solves the Choi matrix it returns.
-    ``hermiticity_defect`` is ``max|C - C^dag|``: 0.0 on a ``certify`` side, whose Choi matrix is exactly Hermitian.
+    The Hermiticity defect ``max|C - C^dag|`` that :func:`is_cptp` gates is :func:`hermiticity_defect` of ``C``.
     """
 
     cp: bool
     tp: bool
     trace_residual: float
-    hermiticity_defect: float
     _least_eigenvalue: Callable[[], float] = field(repr=False, compare=False)
 
     @property
@@ -215,7 +214,6 @@ def is_cptp(e: SuperOp, tol: float = DEFAULT_TOLS.psd) -> CptpReport:
         cp=herm_ok and lam_min >= -(tol + _CHOI_ROUNDING * len(w) * _EPS) * scale,
         tp=tp,
         trace_residual=trace_residual,
-        hermiticity_defect=float(herm),
         _least_eigenvalue=partial(float, lam_min),  # a partial, not a lambda, so that the report pickles
     )
 

@@ -97,9 +97,7 @@ def _cmd_pdm(args: argparse.Namespace) -> int:
 
 def _cmd_expect(args: argparse.Namespace) -> int:
     process = documents.parse_process_document(documents.load_document(args.input))
-    # read off dim_in when not given; a dim that is not a power of 2 is refused by correlations_from_process
-    qubits = int(process.channel.dim_in).bit_length() - 1 if args.m is None else args.m
-    corr = correlations_from_process(process, qubits)
+    corr = correlations_from_process(process, args.m)
     doc = documents.correlations_document(corr)
     _write_text(documents.dump_document(doc) + "\n", args.out)
     return 0
@@ -165,10 +163,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_certify = sub.add_parser("certify", parents=[with_tol], help="certify temporal compatibility")
     p_certify.add_argument("input", help="state or ensemble document")
-    fmt = p_certify.add_mutually_exclusive_group()
-    fmt.add_argument("--json", action="store_true", help="emit the report as a JSON document")
-    fmt.add_argument("--text", dest="json", action="store_false", help="emit a plain-text report (default)")
-    p_certify.set_defaults(func=_cmd_certify, json=False)
+    p_certify.add_argument("--json", action="store_true", help="emit the report as a JSON document, not text")
+    p_certify.set_defaults(func=_cmd_certify)
 
     p_channel = sub.add_parser("channel", parents=[with_tol], help="reconstruct the temporal channel")
     p_channel.add_argument("input", help="state or ensemble document")

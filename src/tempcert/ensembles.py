@@ -35,10 +35,6 @@ __all__ = [
 Seed = int | np.random.Generator | None
 
 
-def _rng(seed: Seed) -> np.random.Generator:
-    return np.random.default_rng(seed)
-
-
 def _members(matrices: object, name: str) -> np.ndarray:
     """The members of the field ``name`` as one complex array.  A ``ValueError`` names the first member that is
     ragged or holds a non-number, or else the members' shapes, which then differ."""
@@ -96,7 +92,7 @@ def assemble_state(ensemble: ProductEnsemble) -> np.ndarray:
 
 def random_unitary(dim: int, seed: Seed = None) -> np.ndarray:
     """Haar-random unitary via phase-fixed QR of a Ginibre matrix."""
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     q, r = np.linalg.qr(g)
     phases = np.diag(r).copy()
@@ -106,7 +102,7 @@ def random_unitary(dim: int, seed: Seed = None) -> np.ndarray:
 
 def random_density(dim: int, rank: int | None = None, seed: Seed = None) -> np.ndarray:
     """Random density matrix of the given rank (full rank by default)."""
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     if rank is None:
         rank = dim
     if rank < 1 or rank > dim:
@@ -120,7 +116,7 @@ def random_cptp(dim_in: int, dim_out: int, kraus_count: int, seed: Seed = None) 
     """Random CPTP map from a Haar-random isometry cut into Kraus blocks."""
     if kraus_count * dim_out < dim_in:
         raise ValueError(f"need kraus_count * dim_out >= dim_in, got {kraus_count} * {dim_out} < {dim_in}")
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     g = rng.standard_normal((kraus_count * dim_out, dim_in)) + 1j * rng.standard_normal(
         (kraus_count * dim_out, dim_in)
     )
@@ -133,7 +129,7 @@ def random_separable(dim_a: int, dim_b: int, n_terms: int, seed: Seed = None) ->
     """Random separable ensemble: Dirichlet-uniform weights, random-rank factors."""
     if n_terms < 1:
         raise ValueError("need at least one product term")
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     weights = rng.dirichlet(np.ones(n_terms))
     states_a = tuple(random_density(dim_a, int(rng.integers(1, dim_a + 1)), rng) for _ in range(n_terms))
     states_b = tuple(random_density(dim_b, int(rng.integers(1, dim_b + 1)), rng) for _ in range(n_terms))
@@ -146,7 +142,7 @@ def random_light_touch(dim: int, seed: Seed = None) -> Spectrum:
     Samples a Haar-random projector of rank 1..dim and a scale in (0, 1],
     emitting ``lam (2P - 1)``; rank ``dim`` yields the constant spectrum.
     """
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     rank = int(rng.integers(1, dim + 1))
     u = random_unitary(dim, rng)
     cols = u[:, :rank]
@@ -157,7 +153,7 @@ def random_light_touch(dim: int, seed: Seed = None) -> Spectrum:
 
 def random_povm(dim: int, outcomes: int, seed: Seed = None) -> list[np.ndarray]:
     """Random POVM from normalizing random positive operators."""
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     parts = []
     for _ in range(outcomes):
         g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
@@ -257,5 +253,5 @@ def perfect_distinguishability_check(
     _check_tol(tol)
     joint = instance.weights[:, None] * _pairings(instance.states, instance.povm).real  # [t, k]
     announced = np.arange(len(joint))[:, None] == np.array(instance.assignment)
-    worst = float(np.max(np.abs(joint - np.where(announced, joint.sum(axis=0), 0.0))))
+    worst = float(np.abs(joint - np.where(announced, joint.sum(axis=0), 0.0)).max())
     return worst <= tol, worst

@@ -108,7 +108,7 @@ def _numeric_array(m: object, what: str = "matrix", real: bool = False) -> np.nd
 def max_abs(m: np.ndarray) -> float:
     """Entrywise max norm."""
     a = np.asarray(m)
-    return float(np.max(np.abs(a))) if a.size else 0.0
+    return float(np.abs(a).max()) if a.size else 0.0
 
 
 def _hermitian_part(a: np.ndarray) -> np.ndarray:
@@ -299,7 +299,7 @@ class Spectrum:
         Consecutive eigenvalues closer than ``DEFAULT_TOLS.cluster * max(1, spectral radius)``
         share one projector ``P`` and take their mean as ``lambda``.
         """
-        gap = DEFAULT_TOLS.cluster * max(1.0, float(np.max(np.abs(self.p))))
+        gap = DEFAULT_TOLS.cluster * max(1.0, float(np.abs(self.p).max()))
         cuts = np.flatnonzero(np.diff(self.p) > gap) + 1
         groups = zip(np.split(self.p, cuts), np.split(self.u, cuts, axis=1))
         return tuple((float(np.mean(w)), v @ v.conj().T) for w, v in groups)

@@ -202,29 +202,31 @@ _TO_PAULI = np.ascontiguousarray(4 * _FROM_PAULI.conj().T)
 _HALF_TO_PAULI = _TO_PAULI * _HALF  # the first step of a table, with the anticommutator's 1/2 folded in
 
 
-def correlations_from_process(process: Process, qubits: int) -> CorrelationTable:
-    """Tabulate two-time expectation values over all Pauli pairs of ``m`` qubits.
+def correlations_from_process(process: Process, qubits: int | None = None) -> CorrelationTable:
+    """Tabulate two-time expectation values over all Pauli pairs of ``m`` qubits, by default read off ``dim_in``.
 
     Pauli strings are light-touch, so ``table[a, b] = Tr[(E * rho)(s_a (x) s_b)]``, the Pauli expansion of the state
     over time.  Its ``2m`` qubits, input first, fall into ``m`` pairs; one transpose of ``2 (E * rho)`` puts each
     pair's row index next to its column index, and each of ``m`` matmuls by :data:`_TO_PAULI` takes the leading pair
     to its 16 Pauli coefficients and moves them to the back, ending in :func:`pauli_index` order: ``O(m 16^m)`` work.
     """
-    if not _is_positive_int(qubits):
+    if not (qubits is None or _is_positive_int(qubits)):
         raise ValueError(f"qubits must be a positive int, got {qubits!r}")
-    d = 2**qubits
     e, rho = process.channel, process.input_state
-    if e.dim_in != d or e.dim_out != d:
-        raise ValueError(f"process dims ({e.dim_in}, {e.dim_out}) are not {qubits}-qubit algebras")
-    pairs = sum(zip(range(qubits), range(qubits, 2 * qubits)), ())  # pair 1's row and column axes, then pair 2's...
-    x = _star(e, rho).reshape((4,) * 2 * qubits).transpose(pairs)  # rho is gated by Process
-    for factor in [_HALF_TO_PAULI] + [_TO_PAULI] * (qubits - 1):
+    m = int(e.dim_in).bit_length() - 1  # the one count dim_in allows, 0 at dim_in 1
+    d = 2**m
+    if m == 0 or e.dim_in != d or e.dim_out != d or qubits not in (None, m):
+        count = f"{qubits}-" if qubits else ""  # names only a count that was given
+        raise ValueError(f"process dims ({e.dim_in}, {e.dim_out}) are not {count}qubit algebras")
+    pairs = sum(zip(range(m), range(m, 2 * m)), ())  # pair 1's row and column axes, then pair 2's...
+    x = _star(e, rho).reshape((4,) * 2 * m).transpose(pairs)  # rho is gated by Process
+    for factor in [_HALF_TO_PAULI] + [_TO_PAULI] * (m - 1):
         x = x.reshape(16, -1).T @ factor
     table = x.reshape(d * d, d * d)
     residue = np.abs(table.imag).max()
     if residue > DEFAULT_TOLS.imag:
         raise ValueError(f"two-time expectation has imaginary residue {residue:.3e}")
-    return CorrelationTable(qubits=qubits, table=table.real)
+    return CorrelationTable(qubits=m, table=table.real)
 
 
 def pdm_from_correlations(corr: CorrelationTable) -> np.ndarray:

@@ -29,10 +29,11 @@ the rotation, the cross-check the matrix that is returned.
 
 :func:`certify` runs both directions and adds the plain PPT flag, one shifted Cholesky factorization of the
 partial transpose (a second checks its ``10 tol`` clearance only when a side of a PPT state reads incompatible),
-so a certification makes no full-size eigensolve.  The flag orders the probes: a faithful side of a non-PPT state
-is probed below the zone first.  A side's test-matrix and Choi minima are solved when first read, by one
-eigensolve of the Choi matrix it returns, whose spectrum is ``X``'s plus ``1/n`` on a marginal's kernel.  Only a
-:class:`VerdictMismatchError` re-derives ``X`` from ``tau``, so that its message quotes each path's own minimum.
+so a certification makes no full-size eigensolve.  The flag orders the probes: a faithful side is probed below the
+zone first unless the state is PPT, and :func:`compatibility_test`, which has no flag, probes every faithful side
+so.  A side's test-matrix and Choi minima are solved when first read, by one eigensolve of the Choi matrix it
+returns, whose spectrum is ``X``'s plus ``1/n`` on a marginal's kernel.  Only a :class:`VerdictMismatchError`
+re-derives ``X`` from ``tau``, so that its message quotes each path's own minimum.
 
 Each call gates its outside input once, in :func:`_validated` or :func:`_measured`: ``tau``
 (finite, Hermitian, trace one), then ``dims``, then each marginal, then ``tol``.  A marginal is
@@ -267,7 +268,7 @@ class CompatibilityReport:
     ``(10 tol + 64 m n eps) * scale`` of zero.  The cross-check is ``cptp.cp``, a Cholesky
     factorization of the returned ``channel``'s Choi matrix, with the reconstruction residual
     ``max|tau - E * rho|`` and ``is_cptp``'s trace gate ``cptp.tp``.  That matrix is exactly Hermitian
-    by construction: no Hermiticity gate runs, and ``cptp.hermiticity_defect``, its defect, is 0.0.
+    by construction, so no Hermiticity gate runs.
 
     ``cptp.choi_min_eigenvalue`` is solved on first read, by one eigensolve of the returned
     Choi matrix, and ``test_min_eigenvalue`` reads it: the Choi matrix is ``X`` up to a unitary
@@ -329,9 +330,9 @@ def _cholesky_cp(a: np.ndarray, shift: float) -> bool:
     return True
 
 
-def _side_report(validated: tuple, side: str, tol: float, ppt: bool | None = None) -> CompatibilityReport:
+def _side_report(validated: tuple, side: str, tol: float, ppt: bool = False) -> CompatibilityReport:
     """Both verdict paths in one direction for a ``tau`` validated by :func:`_validated`, at a checked ``tol``;
-    ``ppt``, :func:`certify`'s PPT flag or None where it is not computed, orders the probes only."""
+    ``ppt``, True only for a state known to be PPT, orders the probes only."""
     t4, s = _oriented(validated[0], side), validated[1][side]
     x4 = _eigenbasis_array(t4, s)
     m, n = t4.shape[:2]
@@ -340,12 +341,12 @@ def _side_report(validated: tuple, side: str, tol: float, ppt: bool | None = Non
     # Path 1: the dephased distorted partial transpose, read in the eigenbasis.  Each probe factors its
     # support block X, shifted in place, to place the least eigenvalue: above the zone, below it, or in
     # it and then on a side of the PSD floor.  A kernel puts 0 in the spectrum, so a rank-deficient side
-    # is never above the zone.  A faithful side of a non-PPT state mostly reads below the zone, so it is
-    # probed there first; the order sets how many probes run, not what any of them returns.
+    # is never above the zone.  A faithful side of a state not known to be PPT mostly reads below the zone, so
+    # it is probed there first; the order sets how many probes run, not what any of them returns.
     block = _support_block(x4, s)
     scale = _frobenius_scale(block, f"side {side}: test matrix")  # bounds max(1, lambda_max) from above
     zone = (10 * tol + _ZONE_ROUNDING * m * n * _EPS) * scale  # the floor keeps an exact zero in it at tol=0
-    if faithful and ppt is False:
+    if faithful and not ppt:
         cleared = _cholesky_cp(block, zone)
         above = cleared and _cholesky_cp(block, -zone)
     else:
@@ -369,7 +370,6 @@ def _side_report(validated: tuple, side: str, tol: float, ppt: bool | None = Non
             cp=_cholesky_cp(channel.choi, 5 * tol * scale),
             tp=tp,
             trace_residual=trace_residual,
-            hermiticity_defect=0.0,
             _least_eigenvalue=partial(_least_eigenvalue, channel.choi),
         ),
         faithful_marginal=faithful,
@@ -398,8 +398,8 @@ def compatibility_test(
     eigenbasis array: the sign of the smallest eigenvalue of the Cauchy-weighted
     partial transpose (the test matrix), from shifted Cholesky factorizations, and a
     Cholesky factorization of its rotation to the channel's Choi matrix, the matrix
-    that is returned.  With no PPT flag to order them, the probes start above the
-    zone.  They must agree outside the ``10 * tol`` boundary zone, else
+    that is returned.  A faithful side is probed below the zone first, as for a
+    state not known to be PPT.  They must agree outside the ``10 * tol`` boundary zone, else
     :class:`VerdictMismatchError` is raised.
     """
     validated = _validated(tau, dims)

@@ -189,10 +189,10 @@ class TestVerdicts:
         # from_kraus leaves a Hermiticity defect of ~3e-17, which the gate's rounding floor
         # absorbs at tol=0; a 1e-6 defect in the upper triangle stays far above the floor.
         e = tc.random_cptp(3, 2, 2, seed=4)
-        assert 0.0 < tc.is_cptp(e).hermiticity_defect < 1e-16
+        assert 0.0 < tc.hermiticity_defect(e.choi) < 1e-16
         assert tc.is_hptp(e, 0.0)
         full_rank = tc.random_cptp(3, 2, 6, seed=0)  # Choi min eigenvalue 0.068
-        assert 0.0 < tc.is_cptp(full_rank).hermiticity_defect
+        assert 0.0 < tc.hermiticity_defect(full_rank.choi)
         assert tc.is_cptp(full_rank, 0.0).cp
         c = full_rank.choi.copy()
         c[0, -1] += 1e-6
@@ -235,7 +235,7 @@ class TestVerdicts:
         skewed = tc.SuperOp(2, 2, c)
         assert not tc.is_hptp(skewed)
         rep = tc.is_cptp(skewed)
-        assert rep.hermiticity_defect == np.inf and not rep.cp and rep.tp
+        assert tc.hermiticity_defect(c) == np.inf and not rep.cp and rep.tp
 
 
 class TestComposeAndAdjoint:

@@ -680,10 +680,12 @@ class TestExpectCommand:
         assert capsys.readouterr().err == f"error: process dims (4, 4) are not {m}-qubit algebras\n"
 
     def test_non_qubit_process_exits_1(self, tmp_path, capsys):
-        proc = tc.Process(channel=tc.identity_channel(3), input_state=np.eye(3) / 3)
-        path = write(tmp_path, "proc.json", documents.process_document(proc))
-        assert main(["expect", path]) == 1
-        assert capsys.readouterr().err == "error: process dims (3, 3) are not 1-qubit algebras\n"
+        # With no --m the message names no qubit count: none was given, and none fits.
+        for dim in (1, 3):
+            proc = tc.Process(channel=tc.identity_channel(dim), input_state=np.eye(dim) / dim)
+            path = write(tmp_path, f"proc{dim}.json", documents.process_document(proc))
+            assert main(["expect", path]) == 1
+            assert capsys.readouterr().err == f"error: process dims ({dim}, {dim}) are not qubit algebras\n"
 
 
 class TestBlochCommand:
@@ -781,6 +783,7 @@ class TestUsageErrors:
             ["certify"],
             ["certify", "s.json", "--tol", "abc"],
             ["certify", "s.json", "--json", "--text"],
+            ["certify", "s.json", "--text"],
             ["channel", "s.json", "--side", "C"],
             ["channel", "s.json", "--bogus"],
             ["pdm"],

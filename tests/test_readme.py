@@ -6,13 +6,14 @@ import dataclasses
 import importlib
 import pkgutil
 import re
+import shlex
 import warnings
 from pathlib import Path
 
 import pytest
 
 import tempcert
-from tempcert import documents
+from tempcert import cli, documents
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -63,3 +64,18 @@ def test_readme_rounding_table_matches_the_constants():
         if re.fullmatch(r"_[A-Z_]+_ROUNDING", name)
     }
     assert table == constants
+
+
+def test_readme_command_lines_parse(capsys):
+    # Each command of the command-line block, its comment stripped, parses; parsing opens no file, so a flag
+    # removed from the parser cannot linger in the README.
+    block = README.read_text(encoding="utf-8").split("## Command line\n")[1].split("```sh\n")[1].split("```")[0]
+    lines = [line.split("#")[0] for line in block.splitlines() if line.startswith("tempcert ")]
+    assert len(lines) == 6
+    for line in lines:
+        argv = shlex.split(line)[1:]
+        try:
+            args = cli._build_parser().parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {line.strip()!r}: {capsys.readouterr().err.strip()}")
+        assert args.command == argv[0]

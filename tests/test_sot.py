@@ -373,9 +373,11 @@ class TestCorrelationTables:
             tc.correlations_from_process(p, qubits)
 
     def test_non_qubit_dims_rejected(self):
-        p = tc.Process(channel=tc.identity_channel(3), input_state=np.eye(3) / 3)
-        with pytest.raises(ValueError, match="qubit"):
-            tc.correlations_from_process(p, 1)
+        # A count read off the dims (qubits=None) is named by no message: none was given.
+        for dim, qubits, count in [(3, 1, "1-"), (4, 1, "1-"), (1, None, ""), (3, None, ""), (6, None, "")]:
+            p = tc.Process(channel=tc.identity_channel(dim), input_state=np.eye(dim) / dim)
+            with pytest.raises(ValueError, match=rf"^process dims \({dim}, {dim}\) are not {count}qubit algebras$"):
+                tc.correlations_from_process(p, qubits)
 
 
 def _check_sampled_pairs(m: int, rng: np.random.Generator, samples: int) -> None:

@@ -648,7 +648,7 @@ class TestEigenbasisKernel:
     def test_one_sided_eigensolve_count(self, monkeypatch):
         # A one-sided call validates both marginals by eigh and factors only its own test matrix,
         # by probes, and its Choi matrix: side a of this state is in the zone (3 probes), side b
-        # below it (2, or 1 in certify, which probes a side of this non-PPT state below the zone
+        # below it (1, as a faithful side of a state not known to be PPT is probed below the zone
         # first).  The partial transpose is factored by certify alone, once.  A map
         # built from one marginal solves it once, and the Petz maps solve each state they are built
         # from once.
@@ -665,8 +665,8 @@ class TestEigenbasisKernel:
 
         cases = [
             (lambda: tc.compatibility_test(tau, (3, 4), "a"), probed(3 + 1)),
-            (lambda: tc.compatibility_test(tau, (3, 4), "b"), probed(2 + 1)),
-            (lambda: tc.bayesian_inverse(process), probed(2 + 1)),
+            (lambda: tc.compatibility_test(tau, (3, 4), "b"), probed(1 + 1)),
+            (lambda: tc.bayesian_inverse(process), probed(1 + 1)),
             (lambda: tc.certify(tau, (3, 4)), probed(1, 3 + 1, 1 + 1)),
             (lambda: tc.verify_decomposition(tau, (3, 4), "a"), eigh_only(3)),
             (lambda: tc.verify_decomposition(tau, (3, 4), "b"), eigh_only(4)),
@@ -724,15 +724,14 @@ class TestEigenbasisKernel:
     @settings(**DERANDOMIZED, max_examples=120)
     @given(case=cases(SIDE_KINDS, DIMS))
     def test_side_reports_need_no_hermiticity_gate(self, case):
-        # Each side's Choi matrix is returned exactly Hermitian, so its defect is 0.0 and path 2 gates nothing
-        # on it; its reconstruction residual, formed from one matmul, agrees with star_product's (reverse_star's
-        # on side b).  On 8,000 sides of these families the two differed by at most 0.5 eps max(1, max|C|).
+        # Each side's Choi matrix is returned exactly Hermitian, so path 2 gates nothing on it; its reconstruction
+        # residual, formed from one matmul, agrees with star_product's (reverse_star's on side b).  On 8,000
+        # sides of these families the two differed by at most 0.5 eps max(1, max|C|).
         tau, dims = case.tau, case.dims
         result = tc.certify(tau, dims)
         for report in (result.side_a, result.side_b):
             c = report.channel.choi
             assert np.array_equal(c, c.conj().T)
-            assert report.cptp.hermiticity_defect == 0.0
             rho = tc.partial_trace(tau, dims, "b" if report.side == "a" else "a")
             star = tc.star_product if report.side == "a" else tc.reverse_star
             reference = tc.max_abs(star(report.channel, rho) - tau)
@@ -939,7 +938,6 @@ def _report_bytes(report: tc.CompatibilityReport) -> tuple:
         cptp.tp,
         float.hex(report.reconstruction_residual),
         float.hex(cptp.trace_residual),
-        float.hex(cptp.hermiticity_defect),
         report.channel.choi.tobytes(),
         float.hex(report.test_min_eigenvalue),
         float.hex(cptp.choi_min_eigenvalue),
@@ -954,10 +952,10 @@ class TestProbeOrder:
         )
     )
     def test_probe_order_changes_no_report(self, case):
-        # certify probes a faithful side of a non-PPT state below the zone first, and any other side above it
-        # first.  Each probe shifts its array in place and writes the saved diagonal back, so x4, from which
-        # the Choi matrix is built after the probes, and the Choi matrix, probed after it is built, are left
-        # as they were, and both orders give the same report to the bit.
+        # A faithful side of a state not known to be PPT is probed below the zone first, and any other side
+        # above it first.  Each probe shifts its array in place and writes the saved diagonal back, so x4, from
+        # which the Choi matrix is built after the probes, and the Choi matrix, probed after it is built, are
+        # left as they were, and both orders give the same report to the bit.
         tau, dims, tol = case.tau, case.dims, case.tol
         validated = tc.temporal._validated(tau, dims)
         probe = tc.temporal._cholesky_cp
@@ -971,7 +969,7 @@ class TestProbeOrder:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(tc.temporal, "_cholesky_cp", restoring)
             for side in "ab":
-                below_first, above_first = (tc.temporal._side_report(validated, side, tol, p) for p in (False, None))
+                below_first, above_first = (tc.temporal._side_report(validated, side, tol, p) for p in (False, True))
                 assert _report_bytes(below_first) == _report_bytes(above_first)
                 assert below_first.channel.choi.tobytes() == tc.temporal_channel(tau, dims, side).choi.tobytes()
 
