@@ -47,6 +47,11 @@ __all__ = [
 ]
 
 
+def _check_dims(dim_in: object, dim_out: object) -> None:
+    if not (_is_positive_int(dim_in) and _is_positive_int(dim_out)):
+        raise ValueError(f"dim_in and dim_out must be positive ints, got ({dim_in!r}, {dim_out!r})")
+
+
 @dataclass(frozen=True)
 class SuperOp:
     """A linear map between operator spaces, stored as its Choi matrix."""
@@ -56,8 +61,7 @@ class SuperOp:
     choi: np.ndarray
 
     def __post_init__(self) -> None:
-        if not (_is_positive_int(self.dim_in) and _is_positive_int(self.dim_out)):
-            raise ValueError(f"dim_in and dim_out must be positive ints, got ({self.dim_in!r}, {self.dim_out!r})")
+        _check_dims(self.dim_in, self.dim_out)
         d = self.dim_in * self.dim_out
         c = as_complex_matrix(self.choi)
         if c.shape != (d, d):
@@ -87,6 +91,7 @@ class Process:
 
 
 def identity_channel(dim: int) -> SuperOp:
+    _check_dims(dim, dim)
     v = np.eye(dim, dtype=np.complex128).ravel()
     return SuperOp(dim, dim, np.outer(v, v))
 
@@ -96,6 +101,7 @@ def replace_channel(sigma: np.ndarray, dim_in: int | None = None) -> SuperOp:
     s = validate_density(sigma)
     if dim_in is None:
         dim_in = s.shape[0]
+    _check_dims(dim_in, s.shape[0])
     return SuperOp(dim_in, s.shape[0], tensor(np.eye(dim_in), s))
 
 
@@ -109,6 +115,8 @@ def from_kraus(ops: list[np.ndarray]) -> SuperOp:
     if not ops:
         raise ValueError("need at least one Kraus operator")
     mats = [np.asarray(k, dtype=np.complex128) for k in ops]
+    if mats[0].ndim != 2:
+        raise ValueError(f"a Kraus operator must be a matrix, got shape {mats[0].shape}")
     dim_out, dim_in = mats[0].shape
     choi = np.zeros((dim_in * dim_out, dim_in * dim_out), dtype=np.complex128)
     for k in mats:

@@ -23,9 +23,9 @@ import numpy as np
 from . import documents
 from .channels import is_cptp
 from .ensembles import assemble_state
-from .operators import DEFAULT_TOLS, _check_tol, partial_trace
+from .operators import DEFAULT_TOLS, _check_tol
 from .sot import PAULIS, correlations_from_process, pdm_from_correlations
-from .temporal import VerdictMismatchError, certify, dephasing_channel, temporal_channel
+from .temporal import VerdictMismatchError, _dephasing, _validated, certify, temporal_channel
 
 __all__ = ["main"]
 
@@ -106,12 +106,11 @@ def _cmd_expect(args: argparse.Namespace) -> int:
 def _bloch_points(tau: np.ndarray, dims: tuple[int, int], stage: str, samples: int, seed: int) -> np.ndarray:
     if dims != (2, 2):
         raise ValueError(f"bloch export needs two qubit factors, got dims {dims}")
-    if stage == "input":
-        push = None
-    elif stage == "dephased":
-        push = dephasing_channel(partial_trace(tau, dims, "b"))
-    else:  # "output"; the parser restricts --stage to the three names
+    if stage == "output":
         push = temporal_channel(tau, dims, "a")
+    else:  # "input" or "dephased": the parser restricts --stage to the three names
+        _, s = _validated(tau, dims, "a")[1]["a"]  # tau is gated on every stage, as temporal_channel gates it
+        push = None if stage == "input" else _dephasing(s)
     v = np.random.default_rng(seed).standard_normal((samples, 3))
     v /= np.linalg.norm(v, axis=1, keepdims=True)
     sigmas = np.stack(PAULIS[1:])

@@ -397,7 +397,7 @@ def swap_factors(t: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
 
 
 def _positive_probabilities(p: np.ndarray) -> np.ndarray:
-    q = np.asarray(p, dtype=float).ravel()
+    q = _finite(_numeric_array(p, "probabilities", real=True).ravel(), "probabilities must be finite")
     if q.size == 0 or np.any(q <= 0):
         raise ValueError("probabilities restricted to the support must be strictly positive")
     return q

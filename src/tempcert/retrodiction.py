@@ -13,7 +13,7 @@ import numpy as np
 
 from .channels import Process, SuperOp, apply, compose, from_kraus, hs_adjoint
 from .operators import (
-    DEFAULT_TOLS, Spectrum, _density_spectrum, _hermitian_part, _in_range, _oriented, _spectrum, max_abs,
+    DEFAULT_TOLS, Spectrum, _density_spectrum, _hermitian_part, _in_range, _spectrum, max_abs,
 )
 from .sot import star_product
 from .temporal import (
@@ -78,15 +78,14 @@ def verify_dfed(tau: np.ndarray, dims: tuple[int, int]) -> float:
     dephasings ``D`` and ``D'``, and the Petz recovery ``E^`` of ``E``; returns
     ``max|choi(D o F) - choi(E^ o D')|``, which vanishes identically.
     """
-    t4, spectra = _validated(tau, dims)
-    for side, spectrum in spectra.items():
-        if spectrum.rank < len(spectrum.p):
+    (ta, sa), (tb, sb) = _validated(tau, dims)[1].values()
+    for side, s in (("a", sa), ("b", sb)):
+        if s.rank < len(s.p):
             raise ValueError(f"marginal on side {side} is not faithful")
     # Each marginal is solved once, by _validated.  E(rho_a) = rho_b, as E * rho_a = tau.
-    e, f = (_choi_from_eigenbasis(spectra[s], _eigenbasis_array(_oriented(t4, s), spectra[s])) for s in "ab")
-    deph_a, deph_b = _dephasing(spectra["a"]), _dephasing(spectra["b"])
-    petz_e = _petz(e, spectra["a"], spectra["b"])
-    return max_abs(compose(deph_a, f).choi - compose(petz_e, deph_b).choi)
+    e, f = (_choi_from_eigenbasis(s, _eigenbasis_array(t4, s)) for t4, s in ((ta, sa), (tb, sb)))
+    petz_e = _petz(e, sa, sb)
+    return max_abs(compose(_dephasing(sa), f).choi - compose(petz_e, _dephasing(sb)).choi)
 
 
 def petz_selfinverse_dephasing_check(rho: np.ndarray) -> float:

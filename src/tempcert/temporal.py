@@ -35,11 +35,11 @@ so.  A side's test-matrix and Choi minima are solved when first read, by one eig
 returns, whose spectrum is ``X``'s plus ``1/n`` on a marginal's kernel.  Only a :class:`VerdictMismatchError`
 re-derives ``X`` from ``tau``, so that its message quotes each path's own minimum.
 
-Each call gates its outside input once, in :func:`_validated` or :func:`_measured`: ``tau``
-(finite, Hermitian, trace one), then ``dims``, then each marginal, then ``tol``.  A marginal is
-the partial trace of ``tau``'s exactly Hermitian part, so it is exactly Hermitian; only its
-finiteness, trace and PSD floor are checked, the last on the one ``eigh`` that gives its
-eigenbasis.  Nothing below that boundary checks them again.
+Each call gates its outside input once, in :func:`_validated`: ``tau`` (finite, Hermitian, trace one), then
+``dims``, then each side and its marginal, then ``tol``.  Each direction's work reads that side's pair: ``tau``'s
+Hermitian part with the side's factor first, and its marginal's spectrum.  A marginal is the partial trace of that
+exactly Hermitian part, so it is exactly Hermitian; only its finiteness, trace and PSD floor are checked, the
+last on the one ``eigh`` that gives its eigenbasis.  Nothing below that boundary checks them again.
 """
 
 from __future__ import annotations
@@ -84,22 +84,22 @@ class VerdictMismatchError(RuntimeError):
     """The two verdict paths disagreed beyond the boundary zone."""
 
 
-def _validated_marginal(t4: np.ndarray, side: str) -> Spectrum:
-    """The density :class:`Spectrum` of the marginal on ``side`` of ``tau``'s split Hermitian part ``t4``,
-    gated for finiteness (a Hermitian part can overflow), trace and PSD floor; its errors name the side."""
-    rho = _trace_out(_oriented(t4, side), "b")
-    try:
-        s = _spectrum(_require_unit_trace(as_complex_matrix(rho)))
-        _require_psd_spectrum(s.p)
-    except ValueError as exc:
-        raise ValueError(f"marginal on side {side}: {exc}") from exc
-    return s
-
-
-def _measured(tau: np.ndarray, dims: tuple[int, int], side: str) -> tuple[np.ndarray, Spectrum]:
-    """``tau``, ``dims`` and ``side`` gated: the Hermitian part by :func:`_oriented`, and the side's marginal."""
+def _validated(tau: np.ndarray, dims: tuple[int, int], sides: str | tuple[str, ...] = "ab") -> tuple[np.ndarray, dict]:
+    """The one gate of ``tau``: ``tau``, ``dims``, then each of ``sides`` and its marginal.  Returns ``tau``'s
+    Hermitian part as ``(m, n, m, n)`` and, by side, the pair that side's work reads: the part by :func:`_oriented`,
+    and the density :class:`Spectrum` of its first marginal, gated for finiteness (a Hermitian part can overflow),
+    trace and PSD floor, with errors that name the side."""
     t4 = _split(_require_trace_one(tau), dims)
-    return _oriented(t4, side), _validated_marginal(t4, side)
+    pairs = {}
+    for side in sides:
+        r4 = _oriented(t4, side)
+        try:
+            s = _spectrum(_require_unit_trace(as_complex_matrix(_trace_out(r4, "b"))))
+            _require_psd_spectrum(s.p)
+        except ValueError as exc:
+            raise ValueError(f"marginal on side {side}: {exc}") from exc
+        pairs[side] = r4, s
+    return t4, pairs
 
 
 def _conjugate_first(x4: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -114,7 +114,7 @@ def _eigenbasis_array(t4: np.ndarray, s: Spectrum) -> np.ndarray:
     """The ``(m, n, m, n)`` test matrix in the eigenbasis ``s.u`` of ``rho_a``, in C order, so that
     the probes and the Choi rotation reshape it as views.
 
-    ``t4`` is oriented by :func:`_oriented`; ``s`` is :func:`_validated_marginal` of its first factor.
+    ``(t4, s)`` is a side's pair from :func:`_validated`.
     ``X[i, x, j, y] = 2 / (p_i + p_j) <u_j, x| tau |u_i, y>``, zero on blocks touching the kernel.
     """
     rotated = _conjugate_first(t4, s.u)
@@ -122,11 +122,11 @@ def _eigenbasis_array(t4: np.ndarray, s: Spectrum) -> np.ndarray:
 
 
 def _support_block(x4: np.ndarray, s: Spectrum) -> np.ndarray:
-    """The rows and columns of ``x4 = _eigenbasis_array(t4, s)`` on the support of ``s``, as an ``(r n, r n)``
-    matrix: a view on a faithful marginal, else a copy.  The rest of ``x4`` is zero, so the test matrix's
+    """The rows and columns of ``x4 = _eigenbasis_array(t4, s)`` on the support of ``s``, as an ``(r n, r n)`` view:
+    ``s.p`` ascends, so the support is its last ``r`` eigenvalues.  The rest of ``x4`` is zero, so the test matrix's
     spectrum is the block's plus ``(m - r) n`` zeros."""
     m, n, r = *x4.shape[:2], s.rank
-    return (x4 if r == m else x4[s.mask][:, :, s.mask]).reshape(r * n, r * n)
+    return x4[m - r :, :, m - r :, :].reshape(r * n, r * n)
 
 
 def _least_eigenvalue(a: np.ndarray) -> float:
@@ -167,7 +167,7 @@ def temporal_channel(tau: np.ndarray, dims: tuple[int, int], side: str = "a") ->
     output and kernel-touching off-diagonal units map to zero; the map is then
     one solution among many.
     """
-    t4, s = _measured(tau, dims, side)
+    t4, s = _validated(tau, dims, (side,))[1][side]
     x4 = _eigenbasis_array(t4, s)
     del t4  # the Hermitian part of tau: one (m n)^2 array fewer held while the Choi matrix is built
     return _choi_from_eigenbasis(s, x4)
@@ -181,7 +181,7 @@ def sylvester_oracle(tau: np.ndarray, dims: tuple[int, int], side: str = "a") ->
     solution is not unique, and dimensions ``m * n`` above 64, where the
     dense system would not fit in memory.
     """
-    t4, s = _measured(tau, dims, side)
+    t4, s = _validated(tau, dims, (side,))[1][side]
     m, n = t4.shape[:2]
     if m * n > _SYLVESTER_MAX_DIM:
         raise ValueError(f"sylvester_oracle is limited to m*n <= {_SYLVESTER_MAX_DIM}, got {dims[0]}*{dims[1]}")
@@ -233,7 +233,7 @@ def pgm_map(tau: np.ndarray, dims: tuple[int, int], side: str = "a") -> SuperOp:
     when ``tau`` is separable, and positive (though not necessarily completely
     positive) for every density ``tau``.
     """
-    return _pgm(*_measured(tau, dims, side))
+    return _pgm(*_validated(tau, dims, (side,))[1][side])
 
 
 def _pgm(t4: np.ndarray, s: Spectrum) -> SuperOp:
@@ -253,7 +253,7 @@ def verify_decomposition(tau: np.ndarray, dims: tuple[int, int], side: str = "a"
     kernel conventions of the two stages differ from the channel's and the
     returned residual is meaningful only as a diagnostic.
     """
-    t4, s = _measured(tau, dims, side)
+    t4, s = _validated(tau, dims, (side,))[1][side]
     e = _choi_from_eigenbasis(s, _eigenbasis_array(t4, s))
     return max_abs(e.choi - compose(_pgm(t4, s), _dephasing(s)).choi)
 
@@ -297,12 +297,6 @@ def is_ppt(tau: np.ndarray, dims: tuple[int, int], tol: float = DEFAULT_TOLS.psd
     return _gated_psd(partial_transpose(require_hermitian(tau), dims, "a"), tol)
 
 
-def _validated(tau: np.ndarray, dims: tuple[int, int]) -> tuple[np.ndarray, dict[str, Spectrum]]:
-    """``tau``, ``dims`` and both marginals gated: the Hermitian part as ``(m, n, m, n)``, the spectra by side."""
-    t4 = _split(_require_trace_one(tau), dims)
-    return t4, {side: _validated_marginal(t4, side) for side in "ab"}
-
-
 def _frobenius_scale(x: np.ndarray, name: str) -> float:
     """``max(1, ||x||_F)``, the scale of the PSD floors, raising ``ValueError`` where the norm overflows a float:
     an infinite scale would pass every floor.  ``np.vdot`` sums the squares with no warning, to inf or NaN."""
@@ -330,10 +324,9 @@ def _cholesky_cp(a: np.ndarray, shift: float) -> bool:
     return True
 
 
-def _side_report(validated: tuple, side: str, tol: float, ppt: bool = False) -> CompatibilityReport:
-    """Both verdict paths in one direction for a ``tau`` validated by :func:`_validated`, at a checked ``tol``;
+def _side_report(t4: np.ndarray, s: Spectrum, side: str, tol: float, ppt: bool = False) -> CompatibilityReport:
+    """Both verdict paths on the pair ``(t4, s)`` of ``side`` from :func:`_validated`, at a checked ``tol``;
     ``ppt``, True only for a state known to be PPT, orders the probes only."""
-    t4, s = _oriented(validated[0], side), validated[1][side]
     x4 = _eigenbasis_array(t4, s)
     m, n = t4.shape[:2]
     faithful = s.rank == m
@@ -353,7 +346,7 @@ def _side_report(validated: tuple, side: str, tol: float, ppt: bool = False) -> 
         above = faithful and _cholesky_cp(block, -zone)
         cleared = above or _cholesky_cp(block, zone)
     test_ok, boundary = (above, False) if above or not cleared else (_cholesky_cp(block, tol * scale), True)
-    del block  # a copy on a rank-deficient side, freed before the Choi matrix is built
+    del block  # a view of x4, which del x4 below frees only once the block is gone
 
     # Path 2: a Cholesky factorization of the returned Choi matrix, shifted to the middle of
     # the (tol, 10 tol) * scale band, so it succeeds iff the channel is CP outside the boundary zone.
@@ -402,9 +395,10 @@ def compatibility_test(
     state not known to be PPT.  They must agree outside the ``10 * tol`` boundary zone, else
     :class:`VerdictMismatchError` is raised.
     """
-    validated = _validated(tau, dims)
+    t4, pairs = _validated(tau, dims)
     _check_tol(tol)
-    return _side_report(validated, side, tol)
+    _oriented(t4, side)  # the side check, after the other gates
+    return _side_report(*pairs[side], side, tol)
 
 
 @dataclass(frozen=True)
@@ -441,13 +435,12 @@ def certify(tau: np.ndarray, dims: tuple[int, int], tol: float = DEFAULT_TOLS.ps
     is a second, made only for a PPT state with a side incompatible outside its zone.  A faithful side
     of a non-PPT state, mostly incompatible, is probed below its zone first: one probe if it is below.
     """
-    validated = _validated(tau, dims)
+    t4, pairs = _validated(tau, dims)
     _check_tol(tol)
-    t4 = validated[0]
     t = t4.reshape(t4.shape[0] * t4.shape[1], -1)
     pt = t4.transpose(2, 1, 0, 3)  # a view; each factorization shifts a fresh copy of it
     ppt = _cholesky_cp(pt.copy().reshape(t.shape), tol * _frobenius_scale(t, "tau"))
-    side_a, side_b = (_side_report(validated, side, tol, ppt) for side in "ab")
+    side_a, side_b = (_side_report(*pairs[side], side, tol, ppt) for side in "ab")
     suspects = [report for report in (side_a, side_b) if not report.compatible and not report.boundary]
     if ppt and suspects and _cholesky_cp(pt.copy().reshape(t.shape), -10 * tol):
         raise VerdictMismatchError(

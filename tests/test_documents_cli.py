@@ -721,6 +721,16 @@ class TestBlochCommand:
         _bloch_points(tau, (2, 2), "dephased", 8, 0)
         assert sizes == {"eigh": [2], "eigvalsh": [], "cholesky": []}
 
+    @pytest.mark.parametrize("stage", ["input", "dephased", "output"])
+    def test_every_stage_gates_tau(self, tmp_path, capsys, stage):
+        # Trace one and a Hermitian marginal on side a, but tau itself is not Hermitian.
+        tau = np.diag([0.5, 0, 0, 0.5]).astype(complex)
+        tau[0, 1] = 1
+        path = write(tmp_path, "skew.json", documents.state_document(tau, (2, 2)))
+        assert main(["bloch", path, "--stage", stage, "--samples", "8"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: hermiticity violated")
+
     def test_zero_samples_empty_file(self, tmp_path):
         path = write(tmp_path, "bell.json", documents.state_document(bell_state(), (2, 2)))
         out = tmp_path / "empty.csv"

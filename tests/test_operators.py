@@ -125,6 +125,16 @@ def test_package_checks_the_side_in_one_place():
     assert "side must be 'a' or 'b'" in sources["operators.py"].split("def _oriented(")[1].split("\ndef ")[0]
 
 
+def test_package_gates_tau_in_one_place():
+    # temporal._validated is the one gate of tau; every temporal computation reads the side pair it returns.
+    sources = {path.name: path.read_text(encoding="utf-8") for path in Path(tc.__file__).parent.glob("*.py")}
+    gates = {name: text.count("_split(_require_trace_one(") for name, text in sources.items()}
+    assert {name: k for name, k in gates.items() if k} == {"temporal.py": 1}
+    assert "_split(_require_trace_one(" in sources["temporal.py"].split("def _validated(")[1].split("\ndef ")[0]
+    assert not any("_measured" in text for text in sources.values())
+    assert [name for name, text in sources.items() if "_support_block" in text] == ["temporal.py"]
+
+
 def test_package_makes_one_cholesky_call():
     # The PPT flag and the Choi cross-check share _cholesky_cp, so a failed factorization means one thing.
     sources = {path.name: path.read_text(encoding="utf-8") for path in Path(tc.__file__).parent.glob("*.py")}
@@ -775,6 +785,27 @@ RARE_INPUT_CHECKS = {
         )
         for qubits in (1.5, -1, True, 0, None)
     },
+    **{
+        f"{name}-{kind}": (partial(make, p), rf"^probabilities must be {what}")
+        for kind, p, what in (
+            ("inf", [0.5, np.inf], "finite$"),
+            ("nan", [0.5, np.nan], "finite$"),
+            ("leading-inf", [np.inf, 1.0], "finite$"),
+            ("complex", [1 + 1j, 1.0], "real, got a nonzero imaginary part$"),
+        )
+        for name, make in (("cauchy", tc.cauchy_matrix), ("harmonic", tc.harmonic_mean_matrix))
+    },
+    **{
+        f"map-dims-{name}": (call, rf"^dim_in and dim_out must be positive ints, got \({got}\)$")
+        for name, call, got in (
+            ("identity-float", lambda: tc.identity_channel(2.0), r"2\.0, 2\.0"),
+            ("identity-negative", lambda: tc.identity_channel(-1), "-1, -1"),
+            ("replace-bool", lambda: tc.replace_channel(np.eye(2) / 2, dim_in=True), "True, 2"),
+            ("replace-negative", lambda: tc.replace_channel(np.eye(2) / 2, dim_in=-1), "-1, 2"),
+            ("transpose-bool", lambda: tc.transpose_map(True), "True, True"),
+        )
+    },
+    "kraus-vector": (lambda: tc.from_kraus([np.ones(2)]), r"^a Kraus operator must be a matrix, got shape \(2,\)$"),
     "object-member": (
         lambda: tc.ProductEnsemble([0.5, 0.5], [np.eye(2) / 2] * 2, [np.eye(2) / 2, [[object(), 0], [0, 1]]]),
         r"^member 1 of states_b is ragged or holds a non-number: expected an array of numbers$",

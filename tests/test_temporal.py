@@ -606,8 +606,8 @@ class TestEigenbasisKernel:
         }[state]
         original = tc.temporal._side_report
 
-        def incompatible_a(validated, side, tol, ppt):
-            report = original(validated, side, tol, ppt)
+        def incompatible_a(t4, s, side, tol, ppt):
+            report = original(t4, s, side, tol, ppt)
             return replace(report, compatible=False, boundary=False) if side == "a" else report
 
         monkeypatch.setattr(tc.temporal, "_side_report", incompatible_a)
@@ -957,7 +957,7 @@ class TestProbeOrder:
         # which the Choi matrix is built after the probes, and the Choi matrix, probed after it is built, are
         # left as they were, and both orders give the same report to the bit.
         tau, dims, tol = case.tau, case.dims, case.tol
-        validated = tc.temporal._validated(tau, dims)
+        pairs = tc.temporal._validated(tau, dims)[1]
         probe = tc.temporal._cholesky_cp
 
         def restoring(a, shift):
@@ -969,7 +969,7 @@ class TestProbeOrder:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(tc.temporal, "_cholesky_cp", restoring)
             for side in "ab":
-                below_first, above_first = (tc.temporal._side_report(validated, side, tol, p) for p in (False, True))
+                below_first, above_first = (tc.temporal._side_report(*pairs[side], side, tol, p) for p in (False, True))
                 assert _report_bytes(below_first) == _report_bytes(above_first)
                 assert below_first.channel.choi.tobytes() == tc.temporal_channel(tau, dims, side).choi.tobytes()
 
@@ -982,16 +982,17 @@ class TestSideMinima:
         # X's, plus 1/n on a marginal's kernel, where the test matrix has zeros; they agree with a solve of X
         # rebuilt from tau up to rounding.
         tau, dims = case.tau, case.dims
-        validated = tc.temporal._validated(tau, dims)
+        pairs = tc.temporal._validated(tau, dims)[1]
         result = tc.certify(tau, dims)
         for report in (result.side_a, result.side_b):
-            s = validated[1][report.side]
+            t4, s = pairs[report.side]
             choi_min = float(np.linalg.eigvalsh(report.channel.choi)[0])
             assert float.hex(report.cptp.choi_min_eigenvalue) == float.hex(choi_min)
             test_min = choi_min if report.faithful_marginal else min(choi_min, 0.0)
             assert float.hex(report.test_min_eigenvalue) == float.hex(test_min)
-            x4 = tc.temporal._eigenbasis_array(tc.temporal._oriented(validated[0], report.side), s)
+            x4 = tc.temporal._eigenbasis_array(t4, s)
             block = tc.temporal._support_block(x4, s)
+            assert block.base is x4  # a view on every side, rank-deficient ones too
             block_min = float(np.linalg.eigvalsh(block)[0])
             allowance = 1e-12 * max(1.0, float(np.linalg.norm(block)))
             assert abs(choi_min - block_min) <= allowance
